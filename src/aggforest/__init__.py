@@ -12,7 +12,7 @@ from .aggregation import (
 from .binning import BinMapper, BinnedMatrix, FeatureKind, fit_bins, transform
 from .datasets import add_noise, donoho_signal, make_toy_classification, signal_grid
 from .forest import FittedTree, Forest, TrainConfig, fit
-from .metrics import EvalReport, log_loss, mse, multiclass_auc, roc_auc
+from .metrics import log_loss, mse, multiclass_auc, roc_auc
 from .model_io import DatasetSchema, load_csv, load_model, save_model
 from .sampling import BootstrapSample, RandomSource, bootstrap
 from .splits import Split, SplitConstraints, find_best_split
@@ -26,7 +26,6 @@ __all__ = [
     "BinnedMatrix",
     "BootstrapSample",
     "DatasetSchema",
-    "EvalReport",
     "FeatureKind",
     "FittedTree",
     "Forest",

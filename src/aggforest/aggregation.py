@@ -2,8 +2,11 @@
 
 Every subtree sharing the full tree's root is a candidate predictor.  The
 weighted average over all of them, with prior 2**(-complexity) and weights
-exp(-temperature * oob loss), collapses to one upward sweep per query thanks
-to a per-node recursion over log-domain weights, so nothing is enumerated.
+exp(-temperature * oob loss), collapses to a per-node recursion over
+log-domain weights, so nothing is enumerated.  The average depends on a row
+only through its leaf, so one top-down pass gives every node its aggregated
+value (``node_values``) and prediction is a route and a gather.
+``predict_aggregated`` keeps the single-row upward fold as the reference.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ class AggregationState:
     ``oob_loss`` holds each node's total loss over the out-of-bag rows it
     contains, ``log_agg_weight`` the log-domain recursive weight.  Both are
     None for a state built without aggregation (leaf-only prediction).
+    ``temperature`` is per node in a stack of states (``stack_states``).
     """
 
     loss: str
@@ -39,7 +43,8 @@ class AggregationState:
 
 
 def node_forecast(stats, task: str, dirichlet: float = 0.5):
-    """Forecast of a single node from its itb label statistics.
+    """Forecast of a node from its itb label statistics, or of every node
+    of a stack of them (one node per row).
 
     Classification returns the smoothed class frequencies
     (count_k + dirichlet) / (total + dirichlet * K), strictly positive and
@@ -49,33 +54,13 @@ def node_forecast(stats, task: str, dirichlet: float = 0.5):
     if task == "classification":
         if dirichlet <= 0:
             raise ValueError(f"dirichlet must be positive, got {dirichlet}")
-        total = stats.sum()
-        return (stats + dirichlet) / (total + dirichlet * stats.shape[0])
+        total = stats.sum(axis=-1, keepdims=True)
+        return (stats + dirichlet) / (total + dirichlet * stats.shape[-1])
     if task == "regression":
-        if stats[0] <= 0:
+        if (stats[..., 0] <= 0).any():
             raise ValueError("forecast of an empty node is undefined")
-        return float(stats[1] / stats[0])
+        return stats[..., 1] / stats[..., 0]
     raise ValueError(f"unknown task {task!r}")
-
-
-def _forecast_all(tree: Tree, dirichlet: float) -> np.ndarray:
-    if tree.task == "classification":
-        if dirichlet <= 0:
-            raise ValueError(f"dirichlet must be positive, got {dirichlet}")
-        totals = tree.stats.sum(axis=1, keepdims=True)
-        return (tree.stats + dirichlet) / (totals + dirichlet * tree.n_classes)
-    return tree.stats[:, 1] / tree.stats[:, 0]
-
-
-def node_oob_loss(forecast, y_values, loss: str) -> float:
-    """Total loss of one node's forecast over its oob labels."""
-    y = np.asarray(y_values)
-    if loss == LOG_LOSS:
-        forecast = np.asarray(forecast, dtype=np.float64)
-        return float(-np.log(forecast[y.astype(np.int64)]).sum())
-    if loss == SQUARED_LOSS:
-        return float(((float(forecast) - y.astype(np.float64)) ** 2).sum())
-    raise ValueError(f"unknown loss {loss!r}")
 
 
 def accumulate_oob_losses(tree: Tree, forecasts: np.ndarray, entries: np.ndarray,
@@ -142,7 +127,7 @@ def build_state(tree: Tree, entries: np.ndarray, labels, oob_rows,
     which is what prediction with aggregation switched off uses.
     """
     loss = LOG_LOSS if tree.task == "classification" else SQUARED_LOSS
-    forecasts = _forecast_all(tree, dirichlet)
+    forecasts = node_forecast(tree.stats, tree.task, dirichlet)
     if oob_rows is None:
         return AggregationState(loss, temperature, dirichlet, forecasts, None, None)
     labels = np.asarray(labels)
@@ -194,39 +179,66 @@ def predict_aggregated(tree: Tree, state: AggregationState, x,
     return (f, visits) if count_visits else f
 
 
+def stack_states(states: list[AggregationState]) -> AggregationState:
+    """The states of several trees as one, in the node order of
+    ``stack_trees``; each node keeps its own tree's temperature."""
+    first = states[0]
+    sizes = [s.forecasts.shape[0] for s in states]
+    joined = {name: None if getattr(first, name) is None else
+              np.concatenate([getattr(s, name) for s in states])
+              for name in ("forecasts", "oob_loss", "log_agg_weight")}
+    temperature = np.repeat([s.temperature for s in states], sizes)
+    return AggregationState(first.loss, temperature, first.dirichlet, **joined)
+
+
+def node_values(tree: Tree, state: AggregationState) -> np.ndarray:
+    """The prediction of every node's region, one top-down pass per depth.
+
+    For an internal node p with child c, acc(c) = acc(p) + rem(p) mix(p)
+    forecast(p) and rem(c) = rem(p) (1 - mix(p)); a node's value is
+    acc + rem forecast, the upward fold of ``predict_aggregated`` expanded
+    from the root.  Every root (parent -1) starts a tree, so a stack of
+    trees takes one pass.  Without aggregation arrays the value is the
+    forecast.
+    """
+    if state.log_agg_weight is None:
+        return state.forecasts
+    forecasts = state.forecasts.reshape(tree.n_nodes, -1)
+    mix = mix_coefficients(state)
+    own, keep = mix[:, None] * forecasts, 1.0 - mix
+    internal = tree.feature >= 0
+    children = np.stack([tree.left_child, tree.right_child], axis=1)
+    acc = np.zeros_like(forecasts)
+    rem = np.ones(tree.n_nodes)
+    nodes = np.flatnonzero(tree.parent < 0)
+    while nodes.size:
+        nodes = nodes[internal[nodes]]
+        kids = children[nodes]
+        r = rem[nodes]
+        acc[kids] = (acc[nodes] + r[:, None] * own[nodes])[:, None]
+        rem[kids] = (r * keep[nodes])[:, None]
+        nodes = kids.ravel()
+    values = acc + rem[:, None] * forecasts
+    if tree.task == "classification":
+        s = values.sum(axis=1)
+        bad = np.abs(s - 1.0) > 1e-12
+        values[bad] /= s[bad, None]
+    return values.reshape(state.forecasts.shape)
+
+
 def predict_aggregated_batch(tree: Tree, state: AggregationState,
                              entries: np.ndarray) -> np.ndarray:
     """Aggregated predictions for every row of a binned matrix."""
     if state.log_agg_weight is None:
         raise ValueError("state was built without aggregation arrays")
-    classification = tree.task == "classification"
-    mix_all = mix_coefficients(state)
-    leaf = tree.route(entries)
-    f = state.forecasts[leaf].copy()
-    cur = leaf
-    act = np.flatnonzero(cur != 0)
-    while act.size:
-        p = tree.parent[cur[act]].astype(np.int64)
-        mix = mix_all[p]
-        if classification:
-            f[act] = mix[:, None] * state.forecasts[p] + (1.0 - mix[:, None]) * f[act]
-        else:
-            f[act] = mix * state.forecasts[p] + (1.0 - mix) * f[act]
-        cur[act] = p
-        act = act[p != 0]
-    if classification:
-        s = f.sum(axis=1)
-        bad = np.abs(s - 1.0) > 1e-12
-        if bad.any():
-            f[bad] /= s[bad, None]
-    return f
+    return node_values(tree, state)[tree.route(entries)]
 
 
 def predict_leaf_only(tree: Tree, x, dirichlet: float = 0.5):
     """Forecast of the leaf holding one binned row, no aggregation.
 
-    This is the plain random forest prediction path, kept as the ablation
-    baseline.
+    This is the plain random forest prediction for one row, kept as the
+    reference for prediction with aggregation off.
     """
     leaf = int(tree.path(np.asarray(x))[-1])
     return node_forecast(tree.stats[leaf], tree.task, dirichlet)

@@ -3,23 +3,22 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import (
-    AggregationState,
-    build_state,
-    predict_aggregated_batch,
-    predict_leaf_only_batch,
-)
+from .aggregation import AggregationState, build_state, node_values, stack_states
 from .binning import BinMapper, BinnedMatrix, fit_bins, transform
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
-from .tree import Tree, grow_tree
+from .tree import Tree, grow_tree, stack_trees
 
 TASKS = ("classification", "regression")
 MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
+
+# Most (row, tree) pairs routed together, which bounds the working memory of
+# prediction to a few arrays of this many entries.
+_BLOCK_PAIRS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,10 @@ class FittedTree:
 
 @dataclass
 class Forest:
+    """A trained forest.  Prediction routes every (row, tree) pair through
+    one stacked table of the trees, built on the first prediction and never
+    saved; change ``trees`` only before predicting."""
+
     config: TrainConfig
     mapper: BinMapper
     trees: list[FittedTree]
@@ -99,6 +102,8 @@ class Forest:
     y_min_: float = 0.0
     y_max_: float = 0.0
     feature_names: list[str] | None = None
+    _table: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -107,51 +112,57 @@ class Forest:
     def _binned(self, X) -> BinnedMatrix:
         return transform(X, self.mapper)
 
-    def _bundle_predictions(self, bundle: FittedTree, entries) -> np.ndarray:
-        if self.config.aggregation:
-            return predict_aggregated_batch(bundle.tree, bundle.state, entries)
-        return predict_leaf_only_batch(bundle.tree, bundle.state.forecasts,
-                                       entries)
+    def _stacked(self) -> tuple[Tree, np.ndarray, np.ndarray]:
+        """The stacked tree, every node's value per prediction column
+        (columns x nodes), and each tree's root.  Under one-versus-rest a
+        node's positive-class value sits in its tree's class column."""
+        if self._table is None:
+            tree, roots = stack_trees([b.tree for b in self.trees])
+            values = node_values(tree, stack_states([b.state for b in self.trees]))
+            if self.trees[0].class_id >= 0:
+                class_id = np.repeat([b.class_id for b in self.trees],
+                                     [b.tree.n_nodes for b in self.trees])
+                ovr = np.zeros((tree.n_nodes, self.n_classes))
+                ovr[np.arange(tree.n_nodes), class_id] = values[:, 1]
+                values = ovr
+            values = np.ascontiguousarray(values.reshape(tree.n_nodes, -1).T)
+            self._table = tree, values, roots
+        return self._table
 
-    def _selected(self, max_trees: int | None) -> list[FittedTree]:
-        if max_trees is None:
-            return self.trees
-        if max_trees < 1:
+    def _mean_values(self, X, max_trees: int | None) -> np.ndarray:
+        """Sum over the selected trees of every row's leaf values, divided
+        by the number of trees; one column per prediction column."""
+        if max_trees is not None and max_trees < 1:
             raise ValueError("max_trees must be >= 1")
-        return [b for b in self.trees if b.index < max_trees]
+        tree, values, roots = self._stacked()
+        if max_trees is not None:
+            roots = roots[[b.index < max_trees for b in self.trees]]
+        entries = self._binned(X).entries
+        out = np.empty((entries.shape[0], values.shape[0]))
+        step = max(1, _BLOCK_PAIRS // roots.shape[0])
+        for lo in range(0, entries.shape[0], step):
+            leaf = tree.route(entries[lo:lo + step], roots)
+            # A running sum adds the trees in order, so a row's total does
+            # not depend on the rows it shares a block with.
+            out[lo:lo + step] = values[:, leaf].cumsum(axis=-1)[..., -1].T
+        return out / roots.shape[0]
 
     def predict_proba(self, X, max_trees: int | None = None) -> np.ndarray:
         """Class probabilities, columns ordered like ``classes_``."""
         if self.config.task != "classification":
             raise ValueError("predict_proba requires a classification forest")
-        entries = self._binned(X).entries
-        bundles = self._selected(max_trees)
-        K = self.n_classes
-        if self.config.multiclass == "one_vs_rest" and bundles[0].class_id >= 0:
-            cols = np.zeros((entries.shape[0], K), dtype=np.float64)
-            counts = np.zeros(K, dtype=np.int64)
-            for b in bundles:
-                cols[:, b.class_id] += self._bundle_predictions(b, entries)[:, 1]
-                counts[b.class_id] += 1
-            cols /= counts
-            return cols / cols.sum(axis=1, keepdims=True)
-        acc = np.zeros((entries.shape[0], K), dtype=np.float64)
-        for b in bundles:
-            acc += self._bundle_predictions(b, entries)
-        return acc / len(bundles)
+        proba = self._mean_values(X, max_trees)
+        if self.trees[0].class_id >= 0:
+            return proba / proba.sum(axis=1, keepdims=True)
+        return proba
 
     def predict(self, X, max_trees: int | None = None) -> np.ndarray:
         """Class labels (ties go to the lowest class index) or clipped means."""
         if self.config.task == "classification":
             proba = self.predict_proba(X, max_trees=max_trees)
             return self.classes_[np.argmax(proba, axis=1)]
-        entries = self._binned(X).entries
-        bundles = self._selected(max_trees)
-        acc = np.zeros(entries.shape[0], dtype=np.float64)
-        for b in bundles:
-            acc += self._bundle_predictions(b, entries)
-        acc /= len(bundles)
-        return np.clip(acc, self.y_min_, self.y_max_)
+        return np.clip(self._mean_values(X, max_trees)[:, 0],
+                       self.y_min_, self.y_max_)
 
     def oob_loss_summary(self) -> tuple[float, float]:
         """Mean and standard deviation over trees of the per-tree mean oob loss."""
@@ -186,11 +197,8 @@ def _fit_single(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
     oob_rows = sample.oob_indices if config.aggregation else None
     state = build_state(tree, binned.entries, labels, oob_rows, temperature,
                         config.dirichlet)
-    if config.aggregation:
-        preds = predict_aggregated_batch(tree, state, binned.entries[sample.oob_indices])
-    else:
-        preds = predict_leaf_only_batch(tree, state.forecasts,
-                                        binned.entries[sample.oob_indices])
+    leaf = tree.route(binned.entries[sample.oob_indices])
+    preds = node_values(tree, state)[leaf]
     y_oob = labels[sample.oob_indices]
     if k > 0:
         losses = -np.log(preds[np.arange(y_oob.shape[0]), y_oob])
@@ -223,6 +231,8 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     y = np.asarray(y)
     classes = None
     if config.task == "classification":
+        if any(v is None or v != v for v in y.tolist()):
+            raise ValueError("class labels must not be missing (NaN or None)")
         classes, y_enc = np.unique(y, return_inverse=True)
         y_enc = y_enc.astype(np.int64)
         if classes.shape[0] < 2:

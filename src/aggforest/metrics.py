@@ -2,18 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.stats import rankdata
-
-
-@dataclass
-class EvalReport:
-    metric: str
-    value: float
-    n_samples: int
-    per_class: dict = field(default_factory=dict)
 
 
 def roc_auc(scores, labels) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -155,7 +156,7 @@ def load_model(path: str) -> Forest:
             f"unsupported model format version {version}, expected {FORMAT_VERSION}")
     digest = raw[12:44]
     (length,) = struct.unpack_from("<Q", raw, 44)
-    payload = raw[52:]
+    payload = memoryview(raw)[52:]    # slices share the bytes, no copies
     if len(payload) != length:
         raise ModelFormatError(
             f"truncated model file: payload is {len(payload)} bytes, header says {length}")
@@ -163,7 +164,7 @@ def load_model(path: str) -> Forest:
         raise ModelFormatError("model file checksum mismatch; file is corrupted")
 
     (hlen,) = struct.unpack_from("<Q", payload, 0)
-    meta = json.loads(payload[8:8 + hlen].decode("utf-8"))
+    meta = json.loads(str(payload[8:8 + hlen], "utf-8"))
     body = payload[8 + hlen:]
 
     arrays: dict[str, np.ndarray | None] = {}
@@ -173,7 +174,7 @@ def load_model(path: str) -> Forest:
             arrays[name] = None
             continue
         dt = np.dtype(dtype)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         arr = np.frombuffer(body, dtype=dt, count=count, offset=offset)
         arrays[name] = arr.reshape(shape).copy()
         offset += count * dt.itemsize
@@ -199,6 +200,10 @@ def load_model(path: str) -> Forest:
     for i, tm in enumerate(meta["trees"]):
         tree = Tree(task=tm["task"], n_classes=tm["n_classes"],
                     **{name: arrays[f"t{i}.{name}"] for name in _TREE_ARRAYS})
+        try:
+            tree.validate()
+        except ValueError as exc:
+            raise ModelFormatError(f"tree {i}: {exc}") from None
         state = AggregationState(
             loss=tm["loss"],
             temperature=tm["state_temperature"],

@@ -242,6 +242,52 @@ def exhaustive_continuous_gain(table: np.ndarray, criterion: str,
     return best
 
 
+def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
+                      root_arg) -> Tree:
+    """A tree over one feature of ``n_bins`` bins, built in preorder.
+
+    ``node(lo, hi, depth, arg)`` returns the stats of the node owning bins
+    [lo, hi) and either None (a leaf) or (threshold, gain, left arg, right
+    arg); the left child owns bins [lo, threshold].
+    """
+    cols: dict[str, list] = {k: [] for k in (
+        "feature", "threshold", "left_child", "right_child", "parent",
+        "depth", "gain", "stats")}
+
+    def build(lo: int, hi: int, depth: int, par: int, arg) -> int:
+        my = len(cols["feature"])
+        stats, split = node(lo, hi, depth, arg)
+        for k, v in zip(cols, (-1, -2, -1, -1, par, depth, np.nan, stats)):
+            cols[k].append(v)
+        if split is not None:
+            t, gain, left_arg, right_arg = split
+            cols["feature"][my], cols["threshold"][my] = 0, t
+            cols["gain"][my] = gain
+            cols["left_child"][my] = build(lo, t + 1, depth + 1, my, left_arg)
+            cols["right_child"][my] = build(t + 1, hi, depth + 1, my, right_arg)
+        return my
+
+    build(0, n_bins, 0, -1, root_arg)
+    n = len(cols["feature"])
+    ids = {k: np.asarray(cols[k], dtype=np.int32) for k in (
+        "feature", "threshold", "left_child", "right_child", "parent", "depth")}
+    return Tree(
+        task=task,
+        n_classes=n_classes if task == "classification" else 0,
+        missing_left=np.zeros(n, dtype=bool),
+        mask_id=np.full(n, -1, dtype=np.int32),
+        masks=np.zeros((0, n_bins), dtype=bool),
+        gain=np.asarray(cols["gain"], dtype=np.float64),
+        itb_count=np.ones(n, dtype=np.int64),
+        itb_weight=np.ones(n, dtype=np.float64),
+        oob_count=np.ones(n, dtype=np.int64),
+        stats=np.vstack(cols["stats"]),
+        feature_n_bins=np.asarray([n_bins], dtype=np.int64),
+        feature_missing_bin=np.asarray([-1], dtype=np.int64),
+        **ids,
+    )
+
+
 def synthetic_tree(rng: np.random.Generator, n_leaves: int,
                    task: str = "classification", n_classes: int = 2,
                    n_bins: int = 16) -> Tree:
@@ -254,118 +300,40 @@ def synthetic_tree(rng: np.random.Generator, n_leaves: int,
     """
     if not 1 <= n_leaves <= n_bins:
         raise ValueError("need 1 <= n_leaves <= n_bins")
-    classification = task == "classification"
 
-    feature, threshold, depth_, gain = [], [], [], []
-    left, right, parent = [], [], []
-    stats = []
+    def node(lo: int, hi: int, depth: int, quota: int):
+        if task == "classification":
+            stats = rng.gamma(2.0, 2.0, size=n_classes) + 1e-3
+        else:
+            w = float(rng.uniform(1.0, 10.0))
+            mean = float(rng.normal(0.0, 2.0))
+            spread = float(rng.uniform(0.0, 4.0))
+            stats = np.array([w, w * mean, w * (mean * mean + spread)])
+        if quota == 1:
+            return stats, None
+        kl = int(rng.integers(1, quota))
+        kr = quota - kl
+        t = int(rng.integers(lo + kl - 1, hi - kr))
+        return stats, (t, float(rng.uniform(0.01, 1.0)), kl, kr)
 
-    def node_stats() -> np.ndarray:
-        if classification:
-            return rng.gamma(2.0, 2.0, size=n_classes) + 1e-3
-        w = float(rng.uniform(1.0, 10.0))
-        mean = float(rng.normal(0.0, 2.0))
-        spread = float(rng.uniform(0.0, 4.0))
-        return np.array([w, w * mean, w * (mean * mean + spread)])
-
-    def build(lo: int, hi: int, quota: int, depth: int, par: int) -> int:
-        my = len(feature)
-        feature.append(-1)
-        threshold.append(-2)
-        left.append(-1)
-        right.append(-1)
-        parent.append(par)
-        depth_.append(depth)
-        gain.append(np.nan)
-        stats.append(node_stats())
-        if quota > 1:
-            kl = int(rng.integers(1, quota))
-            kr = quota - kl
-            t = int(rng.integers(lo + kl - 1, hi - kr))
-            feature[my] = 0
-            threshold[my] = t
-            gain[my] = float(rng.uniform(0.01, 1.0))
-            left[my] = build(lo, t + 1, kl, depth + 1, my)
-            right[my] = build(t + 1, hi, kr, depth + 1, my)
-        return my
-
-    build(0, n_bins, n_leaves, 0, -1)
-    n = len(feature)
-    return Tree(
-        task=task,
-        n_classes=n_classes if classification else 0,
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.int32),
-        missing_left=np.zeros(n, dtype=bool),
-        mask_id=np.full(n, -1, dtype=np.int32),
-        masks=np.zeros((0, n_bins), dtype=bool),
-        left_child=np.asarray(left, dtype=np.int32),
-        right_child=np.asarray(right, dtype=np.int32),
-        parent=np.asarray(parent, dtype=np.int32),
-        depth=np.asarray(depth_, dtype=np.int32),
-        gain=np.asarray(gain, dtype=np.float64),
-        itb_count=np.ones(n, dtype=np.int64),
-        itb_weight=np.ones(n, dtype=np.float64),
-        oob_count=np.ones(n, dtype=np.int64),
-        stats=np.vstack(stats),
-        feature_n_bins=np.asarray([n_bins], dtype=np.int64),
-        feature_missing_bin=np.asarray([-1], dtype=np.int64),
-    )
+    return _one_feature_tree(task, n_classes, n_bins, node, n_leaves)
 
 
 def complete_tree(depth: int, task: str = "classification",
                   n_classes: int = 2) -> Tree:
     """A full binary tree of the given depth over one feature."""
-    n_bins = max(2 ** depth, 2)
     rng = np.random.default_rng(depth)
-    classification = task == "classification"
 
-    feature, threshold, depth_, gain = [], [], [], []
-    left, right, parent = [], [], []
-    stats = []
-
-    def build(lo: int, hi: int, level: int, par: int) -> int:
-        my = len(feature)
-        is_leaf = level == depth
-        feature.append(-1 if is_leaf else 0)
-        threshold.append(-2 if is_leaf else (lo + hi - 1) // 2)
-        left.append(-1)
-        right.append(-1)
-        parent.append(par)
-        depth_.append(level)
-        gain.append(np.nan if is_leaf else 0.1)
-        if classification:
-            stats.append(rng.gamma(2.0, 2.0, size=n_classes) + 1e-3)
+    def node(lo: int, hi: int, level: int, arg):
+        if task == "classification":
+            stats = rng.gamma(2.0, 2.0, size=n_classes) + 1e-3
         else:
-            stats.append(np.array([2.0, rng.normal(), 4.0]))
-        if not is_leaf:
-            mid = (lo + hi) // 2
-            left[my] = build(lo, mid, level + 1, my)
-            right[my] = build(mid, hi, level + 1, my)
-        return my
+            stats = np.array([2.0, rng.normal(), 4.0])
+        if level == depth:
+            return stats, None
+        return stats, ((lo + hi - 1) // 2, 0.1, None, None)
 
-    build(0, n_bins, 0, -1)
-    n = len(feature)
-    return Tree(
-        task=task,
-        n_classes=n_classes if classification else 0,
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.int32),
-        missing_left=np.zeros(n, dtype=bool),
-        mask_id=np.full(n, -1, dtype=np.int32),
-        masks=np.zeros((0, n_bins), dtype=bool),
-        left_child=np.asarray(left, dtype=np.int32),
-        right_child=np.asarray(right, dtype=np.int32),
-        parent=np.asarray(parent, dtype=np.int32),
-        depth=np.asarray(depth_, dtype=np.int32),
-        gain=np.asarray(gain, dtype=np.float64),
-        itb_count=np.ones(n, dtype=np.int64),
-        itb_weight=np.ones(n, dtype=np.float64),
-        oob_count=np.ones(n, dtype=np.int64),
-        stats=np.vstack(stats),
-        feature_n_bins=np.asarray([n_bins], dtype=np.int64),
-        feature_missing_bin=np.asarray([-1], dtype=np.int64),
-    )
+    return _one_feature_tree(task, n_classes, max(2 ** depth, 2), node, None)
 
 
 def synthetic_state(tree: Tree, rng: np.random.Generator, temperature: float,

@@ -29,24 +29,6 @@ NO_NODE = -1
 
 
 @dataclass
-class NodeRecord:
-    """One node of a grown tree, assembled for inspection."""
-
-    index: int
-    parent: int
-    left_child: int
-    right_child: int
-    depth: int
-    split: Split | None
-    itb_count: int
-    itb_weight: float
-    oob_count: int
-    stats: np.ndarray
-    oob_loss: float | None = None
-    log_agg_weight: float | None = None
-
-
-@dataclass
 class Tree:
     """A grown tree as parallel per-node arrays.
 
@@ -108,72 +90,103 @@ class Tree:
             gain=float(self.gain[index]),
         )
 
-    def node(self, index: int, state=None) -> NodeRecord:
-        oob_loss = log_w = None
-        if state is not None and state.oob_loss is not None:
-            oob_loss = float(state.oob_loss[index])
-            log_w = float(state.log_agg_weight[index])
-        return NodeRecord(
-            index=index,
-            parent=int(self.parent[index]),
-            left_child=int(self.left_child[index]),
-            right_child=int(self.right_child[index]),
-            depth=int(self.depth[index]),
-            split=self.split_of(index),
-            itb_count=int(self.itb_count[index]),
-            itb_weight=float(self.itb_weight[index]),
-            oob_count=int(self.oob_count[index]),
-            stats=self.stats[index],
-            oob_loss=oob_loss,
-            log_agg_weight=log_w,
-        )
-
     def _goes_left(self, nodes: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Vectorized routing decision for rows standing at internal nodes."""
-        j = self.feature[nodes]
-        codes = codes.astype(np.int64, copy=False)
-        left = codes <= self.threshold[nodes]
-        mb = self.feature_missing_bin[j]
-        is_missing = (mb >= 0) & (codes == mb)
-        if is_missing.any():
-            left = np.where(is_missing, self.missing_left[nodes], left)
-        mid = self.mask_id[nodes]
-        cat = mid >= 0
-        if cat.any():
+        # A feature without a missing bin has -1 there, which no code equals.
+        is_missing = codes == self.feature_missing_bin[self.feature[nodes]]
+        left = np.where(is_missing, self.missing_left[nodes],
+                        codes <= self.threshold[nodes])
+        if self.masks.shape[0]:
+            mid = self.mask_id[nodes]
+            cat = mid >= 0
             left[cat] = self.masks[mid[cat], codes[cat]]
         return left
 
-    def route(self, entries: np.ndarray) -> np.ndarray:
-        """Leaf index for every row of a binned matrix."""
-        n = entries.shape[0]
-        cur = np.zeros(n, dtype=np.int64)
+    def route(self, entries: np.ndarray,
+              roots: np.ndarray | None = None) -> np.ndarray:
+        """Leaf index for every row of a binned matrix.
+
+        From the root, node 0, by default: one leaf per row.  Given the
+        roots of several trees (see ``stack_trees``), every (row, root) pair
+        is routed at once and the result has shape (rows, roots).
+        """
+        start = np.zeros(1, dtype=np.int64) if roots is None else roots
+        t = start.shape[0]
+        cur = np.tile(start.astype(np.int64), entries.shape[0])
         active = np.flatnonzero(self.feature[cur] >= 0)
         while active.size:
             ids = cur[active]
-            codes = entries[active, self.feature[ids]]
+            codes = entries[active // t, self.feature[ids]]
             left = self._goes_left(ids, codes)
             nxt = np.where(left, self.left_child[ids], self.right_child[ids])
             cur[active] = nxt
             active = active[self.feature[nxt] >= 0]
-        return cur
+        return cur if roots is None else cur.reshape(-1, t)
 
     def path(self, entry_row: np.ndarray) -> np.ndarray:
         """Node ids from the root down to the leaf holding one binned row."""
-        v = 0
-        out = [0]
-        while self.feature[v] >= 0:
-            j = int(self.feature[v])
-            code = int(entry_row[j])
-            mid = int(self.mask_id[v])
-            if mid >= 0:
-                left = bool(self.masks[mid, code])
-            elif code == self.feature_missing_bin[j]:
-                left = bool(self.missing_left[v])
-            else:
-                left = code <= int(self.threshold[v])
-            v = int(self.left_child[v] if left else self.right_child[v])
-            out.append(v)
-        return np.asarray(out, dtype=np.int64)
+        out = [int(self.route(np.asarray(entry_row)[None])[0])]
+        while self.parent[out[-1]] >= 0:
+            out.append(int(self.parent[out[-1]]))
+        return np.asarray(out[::-1], dtype=np.int64)
+
+    def validate(self) -> None:
+        """Raise ValueError unless routing from node 0 stays in the tree:
+        one entry per node, features and mask ids in range, and parent and
+        child links that agree, each child after its parent."""
+        n = self.n_nodes
+        if n == 0:
+            raise ValueError("tree has no nodes")
+        for name in _PER_NODE:
+            size = getattr(self, name).shape[0]
+            if size != n:
+                raise ValueError(f"{name} has {size} entries for {n} nodes")
+        if self.feature.max() >= self.feature_n_bins.shape[0]:
+            raise ValueError("feature index out of range")
+        if self.mask_id.max() >= self.masks.shape[0]:
+            raise ValueError("mask id out of range")
+        # n - 1 child links name each node but the root once, by its parent.
+        internal = self.feature >= 0
+        owner = np.flatnonzero(internal)
+        expect = np.full(n, NO_NODE)
+        for child in (self.left_child[internal], self.right_child[internal]):
+            if ((child <= owner) | (child >= n)).any():
+                raise ValueError("child id outside (parent, n_nodes)")
+            expect[child] = owner
+        if (2 * owner.shape[0] != n - 1 or (expect[1:] == NO_NODE).any()
+                or (expect != self.parent).any()):
+            raise ValueError("parent and child links disagree")
+
+
+# Tree fields with one entry per node; the rest describe the whole tree.
+_PER_NODE = ("feature", "threshold", "missing_left", "mask_id", "left_child",
+             "right_child", "parent", "depth", "gain", "itb_count",
+             "itb_weight", "oob_count", "stats")
+
+
+def stack_trees(trees: list[Tree]) -> tuple[Tree, np.ndarray]:
+    """Every node of ``trees`` in one Tree, and the id of each tree's root.
+
+    Child, parent and mask ids are shifted by their tree's offset, so
+    routing from a tree's root stays inside that tree.  The trees must
+    share their task and bin layout, as the trees of one forest do.
+    """
+    sizes = [t.n_nodes for t in trees]
+    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int32)
+    n_masks = [t.masks.shape[0] for t in trees]
+    mask_base = np.concatenate([[0], np.cumsum(n_masks)[:-1]]).astype(np.int32)
+    cols = {name: np.concatenate([getattr(t, name) for t in trees])
+            for name in _PER_NODE}
+    for name, base in (("left_child", roots), ("right_child", roots),
+                       ("parent", roots), ("mask_id", mask_base)):
+        ids = cols[name]
+        cols[name] = np.where(ids >= 0, ids + np.repeat(base, sizes), ids)
+    first = trees[0]
+    stacked = Tree(task=first.task, n_classes=first.n_classes,
+                   masks=np.concatenate([t.masks for t in trees]),
+                   feature_n_bins=first.feature_n_bins,
+                   feature_missing_bin=first.feature_missing_bin, **cols)
+    return stacked, roots
 
 
 def _resolve_criterion(config) -> str:

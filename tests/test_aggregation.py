@@ -16,7 +16,6 @@ from aggforest.aggregation import (
     compute_log_agg_weights,
     mix_coefficients,
     node_forecast,
-    node_oob_loss,
     predict_aggregated,
     predict_aggregated_batch,
     predict_leaf_only,
@@ -54,14 +53,6 @@ def test_forecast_is_strictly_positive_and_normalized(counts, alpha):
     p = node_forecast(np.asarray(counts), "classification", alpha)
     assert (p > 0).all()
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_node_oob_loss_frozen():
-    p = np.array([0.7, 0.3])
-    want = -(math.log(0.7) + 2 * math.log(0.3))
-    assert node_oob_loss(p, np.array([0, 1, 1]), LOG_LOSS) == pytest.approx(want)
-    assert node_oob_loss(2.0, np.array([1.0, 4.0]), SQUARED_LOSS) == \
-        pytest.approx(1.0 + 4.0)
 
 
 # ------------------------------------------------------------- loss routing

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from aggforest import forest as forest_module
+from aggforest.aggregation import predict_aggregated
 from aggforest.datasets import make_toy_classification
 from aggforest.forest import Forest, TrainConfig, fit
 
@@ -151,3 +153,82 @@ def test_fit_input_validation():
 def test_max_features_one_still_learns():
     forest, X, y = toy_forest(seed=14, max_features=1)
     assert (forest.predict(X) == y).mean() > 0.55
+
+
+def test_missing_class_labels_are_rejected():
+    X, y = make_toy_classification(60, seed=15)
+    with_nan = y.astype(np.float64)
+    with_nan[3] = np.nan
+    with pytest.raises(ValueError, match="missing"):
+        fit(X, with_nan, KINDS2, TrainConfig(n_trees=2, seed=15))
+    with_none = np.where(y == 1, "a", "b").astype(object)
+    with_none[5] = None
+    with pytest.raises(ValueError, match="missing"):
+        fit(X, with_none, KINDS2, TrainConfig(n_trees=2, seed=15))
+
+
+def mixed_data(n, seed, task, n_classes=2):
+    """A categorical column and two continuous columns with missing values."""
+    rng = np.random.default_rng(seed)
+    color = rng.choice(np.array(["r", "g", "b", "k"], dtype=object), size=n)
+    color[rng.random(n) < 0.1] = None
+    a, b = rng.normal(size=n), rng.normal(size=n)
+    score = a + 0.7 * (color == "r") - 0.5 * b
+    a[rng.random(n) < 0.15] = np.nan
+    if task == "regression":
+        y = score + rng.normal(0, 0.3, n)
+    else:
+        edges = np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1])
+        y = np.searchsorted(edges, score + rng.normal(0, 0.4, n))
+    return [color, a, b], y
+
+
+def reference_prediction(forest, X, max_trees):
+    """Mean over trees of each tree's single-row prediction: the upward fold
+    of predict_aggregated with aggregation on, the leaf forecast off."""
+    entries = forest._binned(X).entries
+    bundles = [b for b in forest.trees if b.index < max_trees]
+
+    def one(b, x):
+        if forest.config.aggregation:
+            return predict_aggregated(b.tree, b.state, x)
+        return b.state.forecasts[b.tree.path(x)[-1]]
+
+    per_tree = np.array([[one(b, x) for x in entries] for b in bundles])
+    if bundles[0].class_id >= 0:
+        ids = np.array([b.class_id for b in bundles])
+        cols = np.stack([per_tree[ids == k, :, 1].mean(axis=0)
+                         for k in range(forest.n_classes)], axis=1)
+        return cols / cols.sum(axis=1, keepdims=True)
+    mean = per_tree.mean(axis=0)
+    if forest.config.task == "regression":
+        return np.clip(mean, forest.y_min_, forest.y_max_)
+    return mean
+
+
+@pytest.mark.parametrize("aggregation", [True, False])
+@pytest.mark.parametrize("task,n_classes,multiclass", [
+    ("regression", 0, "heuristic"),
+    ("classification", 2, "heuristic"),
+    ("classification", 3, "heuristic"),
+    ("classification", 3, "one_vs_rest"),
+])
+def test_stacked_prediction_equals_per_tree_fold(monkeypatch, task, n_classes,
+                                                  multiclass, aggregation):
+    X, y = mixed_data(300, 16, task, n_classes)
+    kinds = ["categorical", "continuous", "continuous"]
+    forest = fit(X, y, kinds, TrainConfig(
+        task=task, n_trees=4, multiclass=multiclass, aggregation=aggregation,
+        max_features=2, seed=16))
+    # Blocks of 64 pairs hold 16 rows of 4 trees, so 120 rows span 8 blocks.
+    monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", 64)
+    Xq, _ = mixed_data(120, 17, task, n_classes)
+    predict = forest.predict if task == "regression" else forest.predict_proba
+    for max_trees in (None, 2):
+        got = predict(Xq, max_trees=max_trees)
+        want = reference_prediction(forest, Xq, max_trees or 4)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+        for i in range(120):
+            one = predict([c[i:i + 1] for c in Xq], max_trees=max_trees)
+            assert np.array_equal(one[0], got[i])

@@ -1,5 +1,7 @@
 """Model serialization, CSV handling, and the command-line surface."""
 
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -145,6 +147,44 @@ def test_unknown_version_is_rejected(tmp_path):
     struct.pack_into("<I", body, 8, 99)
     path.write_bytes(bytes(body))
     with pytest.raises(ModelFormatError, match="version 99"):
+        load_model(str(path))
+
+
+def rewrite_array(path, name, edit):
+    """Apply edit() in place to one stored array, then re-sign the payload
+    so that only the structural checks can catch the change."""
+    raw = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack_from("<Q", raw, 52)
+    meta = json.loads(raw[60:60 + hlen].decode("utf-8"))
+    offset = 60 + hlen
+    for key, dtype, shape in meta["arrays"]:
+        if dtype is None:
+            continue
+        arr = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape)),
+                            offset=offset)
+        if key == name:
+            edit(arr)
+        offset += arr.nbytes
+    raw[12:44] = hashlib.sha256(bytes(raw[52:])).digest()
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("name,index,value,message", [
+    ("left_child", 0, 10**6, "outside"),     # IndexError at predict before
+    ("left_child", 0, 0, "outside"),         # routing looped forever before
+    ("parent", 2, 1, "disagree"),
+    ("feature", 0, 7, "feature index"),
+])
+def test_malformed_tree_links_are_rejected(tmp_path, name, index, value,
+                                           message):
+    path, _ = saved_model_bytes(tmp_path)
+    assert load_model(str(path)).trees[0].tree.n_nodes >= 3
+
+    def edit(arr):
+        arr[index] = value
+
+    rewrite_array(path, f"t0.{name}", edit)
+    with pytest.raises(ModelFormatError, match=message):
         load_model(str(path))
 
 
