@@ -64,16 +64,21 @@ def node_forecast(stats, task: str, dirichlet: float = 0.5):
 
 
 def accumulate_oob_losses(tree: Tree, forecasts: np.ndarray, entries: np.ndarray,
-                          oob_rows: np.ndarray, labels: np.ndarray,
-                          loss: str) -> np.ndarray:
+                          oob_rows: np.ndarray, labels: np.ndarray, loss: str,
+                          starts: np.ndarray | None = None,
+                          return_leaves: bool = False):
     """Route every oob row from the root to its leaf, adding the loss of each
-    visited node's forecast to that node's total."""
+    visited node's forecast to that node's total.
+
+    ``starts`` gives each row its own start node, such as its tree's root in
+    a stack of trees (``stack_trees``); a row may then appear once per tree.
+    With ``return_leaves`` the result is (totals, each row's leaf).
+    """
     classification = loss == LOG_LOSS
     L = np.zeros(tree.n_nodes, dtype=np.float64)
-    if oob_rows.shape[0] == 0:
-        return L
     y = labels[oob_rows]
-    cur = np.zeros(oob_rows.shape[0], dtype=np.int64)
+    cur = (np.zeros(oob_rows.shape[0], dtype=np.int64) if starts is None
+           else np.array(starts, dtype=np.int64))
     act = np.arange(oob_rows.shape[0])
     while act.size:
         nodes = cur[act]
@@ -90,7 +95,7 @@ def accumulate_oob_losses(tree: Tree, forecasts: np.ndarray, entries: np.ndarray
         codes = entries[oob_rows[act], tree.feature[ids]]
         left = tree._goes_left(ids, codes)
         cur[act] = np.where(left, tree.left_child[ids], tree.right_child[ids])
-    return L
+    return (L, cur) if return_leaves else L
 
 
 def compute_log_agg_weights(tree: Tree, oob_loss: np.ndarray,

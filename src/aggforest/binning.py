@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -141,7 +142,12 @@ def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
 
 
 def _fit_categorical(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
-    missing = np.array([_is_missing_category(v) for v in col], dtype=bool)
+    # One dict pass finds None and ""; NaN, which equals nothing, not even
+    # itself, is checked apart.
+    missing = np.fromiter(map({None: True, "": True}.get, col.tolist(),
+                              repeat(False)), dtype=bool, count=col.shape[0])
+    for i in np.flatnonzero(col != col):
+        missing[i] = _is_missing_category(col[i])
     present = col[~missing]
     if present.size == 0:
         raise ValueError(f"feature {j}: every value is missing, cannot fit bins")
@@ -228,9 +234,14 @@ def _transform_continuous(col: np.ndarray, fb: FeatureBins, j: int) -> np.ndarra
 
 
 def _transform_categorical(col: np.ndarray, fb: FeatureBins, j: int) -> np.ndarray:
-    out = np.empty(col.shape[0], dtype=np.int64)
-    mapping = fb.categories
-    for i, raw in enumerate(col):
+    # One dict pass finds every known category; only missing and unseen
+    # values are looked at one by one.
+    codes = list(map(fb.categories.get, col.tolist(), repeat(-1)))
+    out = np.array(codes, dtype=np.int64)
+    if -1 not in codes:
+        return out
+    for i in np.flatnonzero(out < 0):
+        raw = col[i]
         if _is_missing_category(raw):
             if not fb.has_missing:
                 raise ValueError(
@@ -238,20 +249,15 @@ def _transform_categorical(col: np.ndarray, fb: FeatureBins, j: int) -> np.ndarr
                     "none were present when bins were fit"
                 )
             out[i] = fb.missing_bin
-            continue
-        key = raw.item() if isinstance(raw, np.generic) else raw
-        bin_ = mapping.get(key, -1)
-        if bin_ < 0:
-            if fb.has_missing:
-                bin_ = fb.missing_bin
-            elif fb.overflow_bin >= 0:
-                bin_ = fb.overflow_bin
-            else:
-                raise ValueError(
-                    f"feature {j}: unseen category {raw!r} and the feature has "
-                    "neither a missing bin nor an overflow bin"
-                )
-        out[i] = bin_
+        elif fb.has_missing:
+            out[i] = fb.missing_bin
+        elif fb.overflow_bin >= 0:
+            out[i] = fb.overflow_bin
+        else:
+            raise ValueError(
+                f"feature {j}: unseen category {raw!r} and the feature has "
+                "neither a missing bin nor an overflow bin"
+            )
     return out
 
 

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aggregation import AggregationState, build_state, node_values, stack_states
+from .aggregation import (LOG_LOSS, SQUARED_LOSS, AggregationState,
+                          accumulate_oob_losses, compute_log_agg_weights,
+                          node_forecast, node_values, stack_states)
 from .binning import BinMapper, BinnedMatrix, fit_bins, transform
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
-from .tree import Tree, grow_tree, stack_trees
+from .tree import Tree, grow_trees, stack_trees
 
 TASKS = ("classification", "regression")
 MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
@@ -19,6 +21,11 @@ MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
 # Most (row, tree) pairs routed together, which bounds the working memory of
 # prediction to a few arrays of this many entries.
 _BLOCK_PAIRS = 2 ** 16
+
+# Most rows, counted once per tree, of a group of trees grown together:
+# trees per group = max(1, _GROUP_ROWS // rows), which bounds the extra
+# working memory of growing several trees at once.
+_GROUP_ROWS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -181,30 +188,45 @@ def _resolve_temperature(config: TrainConfig, y: np.ndarray) -> float:
     return 1.0 / (8.0 * bound * bound)
 
 
-def _fit_single(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
-                temperature: float, n_classes: int, index: int,
-                class_id: int) -> FittedTree:
+def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
+               temperature: float, n_classes: int, class_id: int,
+               indices: range) -> list[FittedTree]:
+    """Grow the trees ``indices`` together, then route every (oob row, tree)
+    pair of the group once, from its tree's root in the stack of the group:
+    that gives the nodes' oob losses and the leaf each pair is scored at."""
+    source = RandomSource(config.seed)
     if class_id >= 0:
-        labels = (y_enc == class_id).astype(np.int64)
-        k = 2
-        source = RandomSource(config.seed).child(class_id, index)
+        labels, k = (y_enc == class_id).astype(np.int64), 2
+        source = source.child(class_id)
     else:
-        labels = y_enc
-        k = n_classes
-        source = RandomSource(config.seed).child(index)
-    sample = bootstrap(binned.n_rows, source.child(TAG_BOOTSTRAP))
-    tree = grow_tree(binned, labels, sample, config, source, n_classes=k)
-    oob_rows = sample.oob_indices if config.aggregation else None
-    state = build_state(tree, binned.entries, labels, oob_rows, temperature,
-                        config.dirichlet)
-    leaf = tree.route(binned.entries[sample.oob_indices])
-    preds = node_values(tree, state)[leaf]
-    y_oob = labels[sample.oob_indices]
-    if k > 0:
-        losses = -np.log(preds[np.arange(y_oob.shape[0]), y_oob])
-    else:
-        losses = (preds - y_oob) ** 2
-    return FittedTree(index, class_id, tree, state, float(losses.mean()))
+        labels, k = y_enc, n_classes
+    sources = [source.child(i) for i in indices]
+    samples = [bootstrap(binned.n_rows, s.child(TAG_BOOTSTRAP)) for s in sources]
+    trees = grow_trees(binned, labels, samples, config, sources, n_classes=k)
+    tree, roots = stack_trees(trees)
+    rows = np.concatenate([s.oob_indices for s in samples])
+    n_oob = [s.n_oob for s in samples]
+    state = AggregationState(
+        LOG_LOSS if k else SQUARED_LOSS, temperature, config.dirichlet,
+        node_forecast(tree.stats, config.task, config.dirichlet), None, None)
+    L, leaf = accumulate_oob_losses(
+        tree, state.forecasts, binned.entries, rows, labels, state.loss,
+        np.repeat(roots, n_oob), return_leaves=True)
+    if config.aggregation:
+        state.oob_loss = L
+        state.log_agg_weight = compute_log_agg_weights(tree, L, temperature)
+    preds, y_oob = node_values(tree, state)[leaf], labels[rows]
+    losses = (-np.log(preds[np.arange(rows.shape[0]), y_oob]) if k
+              else (preds - y_oob) ** 2)
+
+    def cut(a):
+        return [None] * len(trees) if a is None else np.split(a, roots[1:])
+
+    return [FittedTree(i, class_id, t, replace(
+                state, forecasts=f, oob_loss=o, log_agg_weight=w), float(part.mean()))
+            for i, t, f, o, w, part in zip(
+                indices, trees, cut(state.forecasts), cut(state.oob_loss),
+                cut(state.log_agg_weight), np.split(losses, np.cumsum(n_oob)[:-1]))]
 
 
 _POOL_PAYLOAD = None
@@ -215,9 +237,8 @@ def _pool_init(payload):
     _POOL_PAYLOAD = payload
 
 
-def _pool_task(task):
-    index, class_id = task
-    return _fit_single(*_POOL_PAYLOAD, index, class_id)
+def _pool_task(group):
+    return _fit_group(*_POOL_PAYLOAD, *group)
 
 
 def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
@@ -251,21 +272,24 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
         raise ValueError(
             f"got {binned.n_rows} rows of features but {y_enc.shape[0]} labels")
 
+    # Groups of consecutive trees of one class (under one-versus-rest),
+    # holding at most about _GROUP_ROWS rows between them.
+    size = max(1, _GROUP_ROWS // binned.n_rows)
     one_vs_rest = (config.task == "classification"
                    and config.multiclass == "one_vs_rest")
-    if one_vs_rest:
-        tasks = [(m, k) for k in range(n_classes) for m in range(config.n_trees)]
-    else:
-        tasks = [(m, -1) for m in range(config.n_trees)]
+    groups = [(c, range(lo, min(lo + size, config.n_trees)))
+              for c in (range(n_classes) if one_vs_rest else [-1])
+              for lo in range(0, config.n_trees, size)]
 
-    if n_jobs == 1 or len(tasks) == 1:
-        bundles = [_fit_single(binned, y_enc, config, temperature, n_classes,
-                               m, c) for m, c in tasks]
+    if n_jobs == 1 or len(groups) == 1:
+        fitted = [_fit_group(binned, y_enc, config, temperature, n_classes, *g)
+                  for g in groups]
     else:
         payload = (binned, y_enc, config, temperature, n_classes)
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_pool_init,
                                  initargs=(payload,)) as pool:
-            bundles = list(pool.map(_pool_task, tasks))
+            fitted = list(pool.map(_pool_task, groups))
+    bundles = [b for group in fitted for b in group]
 
     forest = Forest(config=config, mapper=mapper, trees=bundles,
                     temperature_=temperature, classes_=classes,

@@ -206,16 +206,25 @@ def _node_stats(abs_rows, w_rows, labels, n_classes) -> np.ndarray:
 
 def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
               source: RandomSource, *, n_classes: int = 0) -> Tree:
-    """Grow one tree level by level on a bootstrap sample.
+    """Grow one tree: ``grow_trees`` on a group of one."""
+    return grow_trees(binned, labels, [sample], config, [source],
+                      n_classes=n_classes)[0]
 
-    All open nodes of one depth are handled together: one tally builds
-    their histograms over the bins their rows occupy
+
+def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
+               config, sources: list[RandomSource], *,
+               n_classes: int = 0) -> list[Tree]:
+    """Grow one tree per bootstrap sample, all together, level by level.
+
+    All open nodes of one depth, across the trees, are handled together: one
+    tally builds their histograms over the bins their rows occupy
     (``level_histogram``), one batched search finds their splits
     (``best_splits``, which keeps ``find_best_split``'s semantics and
     tie-breaks), and one routing step moves their rows to the children.
-    Node ids are breadth-first, so children sit after their parent.  The
-    open nodes of a depth draw their feature subsets from one generator,
-    keyed by (TAG_FEATURES, depth) under the tree's source.
+    Each tree is the one it would be if grown alone.  Node ids are
+    breadth-first within each tree, so children sit after their parent.  A
+    tree's open nodes of one depth draw their feature subsets from one
+    generator, keyed by (TAG_FEATURES, depth) under the tree's source.
 
     ``config`` supplies task, criterion, sizes and the aggregation switch
     (see TrainConfig).  With aggregation on, minimum-size rules apply to the
@@ -252,38 +261,42 @@ def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
         min_leaf_oob=int(config.min_samples_leaf) if use_oob else 0,
     )
 
-    # In-bag and out-of-bag rows, ascending within each node, and the
-    # position of each row's node within its level; -2 and -1 mark rows
-    # whose node did not split.
-    rows = sample.itb_indices
-    weights = sample.weights[rows]
+    # In-bag and out-of-bag rows, tree by tree and ascending within each
+    # node, and the position of each row's node within its level; -2 and -1
+    # mark rows whose node did not split.  Tree t's root has position t.
+    n_trees = len(samples)
+    itb = [s.itb_indices for s in samples]
+    oob = [s.oob_indices if use_oob else np.empty(0, dtype=np.int64)
+           for s in samples]
+    itb_count, oob_count = (np.array([r.shape[0] for r in part])
+                            for part in (itb, oob))
+    rows, oob_rows = np.concatenate(itb), np.concatenate(oob)
+    slot, oob_slot = (np.repeat(np.arange(n_trees), count)
+                      for count in (itb_count, oob_count))
+    weights = np.concatenate([s.weights[r] for s, r in zip(samples, itb)])
     y = labels[rows]
-    slot = np.zeros(rows.shape[0], dtype=np.int64)
-    oob_rows = sample.oob_indices if use_oob else np.empty(0, dtype=np.int64)
-    oob_slot = np.zeros(oob_rows.shape[0], dtype=np.int64)
     all_features = np.broadcast_to(np.arange(d), (max(rows.shape[0], 1), d))
 
-    # The current level: the children of split i of the last level sit at
-    # positions 2i (left) and 2i + 1 (right).
-    stats = _node_stats(rows, weights, labels, n_classes)[None]
-    itb_count = np.array([rows.shape[0]])
-    oob_count = np.array([oob_rows.shape[0]])
+    # The current level, ordered by tree: the children of split i of the
+    # last level sit at positions 2i (left) and 2i + 1 (right).
+    stats = np.array([_node_stats(r, s.weights[r], labels, n_classes)
+                      for s, r in zip(samples, itb)])
+    owner = np.arange(n_trees)
     levels, splits, first = [], [], 0
     while True:
         n, depth = stats.shape[0], len(levels)
         w_node = stats.sum(axis=1) if classification else stats[:, 0]
-        levels.append((stats, w_node, itb_count, oob_count))
+        levels.append((stats, w_node, itb_count, oob_count, owner))
         open_ = w_node >= min_split_w
         if max_depth is not None and depth >= max_depth:
             open_[:] = False
         if use_oob:
             starved = oob_count < min_split_oob
-            if depth == 0 and open_[0] and starved[0]:
+            for root in np.flatnonzero(open_ & starved & (depth == 0)):
                 warnings.warn(
-                    f"root has only {oob_count[0]} out-of-bag rows, fewer than "
-                    f"min_samples_split={min_split_oob}; the tree is a single leaf",
-                    stacklevel=2,
-                )
+                    f"root has only {oob_count[root]} out-of-bag rows, fewer "
+                    f"than min_samples_split={min_split_oob}; the tree is a "
+                    "single leaf", stacklevel=2)
             open_ &= ~starved
         open_ &= impurity(stats, criterion) > eps
         cand = np.flatnonzero(open_)
@@ -299,8 +312,13 @@ def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
         oob_rows, oob_slot = oob_rows[oob_keep], oob_slot[oob_keep]
 
         # Histograms and splits of every open node at once.
-        features = (all_features[:cand.size] if m == d else subsample_features(
-            d, m, source.child(TAG_FEATURES, depth), n_sets=cand.size))
+        if m == d:
+            features = all_features[:cand.size]
+        else:
+            trees, n_open = np.unique(owner[cand], return_counts=True)
+            features = np.concatenate([subsample_features(
+                d, m, sources[t].child(TAG_FEATURES, depth), n_sets=k)
+                for t, k in zip(trees.tolist(), n_open.tolist())])
         hist = level_histogram(binned, features, rows, slot, weights, y,
                                n_classes, oob_rows if use_oob else None, oob_slot)
         best = best_splits(hist, binned, criterion, constraints, n_classes)
@@ -323,19 +341,18 @@ def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
         stats[1::2] = parent_stats - best.stats_left
         itb_count = np.bincount(slot + 2, minlength=2 * n_split + 2)[2:]
         oob_count = np.bincount(oob_slot + 2, minlength=2 * n_split + 2)[2:]
+        owner = np.repeat(owner[cand[best.node]], 2)
         first += n
 
-    # Assemble the node arrays: level columns, then split columns by id.
+    # Assemble the node arrays level by level across the trees: level
+    # columns, then split columns by id.
     sizes = [lv[0].shape[0] for lv in levels]
     n_nodes = first + sizes[-1]
-    feature = np.full(n_nodes, NO_NODE, dtype=np.int32)
-    threshold = np.full(n_nodes, -2, dtype=np.int32)
-    missing_left = np.zeros(n_nodes, dtype=bool)
-    mask_id = np.full(n_nodes, NO_NODE, dtype=np.int32)
-    left_child = np.full(n_nodes, NO_NODE, dtype=np.int32)
-    right_child = np.full(n_nodes, NO_NODE, dtype=np.int32)
-    parent = np.full(n_nodes, NO_NODE, dtype=np.int32)
-    gain = np.full(n_nodes, np.nan)
+    cols = {name: np.full(n_nodes, NO_NODE, dtype=np.int32) for name in
+            ("feature", "mask_id", "left_child", "right_child", "parent")}
+    cols.update(threshold=np.full(n_nodes, -2, dtype=np.int32),
+                missing_left=np.zeros(n_nodes, dtype=bool),
+                gain=np.full(n_nodes, np.nan))
     masks = np.zeros((0, int(binned.n_bins.max())), dtype=bool)
     if splits:
         ids = np.concatenate([split for split, _, _ in splits])
@@ -343,37 +360,46 @@ def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
                                 for split, nxt, _ in splits])
         best = {k: np.concatenate([getattr(b, k) for _, _, b in splits])
                 for k in ("feature", "threshold", "missing_left", "gain", "left")}
-        feature[ids] = best["feature"]
-        threshold[ids] = best["threshold"]
-        missing_left[ids] = best["missing_left"]
-        gain[ids] = best["gain"]
+        for name in ("feature", "threshold", "missing_left", "gain"):
+            cols[name][ids] = best[name]
         cat = binned.is_categorical[best["feature"]]
-        mask_id[ids[cat]] = np.arange(int(cat.sum()))
+        cols["mask_id"][ids[cat]] = np.arange(int(cat.sum()))
         masks = best["left"][cat]
-        left_child[ids], right_child[ids] = child, child + 1
-        parent[child], parent[child + 1] = ids, ids
-    tree = Tree(
-        task=config.task,
-        n_classes=n_classes,
-        feature=feature,
-        threshold=threshold,
-        missing_left=missing_left,
-        mask_id=mask_id,
-        masks=masks,
-        left_child=left_child,
-        right_child=right_child,
-        parent=parent,
+        cols["left_child"][ids], cols["right_child"][ids] = child, child + 1
+        cols["parent"][child], cols["parent"][child + 1] = ids, ids
+    cols.update(
         depth=np.repeat(np.arange(len(levels), dtype=np.int32), sizes),
-        gain=gain,
         itb_count=np.concatenate([lv[2] for lv in levels]).astype(np.int64),
         itb_weight=np.concatenate([lv[1] for lv in levels]),
         oob_count=np.concatenate([lv[3] for lv in levels]).astype(np.int64),
-        stats=np.concatenate([lv[0] for lv in levels]),
-        feature_n_bins=binned.n_bins.copy(),
-        feature_missing_bin=binned.missing_bin.copy(),
-    )
-    if (tree.itb_count < 1).any():
+        stats=np.concatenate([lv[0] for lv in levels]))
+    if (cols["itb_count"] < 1).any():
         raise RuntimeError("grown tree has a node without itb rows")
-    if use_oob and (tree.oob_count < 1).any():
+    if use_oob and (cols["oob_count"] < 1).any():
         raise RuntimeError("grown tree has a node without oob rows")
-    return tree
+
+    # Undo stack_trees: order the nodes tree by tree, then number each
+    # tree's nodes and masks from 0.
+    owner = np.concatenate([lv[4] for lv in levels])
+    order = np.argsort(owner, kind="stable")
+    stacked_id = np.empty_like(order)
+    stacked_id[order] = np.arange(n_nodes)
+    cols = {name: col[order] for name, col in cols.items()}
+    per_tree = np.bincount(owner, minlength=n_trees)
+    roots = np.cumsum(per_tree) - per_tree
+    root = np.repeat(roots, per_tree)
+    for name in ("left_child", "right_child", "parent"):
+        ids = cols[name]
+        linked = ids >= 0
+        ids[linked] = stacked_id[ids[linked]] - root[linked]
+    mask_id = cols["mask_id"]
+    cat = mask_id >= 0
+    masks = masks[mask_id[cat]]
+    before = np.cumsum(cat) - cat
+    mask_id[cat] = (before - before[root])[cat]
+    parts = {name: np.split(col, roots[1:]) for name, col in cols.items()}
+    return [Tree(task=config.task, n_classes=n_classes, masks=tree_masks,
+                 feature_n_bins=binned.n_bins.copy(),
+                 feature_missing_bin=binned.missing_bin.copy(),
+                 **{name: part[t] for name, part in parts.items()})
+            for t, tree_masks in enumerate(np.split(masks, before[roots[1:]]))]

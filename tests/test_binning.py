@@ -1,11 +1,18 @@
 """Bin layout fitting and the raw-to-bin transform."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aggforest.binning import FeatureKind, fit_bins, transform
+from aggforest.binning import (
+    FeatureKind,
+    _is_missing_category,
+    fit_bins,
+    transform,
+)
 
 
 def test_median_threshold_frozen():
@@ -145,3 +152,73 @@ def test_entry_dtype_tracks_bin_budget():
     col = rng.normal(size=50)
     assert transform([col], fit_bins([col], ["continuous"], 256)).entries.dtype == np.uint8
     assert transform([col], fit_bins([col], ["continuous"], 300)).entries.dtype == np.uint16
+
+
+def per_value_bins(col, fb, j=0):
+    """The categorical transform's rule, applied one value at a time."""
+    out = []
+    for raw in col:
+        if _is_missing_category(raw):
+            if not fb.has_missing:
+                raise ValueError(
+                    f"feature {j}: missing value seen at transform time but "
+                    "none were present when bins were fit")
+            out.append(fb.missing_bin)
+            continue
+        key = raw.item() if isinstance(raw, np.generic) else raw
+        bin_ = fb.categories.get(key, -1)
+        if bin_ < 0:
+            if fb.has_missing:
+                bin_ = fb.missing_bin
+            elif fb.overflow_bin >= 0:
+                bin_ = fb.overflow_bin
+            else:
+                raise ValueError(
+                    f"feature {j}: unseen category {raw!r} and the feature "
+                    "has neither a missing bin nor an overflow bin")
+        out.append(bin_)
+    return out
+
+
+MIXED = np.array(["b", None, "", float("nan"), np.str_("a"), 3, np.int64(3),
+                  "zz", np.float64("nan"), np.float32("nan"), "c", True, 2.5],
+                 dtype=object)
+NO_MARKERS = np.array([np.str_("d"), "zz", 3, np.int64(7), True,
+                       np.float32("nan"), "a"], dtype=object)
+
+
+@pytest.mark.parametrize("fit_col,max_bins,cols", [
+    # A missing bin: missing and unseen values both land there.
+    (["a", "b", "a", None, "c", np.float64("nan")], 8,
+     [MIXED, NO_MARKERS, np.array(["c", "", "q"])]),
+    # An overflow bin and no missing bin.
+    (["a", "a", "b", np.str_("c"), "d"], 3,
+     [MIXED, MIXED[::-1], NO_MARKERS, np.array(["d", "a", "q"])]),
+    # Neither: the first missing or unseen value raises.
+    (["a", "b", "c", "d"], 8,
+     [MIXED, MIXED[::-1], NO_MARKERS, np.array(["b", "", "q"]),
+      np.array(["c", "a"], dtype=object)]),
+    # A missing bin and an overflow bin: unseen values take the missing bin.
+    (["a", "a", "b", "c", "d", None], 3, [MIXED, NO_MARKERS]),
+    # A float32 NaN is a modality, not a missing marker.
+    ([1.0, 2.0, np.float32("nan")], 8,
+     [np.array([2.0, 1.0]), np.array([2.0, np.nan])]),
+    # Float modalities, with NaN as the missing marker.
+    ([1.0, 2.0, np.nan, 1.0], 8,
+     [np.array([2.0, np.nan, 5.0]), np.array([2.0, np.nan], dtype=np.float32),
+      np.array([1, 2, None, "", np.nan], dtype=object)]),
+])
+def test_categorical_codes_match_the_per_value_rule(fit_col, max_bins, cols):
+    raw = np.array(fit_col, dtype=object)
+    fb = fit_bins([raw], ["categorical"], max_bins).features[0]
+    assert fb.has_missing == any(_is_missing_category(v) for v in raw)
+    mapper = fit_bins([raw], ["categorical"], max_bins)
+    for col in cols:
+        try:
+            want = per_value_bins(col, fb)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                transform([col], mapper)
+            continue
+        np.testing.assert_array_equal(transform([col], mapper).entries[:, 0],
+                                      want)

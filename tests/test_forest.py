@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from aggforest import forest as forest_module
-from aggforest.aggregation import predict_aggregated
+from aggforest.aggregation import build_state, node_values, predict_aggregated
 from aggforest.datasets import make_toy_classification
 from aggforest.forest import Forest, TrainConfig, fit
+from aggforest.model_io import save_model
+from aggforest.sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
+from aggforest.tree import grow_tree
 
 KINDS2 = ["continuous", "continuous"]
 
@@ -47,13 +50,19 @@ def test_training_is_deterministic():
     assert not np.array_equal(a.predict_proba(X), c.predict_proba(X))
 
 
-def test_worker_count_does_not_change_the_model():
+def test_worker_count_does_not_change_the_model(monkeypatch, tmp_path):
     X, y = make_toy_classification(250, seed=4)
-    config = TrainConfig(n_trees=4, seed=4)
+    config = TrainConfig(n_trees=5, seed=4)
+    # Groups of two trees: three groups, split across the two workers.
+    monkeypatch.setattr(forest_module, "_GROUP_ROWS", 500)
     serial = fit(X, y, KINDS2, config, n_jobs=1)
     parallel = fit(X, y, KINDS2, config, n_jobs=2)
     np.testing.assert_array_equal(serial.predict_proba(X),
                                   parallel.predict_proba(X))
+    save_model(serial, tmp_path / "serial.agf")
+    save_model(parallel, tmp_path / "parallel.agf")
+    assert ((tmp_path / "serial.agf").read_bytes()
+            == (tmp_path / "parallel.agf").read_bytes())
 
 
 def test_prefix_of_trees_equals_smaller_forest():
@@ -232,3 +241,58 @@ def test_stacked_prediction_equals_per_tree_fold(monkeypatch, task, n_classes,
         for i in range(120):
             one = predict([c[i:i + 1] for c in Xq], max_trees=max_trees)
             assert np.array_equal(one[0], got[i])
+
+
+@pytest.mark.parametrize("task,n_classes,multiclass,aggregation", [
+    ("regression", 0, "heuristic", True),
+    ("classification", 3, "heuristic", True),
+    ("classification", 3, "one_vs_rest", True),
+    ("classification", 2, "heuristic", False),
+])
+def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
+                                                   n_classes, multiclass,
+                                                   aggregation):
+    """Trees grown in groups and scored in one oob pass per group carry the
+    tree, state and oob loss mean of growing, ``build_state`` and routing
+    each tree alone."""
+    X, y = mixed_data(200, 18, task, n_classes)
+    kinds = ["categorical", "continuous", "continuous"]
+    config = TrainConfig(task=task, n_trees=5, multiclass=multiclass,
+                         aggregation=aggregation, max_features=2, seed=18)
+    # Groups of two trees, so the last group of each class holds one.
+    monkeypatch.setattr(forest_module, "_GROUP_ROWS", 400)
+    forest = fit(X, y, kinds, config)
+    binned = forest._binned(X)
+    y_enc = (np.unique(y, return_inverse=True)[1] if n_classes
+             else y.astype(np.float64))
+    ovr = multiclass == "one_vs_rest"
+    k = 2 if ovr else n_classes
+    assert [(b.class_id, b.index) for b in forest.trees] == [
+        (c, i) for c in (range(n_classes) if ovr else [-1]) for i in range(5)]
+    for b in forest.trees:
+        source = RandomSource(18).child(*([b.class_id] if ovr else []),
+                                        b.index)
+        labels = (y_enc == b.class_id).astype(np.int64) if ovr else y_enc
+        sample = bootstrap(200, source.child(TAG_BOOTSTRAP))
+        tree = grow_tree(binned, labels, sample, config, source, n_classes=k)
+        np.testing.assert_array_equal(b.tree.left_child, tree.left_child)
+        np.testing.assert_array_equal(b.tree.stats, tree.stats)
+        state = build_state(tree, binned.entries, labels,
+                            sample.oob_indices if aggregation else None,
+                            forest.temperature_, config.dirichlet)
+        for name in ("forecasts", "oob_loss", "log_agg_weight"):
+            got, want = getattr(b.state, name), getattr(state, name)
+            if want is None:
+                assert got is None, name
+            else:
+                assert got.tobytes() == want.tobytes(), name
+        assert (b.state.loss, b.state.temperature) == (state.loss,
+                                                       state.temperature)
+        preds = node_values(tree, state)[tree.route(
+            binned.entries[sample.oob_indices])]
+        y_oob = labels[sample.oob_indices]
+        if k:
+            losses = -np.log(preds[np.arange(y_oob.shape[0]), y_oob])
+        else:
+            losses = (preds - y_oob) ** 2
+        assert b.oob_loss_mean == float(losses.mean())

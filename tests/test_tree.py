@@ -1,5 +1,8 @@
 """Tree growth: structure invariants, routing, and stopping rules."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from aggforest.splits import (
     find_best_split,
     impurity,
 )
-from aggforest.tree import grow_tree
+from aggforest.tree import Tree, grow_tree, grow_trees
 
 
 def grown(n=120, seed=0, task="classification", aggregation=True, **kw):
@@ -296,3 +299,74 @@ def test_stored_splits_match_find_best_split(task, max_features, aggregation):
             assert got.gain == pytest.approx(want.gain, rel=1e-9)
             checked += 1
     assert checked == int((~tree.is_leaf).sum()) > 5
+
+
+def assert_same_tree(got: Tree, want: Tree):
+    """Every field equal, arrays bit for bit with the same dtype and shape."""
+    for f in dataclasses.fields(Tree):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def starved_sample(n):
+    """Every row in the bag but the last: one oob row cannot pass
+    min_samples_split=2, so the root stays a leaf under aggregation."""
+    weights = np.ones(n)
+    weights[-1] = 0.0
+    return BootstrapSample(weights=weights, itb_indices=np.arange(n - 1),
+                           oob_indices=np.array([n - 1]))
+
+
+@pytest.mark.parametrize("task,options", [
+    ("regression", {}),
+    ("binary", {}),
+    ("multiclass", {}),
+    ("binary", {"max_features": 5}),
+    ("multiclass", {"aggregation": False, "min_samples_leaf": 3}),
+    ("regression", {"max_depth": 3}),
+    ("binary", {"starved": 2}),
+])
+def test_grouped_growth_equals_one_tree_growth(task, options):
+    """Growing a group of trees together gives each tree exactly as grown
+    alone: feature streams per tree, categorical masks and child, parent
+    and mask ids re-based per tree, stopping rules per node."""
+    options = dict(options)
+    starved = options.pop("starved", None)
+    seed = 31
+    cols, kinds, y, n_classes = mixed_problem(seed, task)
+    config = TrainConfig(
+        task="regression" if task == "regression" else "classification",
+        max_bins=32, max_features=options.pop("max_features", 2), seed=seed,
+        **options)
+    binned = transform(cols, fit_bins(cols, kinds, config.max_bins))
+    sources = [RandomSource(seed).child(i) for i in range(5)]
+    samples = [bootstrap(len(y), s.child(TAG_BOOTSTRAP)) for s in sources]
+    if starved is not None:
+        samples[starved] = starved_sample(len(y))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        group = grow_trees(binned, y, samples, config, sources,
+                           n_classes=n_classes)
+    assert len(caught) == (starved is not None)
+    assert len(group) == 5
+    for i, (got, sample, source) in enumerate(zip(group, samples, sources)):
+        if i == starved:
+            with pytest.warns(UserWarning, match="out-of-bag"):
+                want = grow_tree(binned, y, sample, config, source,
+                                 n_classes=n_classes)
+            assert got.n_nodes == 1
+        else:
+            want = grow_tree(binned, y, sample, config, source,
+                             n_classes=n_classes)
+            assert got.n_nodes > 1
+        assert_same_tree(got, want)
+        got.validate()
+    if "max_depth" in options:
+        assert max(t.max_node_depth for t in group) == options["max_depth"]
+    if task != "regression" and not options:
+        # Several trees hold categorical masks, so mask ids are re-based.
+        assert sum(t.masks.shape[0] > 0 for t in group) >= 2
