@@ -146,20 +146,27 @@ def _fit_categorical(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
     # itself, is checked apart.
     missing = np.fromiter(map({None: True, "": True}.get, col.tolist(),
                               repeat(False)), dtype=bool, count=col.shape[0])
-    for i in np.flatnonzero(col != col):
+    nan = col != col
+    for i in np.flatnonzero(nan):
         missing[i] = _is_missing_category(col[i])
-    present = col[~missing]
+    present, nan = col[~missing], nan[~missing]
     if present.size == 0:
         raise ValueError(f"feature {j}: every value is missing, cannot fit bins")
     has_missing = bool(missing.any())
 
+    # A NaN that is no missing marker (such as a float32 NaN) is one
+    # modality, placed last: a sort of objects cannot place it, and would
+    # leave equal values around it unmerged.
     try:
-        uniques, counts = np.unique(present, return_counts=True)
+        uniques, counts = np.unique(present[~nan], return_counts=True)
     except TypeError:
         raise ValueError(
             f"feature {j}: categorical values must be mutually comparable "
             "(mixing strings and numbers is not supported)"
         ) from None
+    if nan.any():
+        uniques = np.append(uniques, present[nan][:1])
+        counts = np.append(counts, np.count_nonzero(nan))
 
     # Most frequent first; np.unique returns values sorted, so a stable sort
     # on descending count breaks frequency ties by value order.

@@ -193,7 +193,8 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
                indices: range) -> list[FittedTree]:
     """Grow the trees ``indices`` together, then route every (oob row, tree)
     pair of the group once, from its tree's root in the stack of the group:
-    that gives the nodes' oob losses and the leaf each pair is scored at."""
+    that gives the leaf each pair is scored at and, with aggregation on, the
+    nodes' oob losses."""
     source = RandomSource(config.seed)
     if class_id >= 0:
         labels, k = (y_enc == class_id).astype(np.int64), 2
@@ -209,12 +210,15 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
     state = AggregationState(
         LOG_LOSS if k else SQUARED_LOSS, temperature, config.dirichlet,
         node_forecast(tree.stats, config.task, config.dirichlet), None, None)
-    L, leaf = accumulate_oob_losses(
-        tree, state.forecasts, binned.entries, rows, labels, state.loss,
-        np.repeat(roots, n_oob), return_leaves=True)
     if config.aggregation:
-        state.oob_loss = L
-        state.log_agg_weight = compute_log_agg_weights(tree, L, temperature)
+        state.oob_loss, leaf = accumulate_oob_losses(
+            tree, state.forecasts, binned.entries, rows, labels, state.loss,
+            np.repeat(roots, n_oob), return_leaves=True)
+        state.log_agg_weight = compute_log_agg_weights(tree, state.oob_loss,
+                                                       temperature)
+    else:
+        leaf = np.concatenate([t.route(binned.entries[s.oob_indices]) + r
+                               for t, s, r in zip(trees, samples, roots)])
     preds, y_oob = node_values(tree, state)[leaf], labels[rows]
     losses = (-np.log(preds[np.arange(rows.shape[0]), y_oob]) if k
               else (preds - y_oob) ** 2)

@@ -358,23 +358,31 @@ def level_histogram(binned: BinnedMatrix, features: np.ndarray, rows, node,
     sits at node ``node[j]``; listing each node's rows in ascending order
     makes every cell sum its rows in the order ``compute_histogram`` does.
     Oob rows are given the same way, or not at all.
+
+    Each (itb row, sampled feature) entry has the key pair * n_bins + bin.
+    One argsort of the keys numbers the cells, the runs of equal keys, and
+    the bincounts then add the entries in their given order.  The oob keys
+    are sorted and placed among the cells by one search of sorted needles.
     """
-    entries = binned.entries
+    # ``transform`` stores entries column-major, so this ravel is a view, not
+    # a copy: feature f of row r sits at f * n_rows + r.
+    codes = binned.entries.ravel(order="F")
     n_bins = int(binned.n_bins.max())
     n, m = features.shape
-    every = m == binned.n_cols      # then each row of features is 0..m-1
     first_key = np.arange(n * m).reshape(n, m) * n_bins
+    offset = features * binned.n_rows
 
     def keys(r, at):
-        codes = entries[r] if every else entries[r[:, None], features[at]]
-        return (first_key[at] + codes).ravel()
+        return (first_key[at] + codes[offset[at] + r[:, None]]).ravel()
 
     k = keys(rows, node)
-    present = np.sort(k)
+    order = np.argsort(k)
+    present = k[order]
     fresh = np.ones(present.shape, dtype=bool)
     np.not_equal(present[1:], present[:-1], out=fresh[1:])
+    cell = np.empty_like(k)
+    cell[order] = np.cumsum(fresh) - 1
     present = np.append(present[fresh], n * m * n_bins)
-    cell = np.searchsorted(present, k)
     size = present.shape[0]
     if m > 1:
         weights, y = np.repeat(weights, m), np.repeat(y, m)
@@ -390,7 +398,7 @@ def level_histogram(binned: BinnedMatrix, features: np.ndarray, rows, node,
                           pair=present // n_bins, bin=present % n_bins,
                           sums=sums)
     if oob_rows is not None:
-        k = keys(oob_rows, oob_node)
+        k = np.sort(keys(oob_rows, oob_node))
         pair = k // n_bins
         at = np.searchsorted(present, k)
         hist.oob_total = np.bincount(pair, minlength=n * m)

@@ -112,6 +112,22 @@ def test_categorical_numeric_modalities():
     np.testing.assert_array_equal(binned.entries[:, 0], [2, 1, 0])
 
 
+@pytest.mark.parametrize("col,plain,nan_bin", [
+    (np.array([1.0, 2.0, np.float32("nan"), 1.0], dtype=object),
+     {1.0: 0, 2.0: 1}, 2),
+    (np.array([np.float32("nan"), 3, 1, np.float32("nan"), 3, 3], dtype=object),
+     {3: 0, 1: 2}, 1),
+    (np.array([1.0, 2.0, np.nan, 1.0], dtype=np.float32), {1.0: 0, 2.0: 1}, 2),
+])
+def test_nan_modality_gets_exactly_one_bin(col, plain, nan_bin):
+    # A float32 NaN is a modality, not a missing marker: all of a column's
+    # NaN modalities share one bin, and no bin is left empty.
+    fb = fit_bins([col], ["categorical"], max_bins=8).features[0]
+    assert not fb.has_missing and fb.n_bins == len(plain) + 1
+    assert {k: b for k, b in fb.categories.items() if k == k} == plain
+    assert [b for k, b in fb.categories.items() if k != k] == [nan_bin]
+
+
 def test_categorical_mixed_types_error():
     with pytest.raises(ValueError, match="mutually comparable"):
         fit_bins([np.array([1, "a"], dtype=object)], ["categorical"], 8)

@@ -13,6 +13,7 @@ from aggforest.splits import (
     compute_histogram,
     find_best_split,
     impurity,
+    level_histogram,
     sibling_histogram,
 )
 from aggforest.reference import (
@@ -110,6 +111,74 @@ def test_sibling_histogram_subtraction_and_trap():
         sibling_histogram(parent, Histogram(np.array([0, 2]),
                                             list(left.tables)),
                           classification=True)
+
+
+@pytest.mark.parametrize("n_classes", [3, 0])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_level_histogram_matches_per_pair_tally(n_classes, m, order):
+    # Columns: continuous with a missing bin, categorical, continuous, and a
+    # categorical with a missing bin.  In-bag rows mostly hold odd interior
+    # bins and out-of-bag rows any bin, so out-of-bag rows fall below a
+    # pair's first cell, between cells and above its last cell.
+    n_bins = np.array([8, 6, 5, 7])
+    binned = layout(["continuous", "categorical", "continuous", "categorical"],
+                    n_bins, [7, -1, -1, 6])
+    d, n_rows, n = 4, 240, 6
+    totals = {"below": 0, "between": 0, "above": 0}
+    for seed in range(4):
+        rng = np.random.default_rng([seed, m, n_classes])
+        in_bag = np.sort(rng.choice(n_rows, size=150, replace=False))
+        oob_rows = np.setdiff1d(np.arange(n_rows), in_bag)
+        codes = rng.integers(0, n_bins, size=(n_rows, d))
+        odd = 1 + 2 * rng.integers(0, (n_bins - 1) // 2, size=(n_rows, d))
+        thin = rng.random((n_rows, d)) < 0.8
+        thin[oob_rows] = False
+        binned.entries = np.asarray(np.where(thin, odd, codes),
+                                    dtype=np.uint8, order=order)
+        labels = (rng.integers(0, n_classes, size=n_rows) if n_classes
+                  else rng.normal(size=n_rows))
+        weights = rng.integers(1, 4, size=in_bag.shape[0]).astype(float)
+        node = rng.integers(0, n, size=in_bag.shape[0])
+        oob_node = rng.integers(0, n, size=oob_rows.shape[0])
+        features = (np.broadcast_to(np.arange(d), (n, d)) if m == d else
+                    np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :m],
+                            axis=1))
+
+        hist = level_histogram(binned, features, in_bag, node, weights,
+                               labels[in_bag], n_classes, oob_rows, oob_node)
+
+        pair, bin_, sums, total, exact, upto = [], [], [], [], [], []
+        for i in range(n):
+            mine, oob = node == i, oob_rows[oob_node == i]
+            for k, j in enumerate(features[i]):
+                table = compute_histogram(in_bag[mine], weights[mine], [j],
+                                          binned, labels, n_classes).tables[0]
+                held = np.unique(binned.entries[in_bag[mine], j]).astype(int)
+                oob_codes = binned.entries[oob, j].astype(int)
+                pair += [i * m + k] * held.shape[0]
+                bin_ += held.tolist()
+                sums.append(table[held])
+                total.append(oob.shape[0])
+                exact += [np.count_nonzero(oob_codes == b) for b in held]
+                upto += [np.count_nonzero((oob_codes > lo) & (oob_codes <= b))
+                         for lo, b in zip(np.r_[-1, held[:-1]], held)]
+                totals["below"] += np.count_nonzero(oob_codes < held[0])
+                totals["above"] += np.count_nonzero(oob_codes > held[-1])
+                totals["between"] += np.count_nonzero(
+                    ~np.isin(oob_codes, held) & (oob_codes > held[0])
+                    & (oob_codes < held[-1]))
+
+        assert hist.n_bins == 8 and hist.features is features
+        np.testing.assert_array_equal(hist.pair, pair + [n * m])
+        np.testing.assert_array_equal(hist.bin, bin_ + [0])
+        # Bitwise: every cell adds its rows in compute_histogram's order.
+        assert np.array_equal(hist.sums[:, :-1], np.concatenate(sums).T)
+        assert not hist.sums[:, -1].any()
+        np.testing.assert_array_equal(hist.oob_total, total)
+        np.testing.assert_array_equal(hist.oob_exact, exact + [0])
+        np.testing.assert_array_equal(hist.oob_upto, upto + [0])
+    assert min(totals.values()) > 0
 
 
 # ------------------------------------------------- scan vs exhaustive search
