@@ -67,35 +67,35 @@ def accumulate_oob_losses(tree: Tree, forecasts: np.ndarray, entries: np.ndarray
                           oob_rows: np.ndarray, labels: np.ndarray, loss: str,
                           starts: np.ndarray | None = None,
                           return_leaves: bool = False):
-    """Route every oob row from the root to its leaf, adding the loss of each
-    visited node's forecast to that node's total.
+    """Route every oob row from the root to its leaf, through the tree's
+    routing table, adding the loss of each visited node's forecast to that
+    node's total.
 
     ``starts`` gives each row its own start node, such as its tree's root in
     a stack of trees (``stack_trees``); a row may then appear once per tree.
     With ``return_leaves`` the result is (totals, each row's leaf).
     """
     classification = loss == LOG_LOSS
+    r = tree.router
     L = np.zeros(tree.n_nodes, dtype=np.float64)
     y = labels[oob_rows]
-    cur = (np.zeros(oob_rows.shape[0], dtype=np.int64) if starts is None
-           else np.array(starts, dtype=np.int64))
-    act = np.arange(oob_rows.shape[0])
-    while act.size:
-        nodes = cur[act]
+    codes, column = entries.ravel(order="F"), r.feature * entries.shape[0]
+    at = r.link[np.zeros(oob_rows.shape[0], dtype=np.int64)
+                if starts is None else np.asarray(starts)]
+    active = np.arange(oob_rows.shape[0])
+    while active.size:
+        here = at[active]
+        inner = here >= 0
+        nodes = ~here
+        nodes[inner] = r.node[here[inner]]
         if classification:
-            contrib = -np.log(forecasts[nodes, y[act]])
+            contrib = -np.log(forecasts[nodes, y[active]])
         else:
-            contrib = (forecasts[nodes] - y[act]) ** 2
+            contrib = (forecasts[nodes] - y[active]) ** 2
         np.add.at(L, nodes, contrib)
-        internal = tree.feature[nodes] >= 0
-        act = act[internal]
-        if not act.size:
-            break
-        ids = cur[act]
-        codes = entries[oob_rows[act], tree.feature[ids]]
-        left = tree._goes_left(ids, codes)
-        cur[act] = np.where(left, tree.left_child[ids], tree.right_child[ids])
-    return (L, cur) if return_leaves else L
+        active, here = active[inner], here[inner]
+        at[active] = r.step(here, codes[column[here] + oob_rows[active]])
+    return (L, ~at) if return_leaves else L
 
 
 def compute_log_agg_weights(tree: Tree, oob_loss: np.ndarray,

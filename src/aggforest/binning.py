@@ -123,6 +123,12 @@ def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
     if present.size == 0:
         raise ValueError(f"feature {j}: every value is missing, cannot fit bins")
     has_missing = bool(missing.any())
+    finite = present[np.isfinite(present)]
+    if finite.size < present.size:
+        # -inf and +inf take the extreme plain bins: the quantiles see them
+        # at the ends of the finite range.
+        present = np.clip(present, *((finite.min(), finite.max())
+                                     if finite.size else (0.0, 0.0)))
 
     # The missing bin, when present, takes one slot out of the max_bins budget.
     slots = max_bins - 1 if has_missing else max_bins
@@ -242,11 +248,14 @@ def _transform_continuous(col: np.ndarray, fb: FeatureBins, j: int) -> np.ndarra
 
 def _transform_categorical(col: np.ndarray, fb: FeatureBins, j: int) -> np.ndarray:
     # One dict pass finds every known category; only missing and unseen
-    # values are looked at one by one.
+    # values are looked at one by one.  A NaN equals no dict key, not even
+    # itself, so a NaN that is no missing marker is found by x != x and
+    # takes the bin of the NaN modality, when fit saw one.
     codes = list(map(fb.categories.get, col.tolist(), repeat(-1)))
     out = np.array(codes, dtype=np.int64)
     if -1 not in codes:
         return out
+    nan_bin = next((b for v, b in fb.categories.items() if v != v), -1)
     for i in np.flatnonzero(out < 0):
         raw = col[i]
         if _is_missing_category(raw):
@@ -256,6 +265,8 @@ def _transform_categorical(col: np.ndarray, fb: FeatureBins, j: int) -> np.ndarr
                     "none were present when bins were fit"
                 )
             out[i] = fb.missing_bin
+        elif nan_bin >= 0 and raw != raw:
+            out[i] = nan_bin
         elif fb.has_missing:
             out[i] = fb.missing_bin
         elif fb.overflow_bin >= 0:

@@ -217,8 +217,9 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
         state.log_agg_weight = compute_log_agg_weights(tree, state.oob_loss,
                                                        temperature)
     else:
-        leaf = np.concatenate([t.route(binned.entries[s.oob_indices]) + r
-                               for t, s, r in zip(trees, samples, roots)])
+        leaf = np.concatenate([tree.route(binned.entries[s.oob_indices],
+                                          roots[i:i + 1])[:, 0]
+                               for i, s in enumerate(samples)])
     preds, y_oob = node_values(tree, state)[leaf], labels[rows]
     losses = (-np.log(preds[np.arange(rows.shape[0]), y_oob]) if k
               else (preds - y_oob) ** 2)

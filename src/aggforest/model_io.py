@@ -164,9 +164,18 @@ def load_model(path: str) -> Forest:
         raise ModelFormatError("model file checksum mismatch; file is corrupted")
 
     (hlen,) = struct.unpack_from("<Q", payload, 0)
-    meta = json.loads(str(payload[8:8 + hlen], "utf-8"))
-    body = payload[8 + hlen:]
+    try:
+        meta = json.loads(str(payload[8:8 + hlen], "utf-8"))
+        return _forest_from(meta, payload[8 + hlen:])
+    except ModelFormatError:
+        raise
+    except KeyError as exc:
+        raise ModelFormatError(f"model header lacks the key {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model header: {exc}") from None
 
+
+def _forest_from(meta: dict, body) -> Forest:
     arrays: dict[str, np.ndarray | None] = {}
     offset = 0
     for name, dtype, shape in meta["arrays"]:
@@ -196,14 +205,14 @@ def load_model(path: str) -> Forest:
         ))
     mapper = BinMapper(max_bins=meta["max_bins"], features=features)
 
+    layout = (mapper.n_bins_per_feature().tolist(),
+              [fb.missing_bin for fb in mapper.features],
+              max((fb.n_bins for fb in features
+                   if fb.kind is FeatureKind.CATEGORICAL), default=0))
     trees = []
     for i, tm in enumerate(meta["trees"]):
         tree = Tree(task=tm["task"], n_classes=tm["n_classes"],
                     **{name: arrays[f"t{i}.{name}"] for name in _TREE_ARRAYS})
-        try:
-            tree.validate()
-        except ValueError as exc:
-            raise ModelFormatError(f"tree {i}: {exc}") from None
         state = AggregationState(
             loss=tm["loss"],
             temperature=tm["state_temperature"],
@@ -212,6 +221,11 @@ def load_model(path: str) -> Forest:
             oob_loss=arrays[f"t{i}.oob_loss"],
             log_agg_weight=arrays[f"t{i}.log_agg_weight"],
         )
+        try:
+            tree.validate()
+            _check_tree(tree, state, *layout)
+        except ValueError as exc:
+            raise ModelFormatError(f"tree {i}: {exc}") from None
         trees.append(FittedTree(tm["index"], tm["class_id"], tree, state,
                                 tm["oob_loss_mean"]))
 
@@ -223,6 +237,52 @@ def load_model(path: str) -> Forest:
                   temperature_=meta["temperature"], classes_=classes,
                   y_min_=meta["y_min"], y_max_=meta["y_max"],
                   feature_names=meta["feature_names"])
+
+
+def _check_tree(tree: Tree, state: AggregationState, n_bins: list,
+                missing: list, widest: int) -> None:
+    """Refuse what prediction would read past a node's bits or turn into a
+    non-finite value.  A tree's bin layout must be the mapper's, since
+    routing reads each split's bits at the codes ``transform`` gives, and
+    every number of the aggregation state must be finite and in range."""
+    if tree.feature_n_bins.tolist() != n_bins:
+        raise ValueError("feature_n_bins differ from the bin mapper's")
+    if tree.feature_missing_bin.tolist() != missing:
+        raise ValueError("feature_missing_bin differs from the bin mapper's")
+    if tree.masks.shape[1] < widest:
+        raise ValueError("masks are narrower than the widest categorical "
+                         "feature")
+    n, temperature = tree.n_nodes, state.temperature
+    if not (isinstance(temperature, (int, float))
+            and 0 <= temperature < math.inf):
+        raise ValueError(f"state temperature {temperature!r} is not a finite "
+                         "number >= 0")
+    forecasts = state.forecasts
+    classification = tree.task == "classification"
+    shape = (n, tree.n_classes) if classification else (n,)
+    if forecasts is None or forecasts.shape != shape:
+        raise ValueError(f"forecasts do not have the shape {shape}")
+    if classification:
+        # NaN fails the sign test and inf the sum test; a product with ones
+        # sums short rows far faster than sum(axis=1).
+        total = forecasts @ np.ones(tree.n_classes)
+        if not (forecasts.min() > 0 and (np.abs(total - 1.0) <= 1e-9).all()):
+            raise ValueError("class forecasts are not positive rows summing "
+                             "to 1")
+    elif not np.isfinite(forecasts).all():
+        raise ValueError("forecasts are not all finite")
+    loss, log_w = state.oob_loss, state.log_agg_weight
+    if (loss is None) != (log_w is None):
+        raise ValueError("oob losses and log weights come only together")
+    if loss is None:
+        return
+    if loss.shape != (n,) or log_w.shape != (n,):
+        raise ValueError(f"oob_loss or log_agg_weight is not one value per "
+                         f"node of {n}")
+    if not ((loss >= 0) & (loss < math.inf)).all():
+        raise ValueError("oob_loss is not all finite and >= 0")
+    if not np.isfinite(log_w).all():
+        raise ValueError("log_agg_weight is not all finite")
 
 
 @dataclass

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,56 @@ from .splits import (
 NO_NODE = -1
 
 
+@dataclass(frozen=True)
+class Router:
+    """A tree's splits as packed sets of the bins that go left.
+
+    Internal nodes are numbered 0..I-1 in node order.  A link is where a step
+    lands: an internal number, or ``~node`` for a leaf.  Bit b of row i of
+    ``bits``, little-endian within each byte, is set when bin b goes left at
+    internal node i, whatever the kind of split; bits at or past the split
+    feature's bin count mean nothing.
+    """
+
+    feature: np.ndarray     # (I,) split feature of each internal node
+    bits: np.ndarray        # (I, ceil(bins / 8)) uint8
+    child: np.ndarray       # (2I,) links, left child at 2i, right at 2i + 1
+    node: np.ndarray        # (I,) node id of each internal number
+    link: np.ndarray        # (n_nodes,) link of every node
+
+    @classmethod
+    def of(cls, tree: Tree) -> Router:
+        node = np.flatnonzero(tree.feature >= 0)
+        link = ~np.arange(tree.n_nodes)
+        link[node] = np.arange(node.shape[0])
+        child = link[np.stack([tree.left_child[node],
+                               tree.right_child[node]], axis=1)].ravel()
+        feature = tree.feature[node].astype(np.intp)
+        n_bins = tree.feature_n_bins[feature]
+        width = int(tree.feature_n_bins.max())
+        # Continuous: row k + 1 of the prefix table packs the bins <= k, and
+        # the missing bin, when the feature has one, follows missing_left.
+        prefix = np.packbits(np.tri(width + 1, width, -1, dtype=bool), axis=1,
+                             bitorder="little")
+        bits = prefix[np.clip(tree.threshold[node], -1, n_bins - 1) + 1]
+        has = np.flatnonzero(tree.feature_missing_bin[feature] >= 0)
+        b = tree.feature_missing_bin[feature[has]]
+        byte, bit = bits[has, b >> 3], (1 << (b & 7)).astype(np.uint8)
+        bits[has, b >> 3] = np.where(tree.missing_left[node[has]],
+                                     byte | bit, byte & ~bit)
+        # Categorical: the packed mask, the missing bin included.
+        cat = np.flatnonzero(tree.mask_id[node] >= 0)
+        packed = np.packbits(tree.masks[:, :width], axis=1, bitorder="little")
+        bits[cat, :packed.shape[1]] = packed[tree.mask_id[node[cat]]]
+        return cls(feature, bits, child, node, link)
+
+    def step(self, at, codes):
+        """Where the internal links ``at`` send bin ``codes``: to the left
+        child when a code's bit is set, else to the right child."""
+        byte = self.bits.reshape(-1)[at * self.bits.shape[1] + (codes >> 3)]
+        return self.child[2 * at + 1 - ((byte >> (codes & 7)) & 1)]
+
+
 @dataclass
 class Tree:
     """A grown tree as parallel per-node arrays.
@@ -36,6 +86,13 @@ class Tree:
     node 0), so a single reverse pass visits children before parents.
     Categorical split masks live in the shared ``masks`` pool, indexed by
     ``mask_id``; ``threshold`` is meaningful only for continuous splits.
+
+    Routing reads none of these split fields at a step.  On its first route
+    a tree builds its ``Router``: one packed bitset of the bins that go left
+    per internal node, for continuous and categorical splits alike.
+    ``route``, ``path`` and the out-of-bag pass all step through it.  The
+    table is derived state, never saved or compared, so change a tree's
+    arrays only before routing with it.
     """
 
     task: str
@@ -56,6 +113,8 @@ class Tree:
     stats: np.ndarray
     feature_n_bins: np.ndarray
     feature_missing_bin: np.ndarray
+    _router: Router | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -90,17 +149,12 @@ class Tree:
             gain=float(self.gain[index]),
         )
 
-    def _goes_left(self, nodes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Vectorized routing decision for rows standing at internal nodes."""
-        # A feature without a missing bin has -1 there, which no code equals.
-        is_missing = codes == self.feature_missing_bin[self.feature[nodes]]
-        left = np.where(is_missing, self.missing_left[nodes],
-                        codes <= self.threshold[nodes])
-        if self.masks.shape[0]:
-            mid = self.mask_id[nodes]
-            cat = mid >= 0
-            left[cat] = self.masks[mid[cat], codes[cat]]
-        return left
+    @property
+    def router(self) -> Router:
+        """The routing table, built on first use."""
+        if self._router is None:
+            self._router = Router.of(self)
+        return self._router
 
     def route(self, entries: np.ndarray,
               roots: np.ndarray | None = None) -> np.ndarray:
@@ -110,30 +164,37 @@ class Tree:
         roots of several trees (see ``stack_trees``), every (row, root) pair
         is routed at once and the result has shape (rows, roots).
         """
+        r = self.router
         start = np.zeros(1, dtype=np.int64) if roots is None else roots
-        t = start.shape[0]
-        cur = np.tile(start.astype(np.int64), entries.shape[0])
-        active = np.flatnonzero(self.feature[cur] >= 0)
+        t, n = start.shape[0], entries.shape[0]
+        # Row i's code for feature j sits at j * n + i of the flat codes.
+        codes, column = entries.ravel(order="F"), r.feature * n
+        at = np.tile(r.link[start], n)
+        row = np.repeat(np.arange(n), t)
+        active = np.flatnonzero(at >= 0)
         while active.size:
-            ids = cur[active]
-            codes = entries[active // t, self.feature[ids]]
-            left = self._goes_left(ids, codes)
-            nxt = np.where(left, self.left_child[ids], self.right_child[ids])
-            cur[active] = nxt
-            active = active[self.feature[nxt] >= 0]
-        return cur if roots is None else cur.reshape(-1, t)
+            here = at[active]
+            at[active] = here = r.step(here, codes[column[here] + row[active]])
+            active = active[here >= 0]
+        leaf = ~at
+        return leaf if roots is None else leaf.reshape(n, t)
 
     def path(self, entry_row: np.ndarray) -> np.ndarray:
         """Node ids from the root down to the leaf holding one binned row."""
-        out = [int(self.route(np.asarray(entry_row)[None])[0])]
-        while self.parent[out[-1]] >= 0:
-            out.append(int(self.parent[out[-1]]))
-        return np.asarray(out[::-1], dtype=np.int64)
+        r = self.router
+        codes = np.asarray(entry_row)
+        at, out = r.link[0], []
+        while at >= 0:
+            out.append(r.node[at])
+            at = r.step(at, codes[r.feature[at]])
+        out.append(~at)
+        return np.asarray(out, dtype=np.int64)
 
     def validate(self) -> None:
         """Raise ValueError unless routing from node 0 stays in the tree:
-        one entry per node, features and mask ids in range, and parent and
-        child links that agree, each child after its parent."""
+        one entry per node, features, missing bins and mask ids in range,
+        and parent and child links that agree, each child after its
+        parent."""
         n = self.n_nodes
         if n == 0:
             raise ValueError("tree has no nodes")
@@ -141,9 +202,16 @@ class Tree:
             size = getattr(self, name).shape[0]
             if size != n:
                 raise ValueError(f"{name} has {size} entries for {n} nodes")
-        if self.feature.max() >= self.feature_n_bins.shape[0]:
+        n_bins = self.feature_n_bins.tolist()
+        missing = self.feature_missing_bin.tolist()
+        if len(missing) != len(n_bins) or min(n_bins, default=0) < 1:
+            raise ValueError("feature_n_bins and feature_missing_bin do not "
+                             "describe the same features")
+        if any(not -1 <= m < b for m, b in zip(missing, n_bins)):
+            raise ValueError("feature_missing_bin outside [-1, n_bins)")
+        if self.feature.max() >= len(n_bins):
             raise ValueError("feature index out of range")
-        if self.mask_id.max() >= self.masks.shape[0]:
+        if self.masks.ndim != 2 or self.mask_id.max() >= self.masks.shape[0]:
             raise ValueError("mask id out of range")
         # n - 1 child links name each node but the root once, by its parent.
         internal = self.feature >= 0

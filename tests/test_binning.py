@@ -13,6 +13,7 @@ from aggforest.binning import (
     fit_bins,
     transform,
 )
+from aggforest.forest import TrainConfig, fit
 
 
 def test_median_threshold_frozen():
@@ -128,6 +129,19 @@ def test_nan_modality_gets_exactly_one_bin(col, plain, nan_bin):
     assert [b for k, b in fb.categories.items() if k != k] == [nan_bin]
 
 
+def test_nan_modality_is_found_at_transform():
+    # fit transforms its own training column, which used to raise "unseen
+    # category" here: a float32 NaN never matched the NaN key of the dict.
+    col = np.array([1.0, 2.0, np.float32("nan"), 1.0] * 10, dtype=object)
+    forest = fit([col], np.arange(40) % 2, ["categorical"],
+                 TrainConfig(n_trees=2, seed=0))
+    fb = forest.mapper.features[0]
+    nan_bin = [b for k, b in fb.categories.items() if k != k]
+    assert nan_bin == [2] and fb.n_bins == 3
+    np.testing.assert_array_equal(
+        transform([col[:4]], forest.mapper).entries[:, 0], [0, 1, 2, 0])
+
+
 def test_categorical_mixed_types_error():
     with pytest.raises(ValueError, match="mutually comparable"):
         fit_bins([np.array([1, "a"], dtype=object)], ["categorical"], 8)
@@ -183,6 +197,9 @@ def per_value_bins(col, fb, j=0):
             continue
         key = raw.item() if isinstance(raw, np.generic) else raw
         bin_ = fb.categories.get(key, -1)
+        if bin_ < 0 and raw != raw:
+            # A NaN that is no missing marker is the NaN modality, if any.
+            bin_ = next((b for k, b in fb.categories.items() if k != k), -1)
         if bin_ < 0:
             if fb.has_missing:
                 bin_ = fb.missing_bin
@@ -218,7 +235,12 @@ NO_MARKERS = np.array([np.str_("d"), "zz", 3, np.int64(7), True,
     (["a", "a", "b", "c", "d", None], 3, [MIXED, NO_MARKERS]),
     # A float32 NaN is a modality, not a missing marker.
     ([1.0, 2.0, np.float32("nan")], 8,
-     [np.array([2.0, 1.0]), np.array([2.0, np.nan])]),
+     [np.array([2.0, 1.0]), np.array([2.0, np.nan]),
+      np.array([np.float32("nan"), 2.0, np.float32("nan")], dtype=object),
+      np.array([2.0, np.nan], dtype=np.float32)]),
+    # The NaN modality next to a missing bin: only missing markers take it.
+    ([1.0, np.float32("nan"), None, 1.0], 8,
+     [np.array([np.float32("nan"), None, np.nan, 1.0, 7.0], dtype=object)]),
     # Float modalities, with NaN as the missing marker.
     ([1.0, 2.0, np.nan, 1.0], 8,
      [np.array([2.0, np.nan, 5.0]), np.array([2.0, np.nan], dtype=np.float32),

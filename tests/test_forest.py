@@ -1,5 +1,7 @@
 """Forest training: prediction contracts, determinism, prefix property."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,26 @@ def test_missing_values_survive_the_whole_pipeline():
     X[rng.random(300) < 0.15, 1] = np.nan
     forest = fit(X, y, KINDS2, TrainConfig(n_trees=3, seed=10))
     assert np.isfinite(forest.predict_proba(X)).all()
+
+
+def test_infinite_feature_values_take_the_extreme_plain_bins():
+    # fit_bins used to warn about inf - inf and to end its thresholds in NaN.
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(300, 2))
+    y = (X[:, 0] + 0.3 * rng.normal(size=300) > 0).astype(int)
+    X[rng.random(300) < 0.2, 0] = np.inf
+    X[rng.random(300) < 0.2, 0] = -np.inf
+    finite = X[np.isfinite(X[:, 0]), 0]
+    Xq = np.array([[np.inf, 0.1], [finite.max(), 0.1], [-np.inf, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forest = fit(X, y, KINDS2, TrainConfig(n_trees=4, seed=19))
+        proba = forest.predict_proba(Xq)
+    fb = forest.mapper.features[0]
+    assert np.isfinite(fb.thresholds).all()
+    codes = forest._binned(Xq).entries[:, 0]
+    assert codes[0] == codes[1] == fb.n_plain_bins - 1 and codes[2] == 0
+    assert np.array_equal(proba[0], proba[1])
 
 
 def test_categorical_and_continuous_mix():
@@ -270,6 +292,8 @@ def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
     assert [(b.class_id, b.index) for b in forest.trees] == [
         (c, i) for c in (range(n_classes) if ovr else [-1]) for i in range(5)]
     for b in forest.trees:
+        # Fitting routes the stacked group, so no tree carries a table.
+        assert b.tree._router is None
         source = RandomSource(18).child(*([b.class_id] if ovr else []),
                                         b.index)
         labels = (y_enc == b.class_id).astype(np.int64) if ovr else y_enc

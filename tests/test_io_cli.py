@@ -1,11 +1,16 @@
 """Model serialization, CSV handling, and the command-line surface."""
 
+import functools
 import hashlib
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aggforest.binning import FeatureKind
 from aggforest.cli import main
@@ -150,23 +155,54 @@ def test_unknown_version_is_rejected(tmp_path):
         load_model(str(path))
 
 
-def rewrite_array(path, name, edit):
-    """Apply edit() in place to one stored array, then re-sign the payload
-    so that only the structural checks can catch the change."""
-    raw = bytearray(path.read_bytes())
+def rewrite_model(path, edit):
+    """Apply edit(meta, arrays) to a saved model's header and arrays, where
+    arrays may change shape, then lay the payload out again and re-sign it,
+    so that only the load-time checks can catch the change."""
+    raw = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", raw, 52)
     meta = json.loads(raw[60:60 + hlen].decode("utf-8"))
-    offset = 60 + hlen
+    arrays, offset = {}, 60 + hlen
     for key, dtype, shape in meta["arrays"]:
         if dtype is None:
+            arrays[key] = None
             continue
         arr = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape)),
                             offset=offset)
-        if key == name:
-            edit(arr)
+        arrays[key] = arr.reshape(shape).copy()
         offset += arr.nbytes
-    raw[12:44] = hashlib.sha256(bytes(raw[52:])).digest()
-    path.write_bytes(bytes(raw))
+    edit(meta, arrays)
+    meta["arrays"] = [[k, None, None] if a is None
+                      else [k, a.dtype.str, list(a.shape)]
+                      for k, a in arrays.items()]
+    header = json.dumps(meta, sort_keys=True,
+                        separators=(",", ":")).encode("utf-8")
+    payload = (struct.pack("<Q", len(header)) + header
+               + b"".join(a.tobytes() for a in arrays.values() if a is not None))
+    path.write_bytes(raw[:12] + hashlib.sha256(payload).digest()
+                     + struct.pack("<Q", len(payload)) + payload)
+
+
+def drop_header_key(key):
+    def edit(meta, arrays):
+        del meta[key]
+    return edit
+
+
+def set_tree_field(key, value):
+    def edit(meta, arrays):
+        meta["trees"][0][key] = value
+    return edit
+
+
+def set_entry(name, index, value):
+    def edit(meta, arrays):
+        arrays[name][index] = value
+    return edit
+
+
+def narrow_masks(meta, arrays):
+    arrays["t0.masks"] = arrays["t0.masks"][:, :1].copy()
 
 
 @pytest.mark.parametrize("name,index,value,message", [
@@ -180,12 +216,95 @@ def test_malformed_tree_links_are_rejected(tmp_path, name, index, value,
     path, _ = saved_model_bytes(tmp_path)
     assert load_model(str(path)).trees[0].tree.n_nodes >= 3
 
-    def edit(arr):
-        arr[index] = value
-
-    rewrite_array(path, f"t0.{name}", edit)
+    rewrite_model(path, set_entry(f"t0.{name}", index, value))
     with pytest.raises(ModelFormatError, match=message):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("categorical,edit,message", [
+    (False, drop_header_key("y_min"), "lacks the key 'y_min'"),
+    (False, set_tree_field("state_temperature", -1.0), "temperature"),
+    (False, set_tree_field("state_temperature", float("nan")), "temperature"),
+    (False, set_entry("t0.log_agg_weight", 0, np.nan), "log_agg_weight"),
+    (False, set_entry("t0.oob_loss", 1, -np.inf), "oob_loss"),
+    (False, set_entry("t0.forecasts", (0, 0), -0.5), "forecasts"),
+    (False, set_entry("t0.feature_n_bins", 0, 3), "feature_n_bins"),
+    (False, set_entry("t0.feature_missing_bin", 0, 99), "feature_missing_bin"),
+    (True, narrow_masks, "narrower"),
+], ids=["no-y_min", "negative-temperature", "nan-temperature",
+        "nan-log-weight", "negative-oob-loss", "negative-forecast",
+        "n_bins-differ", "missing-bin-out-of-range", "narrow-masks"])
+def test_invalid_model_state_is_rejected(tmp_path, categorical, edit, message):
+    # Each of these used to load, or to fail with KeyError, and then gave
+    # non-finite predictions or read past a node's bits when routing.
+    if categorical:
+        rng = np.random.default_rng(9)
+        color = rng.choice(np.array(list("abcdef"), dtype=object), size=80)
+        y = np.isin(color, ["a", "b"]).astype(np.int64)
+        forest = fit([color, rng.normal(size=80)], y,
+                     ["categorical", "continuous"], TrainConfig(n_trees=1))
+        path = tmp_path / "m.agf"
+        save_model(forest, str(path))
+        assert forest.mapper.features[0].n_bins == 6
+        assert forest.trees[0].tree.masks.shape[1] >= 6
+    else:
+        path, _ = saved_model_bytes(tmp_path)
+    rewrite_model(path, edit)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(str(path))
+
+
+@functools.lru_cache(maxsize=None)
+def saved_mixed_forest(task):
+    """A saved two-tree forest over a categorical and two continuous
+    columns with missing values, and its training columns."""
+    rng = np.random.default_rng(21)
+    color = rng.choice(np.array(list("pqrs"), dtype=object), size=90)
+    color[rng.random(90) < 0.1] = None
+    a, b = rng.normal(size=(2, 90))
+    score = a + (color == "p") - b
+    a[rng.random(90) < 0.1] = np.nan
+    cols = [color, a, b]
+    y = score if task == "regression" else (score > 0).astype(np.int64)
+    forest = fit(cols, y, ["categorical", "continuous", "continuous"],
+                 TrainConfig(task=task, n_trees=2, max_features=2, seed=21))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "m.agf")
+        save_model(forest, path)
+        with open(path, "rb") as fh:
+            return fh.read(), cols
+
+
+NASTY = {"f": [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1e300, -1e300],
+         "i": [-2, -1, 0, 1, 2, 3, 7, 255, 2 ** 31 - 1],
+         "u": [0, 1, 2, 255], "b": [False, True]}
+
+
+@given(st.data())
+def test_mutated_model_is_refused_or_predicts_finite(tmp_path_factory, data):
+    task = data.draw(st.sampled_from(["classification", "regression"]))
+    raw, cols = saved_mixed_forest(task)
+    path = tmp_path_factory.mktemp("mutated") / "m.agf"
+    path.write_bytes(raw)
+
+    def edit(meta, arrays):
+        key = data.draw(st.sampled_from(sorted(
+            k for k, a in arrays.items() if a is not None and a.size)))
+        arr = arrays[key].reshape(-1)
+        arr[data.draw(st.integers(0, arr.size - 1))] = data.draw(
+            st.sampled_from(NASTY[arr.dtype.kind]))
+
+    rewrite_model(path, edit)
+    try:
+        forest = load_model(str(path))
+    except ModelFormatError:
+        return
+    if task == "regression":
+        assert np.isfinite(forest.predict(cols)).all()
+    else:
+        proba = forest.predict_proba(cols)
+        assert np.isfinite(proba).all()
+        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
 
 
 # ---------------------------------------------------------------------------

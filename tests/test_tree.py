@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aggforest.binning import fit_bins, transform
-from aggforest.forest import TrainConfig
+from aggforest.forest import TrainConfig, fit
 from aggforest.sampling import (
     TAG_BOOTSTRAP,
     TAG_FEATURES,
@@ -22,7 +22,7 @@ from aggforest.splits import (
     find_best_split,
     impurity,
 )
-from aggforest.tree import Tree, grow_tree, grow_trees
+from aggforest.tree import Tree, grow_tree, grow_trees, stack_trees
 
 
 def grown(n=120, seed=0, task="classification", aggregation=True, **kw):
@@ -102,6 +102,89 @@ def test_path_is_a_root_to_leaf_chain():
         assert path[-1] == tree.route(binned.entries[i:i + 1])[0]
         for a, b in zip(path[:-1], path[1:]):
             assert tree.parent[b] == a
+
+
+def split_goes_left(split, code, missing_bin):
+    """The ``Split`` rule for one bin code, as its docstring states it."""
+    if split.is_categorical:
+        return bool(split.left_mask[code])
+    if code == missing_bin:
+        return split.missing_goes_left
+    return code <= split.bin_threshold
+
+
+def every_split_kind(seed=3, n=600):
+    """A forest whose stacked trees hold categorical splits over a missing
+    bin and continuous splits with missing values going left, going right,
+    and alone (threshold -1), next to a feature without a missing bin."""
+    rng = np.random.default_rng(seed)
+    color = rng.choice(np.array(list("abcde"), dtype=object), size=n)
+    color[rng.random(n) < 0.15] = None
+    a, m, b = rng.normal(size=(3, n))
+    a_miss, m_miss = rng.random(n) < 0.2, rng.random(n) < 0.3
+    score = a + np.isin(color, ["a", "c"]) - 1.5 * m_miss + 0.8 * a_miss + b
+    a[a_miss], m[m_miss] = np.nan, np.nan
+    y = (score + rng.normal(0, 0.5, n) > 0).astype(int)
+    cols = [color, a, m, b]
+    forest = fit(cols, y, ["categorical"] + ["continuous"] * 3,
+                 TrainConfig(n_trees=6, max_features=2, seed=seed))
+    return stack_trees([t.tree for t in forest.trees]), forest._binned(cols)
+
+
+def split_kinds_checked_bitwise(tree):
+    """Assert that every internal node's routing bits, for every code below
+    its feature's bin count, follow the ``Split`` rule of ``split_of``;
+    return the kinds of split seen."""
+    r = tree.router
+    kinds = set()
+    for i, v in enumerate(r.node):
+        split = tree.split_of(int(v))
+        j = split.feature
+        n_bins, missing_bin = tree.feature_n_bins[j], tree.feature_missing_bin[j]
+        want = [split_goes_left(split, code, missing_bin)
+                for code in range(n_bins)]
+        got = np.unpackbits(r.bits[i], bitorder="little")[:n_bins]
+        assert got.tolist() == want, f"node {v}"
+        assert r.feature[i] == j and r.link[v] == i
+        if split.is_categorical:
+            kinds.add(("categorical", bool(split.left_mask[missing_bin])))
+        elif missing_bin < 0:
+            kinds.add("no missing bin")
+        elif split.bin_threshold == -1:
+            kinds.add("threshold -1")
+        else:
+            kinds.add(("missing", split.missing_goes_left))
+    return kinds
+
+
+def test_routing_bits_match_the_split_rule():
+    (tree, roots), binned = every_split_kind()
+    assert split_kinds_checked_bitwise(tree) == {
+        ("categorical", True), ("categorical", False), "no missing bin",
+        "threshold -1", ("missing", True), ("missing", False)}
+    assert (tree.feature_missing_bin[:3] >= 0).all()
+
+    # Thresholds at or past the missing bin, which a saved model may hold:
+    # the missing bin still follows missing_left alone.
+    odd = dataclasses.replace(tree, threshold=tree.threshold.copy(),
+                              missing_left=tree.missing_left.copy())
+    cont = np.flatnonzero((odd.feature > 0) & (odd.feature < 3))
+    odd.threshold[cont[::2]] = odd.feature_n_bins[odd.feature[cont[::2]]] + 3
+    odd.threshold[cont[1::2]] = odd.feature_missing_bin[odd.feature[cont[1::2]]]
+    odd.missing_left[cont[::3]] ^= True
+    assert ("missing", False) in split_kinds_checked_bitwise(odd)
+
+    # Stacked routing against a walk of split_of, row by row and tree by tree.
+    got = tree.route(binned.entries, roots)
+    for i, x in enumerate(binned.entries):
+        for t, v in enumerate(roots):
+            while (split := tree.split_of(int(v))) is not None:
+                left = split_goes_left(split, int(x[split.feature]),
+                                       tree.feature_missing_bin[split.feature])
+                v = tree.left_child[v] if left else tree.right_child[v]
+            assert got[i, t] == v, (i, t)
+        path = tree.path(x)
+        assert path[-1] == got[i, 0] and tree.feature[path[-1]] < 0
 
 
 def test_leaf_minimums_and_oob_presence():
