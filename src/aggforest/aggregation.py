@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import Tree
+from .tree import Tree, node_forecast
 
 LOG2 = math.log(2.0)
 
@@ -42,46 +42,21 @@ class AggregationState:
     log_agg_weight: np.ndarray | None
 
 
-def node_forecast(stats, task: str, dirichlet: float = 0.5):
-    """Forecast of a node from its itb label statistics, or of every node
-    of a stack of them (one node per row).
-
-    Classification returns the smoothed class frequencies
-    (count_k + dirichlet) / (total + dirichlet * K), strictly positive and
-    summing to one.  Regression returns the weighted label mean.
-    """
-    stats = np.asarray(stats, dtype=np.float64)
-    if task == "classification":
-        if dirichlet <= 0:
-            raise ValueError(f"dirichlet must be positive, got {dirichlet}")
-        total = stats.sum(axis=-1, keepdims=True)
-        return (stats + dirichlet) / (total + dirichlet * stats.shape[-1])
-    if task == "regression":
-        if (stats[..., 0] <= 0).any():
-            raise ValueError("forecast of an empty node is undefined")
-        return stats[..., 1] / stats[..., 0]
-    raise ValueError(f"unknown task {task!r}")
-
-
 def accumulate_oob_losses(tree: Tree, forecasts: np.ndarray, entries: np.ndarray,
-                          oob_rows: np.ndarray, labels: np.ndarray, loss: str,
-                          starts: np.ndarray | None = None,
-                          return_leaves: bool = False):
+                          oob_rows: np.ndarray, labels: np.ndarray, loss: str):
     """Route every oob row from the root to its leaf, through the tree's
     routing table, adding the loss of each visited node's forecast to that
     node's total.
 
-    ``starts`` gives each row its own start node, such as its tree's root in
-    a stack of trees (``stack_trees``); a row may then appear once per tree.
-    With ``return_leaves`` the result is (totals, each row's leaf).
+    This is the reference behind ``build_state``: fitting scores the oob
+    rows as ``grow_trees`` routes them, level by level, and never calls it.
     """
     classification = loss == LOG_LOSS
     r = tree.router
     L = np.zeros(tree.n_nodes, dtype=np.float64)
     y = labels[oob_rows]
     codes, column = entries.ravel(order="F"), r.feature * entries.shape[0]
-    at = r.link[np.zeros(oob_rows.shape[0], dtype=np.int64)
-                if starts is None else np.asarray(starts)]
+    at = np.full(oob_rows.shape[0], r.link[0])
     active = np.arange(oob_rows.shape[0])
     while active.size:
         here = at[active]
@@ -95,7 +70,7 @@ def accumulate_oob_losses(tree: Tree, forecasts: np.ndarray, entries: np.ndarray
         np.add.at(L, nodes, contrib)
         active, here = active[inner], here[inner]
         at[active] = r.step(here, codes[column[here] + oob_rows[active]])
-    return (L, ~at) if return_leaves else L
+    return L
 
 
 def compute_log_agg_weights(tree: Tree, oob_loss: np.ndarray,

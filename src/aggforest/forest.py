@@ -8,12 +8,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregation import (LOG_LOSS, SQUARED_LOSS, AggregationState,
-                          accumulate_oob_losses, compute_log_agg_weights,
-                          node_forecast, node_values, stack_states)
+                          compute_log_agg_weights, node_values, stack_states)
 from .binning import BinMapper, BinnedMatrix, fit_bins, transform
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
-from .tree import Tree, grow_trees, stack_trees
+from .tree import Tree, grow_trees, node_forecast, stack_trees
 
 TASKS = ("classification", "regression")
 MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
@@ -191,10 +190,10 @@ def _resolve_temperature(config: TrainConfig, y: np.ndarray) -> float:
 def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
                temperature: float, n_classes: int, class_id: int,
                indices: range) -> list[FittedTree]:
-    """Grow the trees ``indices`` together, then route every (oob row, tree)
-    pair of the group once, from its tree's root in the stack of the group:
-    that gives the leaf each pair is scored at and, with aggregation on, the
-    nodes' oob losses."""
+    """Grow the trees ``indices`` together.  Growth scores the oob rows as
+    it routes them: it gives the leaf of every (oob row, tree) pair and,
+    with aggregation on, every node's oob loss, from which the log weights
+    follow; nothing routes those rows again."""
     source = RandomSource(config.seed)
     if class_id >= 0:
         labels, k = (y_enc == class_id).astype(np.int64), 2
@@ -203,23 +202,16 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
         labels, k = y_enc, n_classes
     sources = [source.child(i) for i in indices]
     samples = [bootstrap(binned.n_rows, s.child(TAG_BOOTSTRAP)) for s in sources]
-    trees = grow_trees(binned, labels, samples, config, sources, n_classes=k)
+    trees, leaf, oob_loss = grow_trees(binned, labels, samples, config,
+                                       sources, n_classes=k)
     tree, roots = stack_trees(trees)
     rows = np.concatenate([s.oob_indices for s in samples])
     n_oob = [s.n_oob for s in samples]
     state = AggregationState(
         LOG_LOSS if k else SQUARED_LOSS, temperature, config.dirichlet,
-        node_forecast(tree.stats, config.task, config.dirichlet), None, None)
-    if config.aggregation:
-        state.oob_loss, leaf = accumulate_oob_losses(
-            tree, state.forecasts, binned.entries, rows, labels, state.loss,
-            np.repeat(roots, n_oob), return_leaves=True)
-        state.log_agg_weight = compute_log_agg_weights(tree, state.oob_loss,
-                                                       temperature)
-    else:
-        leaf = np.concatenate([tree.route(binned.entries[s.oob_indices],
-                                          roots[i:i + 1])[:, 0]
-                               for i, s in enumerate(samples)])
+        node_forecast(tree.stats, config.task, config.dirichlet), oob_loss,
+        None if oob_loss is None
+        else compute_log_agg_weights(tree, oob_loss, temperature))
     preds, y_oob = node_values(tree, state)[leaf], labels[rows]
     losses = (-np.log(preds[np.arange(rows.shape[0]), y_oob]) if k
               else (preds - y_oob) ** 2)
@@ -268,6 +260,12 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
         y_enc = y.astype(np.float64)
         if not np.isfinite(y_enc).all():
             raise ValueError("regression targets must be finite")
+        # Node sums of squares and oob losses stay below 8 n max|y|^2, and
+        # the default temperature is 1 / (8 max|y|^2).
+        bound = float(np.abs(y_enc).max())
+        if 8.0 * y_enc.shape[0] * bound * bound == float("inf"):
+            raise ValueError(f"regression targets up to {bound:.3g} in "
+                             "magnitude overflow 8 n max|y|^2; rescale them")
         n_classes = 0
     temperature = _resolve_temperature(config, y_enc)
 

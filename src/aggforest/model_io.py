@@ -283,6 +283,14 @@ def _check_tree(tree: Tree, state: AggregationState, n_bins: list,
         raise ValueError("oob_loss is not all finite and >= 0")
     if not np.isfinite(log_w).all():
         raise ValueError("log_agg_weight is not all finite")
+    # A node's weight averages its own exp(-temperature * loss) with its
+    # children's product, all at most 1: so it is at most 1 and at least
+    # half its own, up to rounding relative to the exponent.
+    own = -temperature * loss
+    if (log_w > 0).any() or (
+            own - log_w > math.log(2.0) + 1e-9 * np.abs(own)).any():
+        raise ValueError("log_agg_weight is not within [own weight - log 2, "
+                         "0]")
 
 
 @dataclass

@@ -272,16 +272,37 @@ def _node_stats(abs_rows, w_rows, labels, n_classes) -> np.ndarray:
     return np.array([w_rows.sum(), wy.sum(), (wy * yr).sum()])
 
 
+def node_forecast(stats, task: str, dirichlet: float = 0.5):
+    """Forecast of a node from its itb label statistics, or of every node
+    of a stack of them (one node per row).
+
+    Classification returns the smoothed class frequencies
+    (count_k + dirichlet) / (total + dirichlet * K), strictly positive and
+    summing to one.  Regression returns the weighted label mean.
+    """
+    stats = np.asarray(stats, dtype=np.float64)
+    if task == "classification":
+        if dirichlet <= 0:
+            raise ValueError(f"dirichlet must be positive, got {dirichlet}")
+        total = stats.sum(axis=-1, keepdims=True)
+        return (stats + dirichlet) / (total + dirichlet * stats.shape[-1])
+    if task == "regression":
+        if (stats[..., 0] <= 0).any():
+            raise ValueError("forecast of an empty node is undefined")
+        return stats[..., 1] / stats[..., 0]
+    raise ValueError(f"unknown task {task!r}")
+
+
 def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
               source: RandomSource, *, n_classes: int = 0) -> Tree:
     """Grow one tree: ``grow_trees`` on a group of one."""
     return grow_trees(binned, labels, [sample], config, [source],
-                      n_classes=n_classes)[0]
+                      n_classes=n_classes)[0][0]
 
 
 def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
                config, sources: list[RandomSource], *,
-               n_classes: int = 0) -> list[Tree]:
+               n_classes: int = 0):
     """Grow one tree per bootstrap sample, all together, level by level.
 
     All open nodes of one depth, across the trees, are handled together: one
@@ -300,8 +321,12 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
     holds at least one sample of either kind.  With aggregation off only itb
     weights are constrained, matching a plain random forest.
 
-    Labels must be encoded class ids when n_classes > 0, float targets
-    otherwise.
+    Every (oob row, tree) pair goes down to its leaf; with aggregation on,
+    one ``bincount`` per level adds up each node's oob loss, in the order of
+    ``accumulate_oob_losses``.  Returns (trees, the leaf of each pair, tree
+    by tree in oob index order, and each node's oob loss or None), nodes
+    numbered as in ``stack_trees(trees)``.  Labels must be encoded class ids
+    when n_classes > 0, float targets otherwise.
     """
     classification = n_classes > 0
     if classification != (config.task == "classification"):
@@ -329,13 +354,12 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
         min_leaf_oob=int(config.min_samples_leaf) if use_oob else 0,
     )
 
-    # In-bag and out-of-bag rows, tree by tree and ascending within each
-    # node, and the position of each row's node within its level; -2 and -1
-    # mark rows whose node did not split.  Tree t's root has position t.
+    # In-bag rows and (oob row, tree) pairs, tree by tree and ascending
+    # within each node, and the position of each one's node in its level;
+    # -2 and -1 mark in-bag rows of nodes that did not split.  Root t is at t.
     n_trees = len(samples)
     itb = [s.itb_indices for s in samples]
-    oob = [s.oob_indices if use_oob else np.empty(0, dtype=np.int64)
-           for s in samples]
+    oob = [s.oob_indices for s in samples]
     itb_count, oob_count = (np.array([r.shape[0] for r in part])
                             for part in (itb, oob))
     rows, oob_rows = np.concatenate(itb), np.concatenate(oob)
@@ -350,11 +374,20 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
     stats = np.array([_node_stats(r, s.weights[r], labels, n_classes)
                       for s, r in zip(samples, itb)])
     owner = np.arange(n_trees)
-    levels, splits, first = [], [], 0
+    levels, splits, losses, first = [], [], [], 0
+    oob_pair, leaf = np.arange(oob_rows.shape[0]), np.empty_like(oob_rows)
     while True:
         n, depth = stats.shape[0], len(levels)
         w_node = stats.sum(axis=1) if classification else stats[:, 0]
-        levels.append((stats, w_node, itb_count, oob_count, owner))
+        # Oob counts are kept, like oob losses, only with aggregation on.
+        levels.append((stats, w_node, itb_count, oob_count * use_oob, owner))
+        leaf[oob_pair] = first + oob_slot
+        if use_oob:
+            forecast = node_forecast(stats, config.task, config.dirichlet)
+            y_oob = labels[oob_rows[oob_pair]]
+            loss = (-np.log(forecast[oob_slot, y_oob]) if classification
+                    else (forecast[oob_slot] - y_oob) ** 2)
+            losses.append(np.bincount(oob_slot, loss, minlength=n))
         open_ = w_node >= min_split_w
         if max_depth is not None and depth >= max_depth:
             open_[:] = False
@@ -377,7 +410,7 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
         slot, oob_slot = at[slot], at[oob_slot]
         keep, oob_keep = slot >= 0, oob_slot >= 0
         rows, weights, y, slot = rows[keep], weights[keep], y[keep], slot[keep]
-        oob_rows, oob_slot = oob_rows[oob_keep], oob_slot[oob_keep]
+        oob_slot, oob_pair = oob_slot[oob_keep], oob_pair[oob_keep]
 
         # Histograms and splits of every open node at once.
         if m == d:
@@ -388,7 +421,8 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
                 d, m, sources[t].child(TAG_FEATURES, depth), n_sets=k)
                 for t, k in zip(trees.tolist(), n_open.tolist())])
         hist = level_histogram(binned, features, rows, slot, weights, y,
-                               n_classes, oob_rows if use_oob else None, oob_slot)
+                               n_classes, oob_rows[oob_pair] if use_oob
+                               else None, oob_slot)
         best = best_splits(hist, binned, criterion, constraints, n_classes)
         n_split = best.node.shape[0]
         if n_split == 0:
@@ -399,16 +433,18 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
         rank = np.full(cand.size, -1)
         rank[best.node] = np.arange(n_split)
         slot, oob_slot = rank[slot], rank[oob_slot]
+        oob_keep = oob_slot >= 0
+        oob_slot, oob_pair = oob_slot[oob_keep], oob_pair[oob_keep]
         slot = 2 * slot + ~best.left[slot, entries[rows, best.feature[slot]]]
         oob_slot = 2 * oob_slot + ~best.left[
-            oob_slot, entries[oob_rows, best.feature[oob_slot]]]
+            oob_slot, entries[oob_rows[oob_pair], best.feature[oob_slot]]]
 
         parent_stats = stats[cand[best.node]]
         stats = np.empty((2 * n_split, stats.shape[1]))
         stats[0::2] = best.stats_left
         stats[1::2] = parent_stats - best.stats_left
         itb_count = np.bincount(slot + 2, minlength=2 * n_split + 2)[2:]
-        oob_count = np.bincount(oob_slot + 2, minlength=2 * n_split + 2)[2:]
+        oob_count = np.bincount(oob_slot, minlength=2 * n_split)
         owner = np.repeat(owner[cand[best.node]], 2)
         first += n
 
@@ -466,8 +502,10 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
     before = np.cumsum(cat) - cat
     mask_id[cat] = (before - before[root])[cat]
     parts = {name: np.split(col, roots[1:]) for name, col in cols.items()}
-    return [Tree(task=config.task, n_classes=n_classes, masks=tree_masks,
-                 feature_n_bins=binned.n_bins.copy(),
-                 feature_missing_bin=binned.missing_bin.copy(),
-                 **{name: part[t] for name, part in parts.items()})
-            for t, tree_masks in enumerate(np.split(masks, before[roots[1:]]))]
+    trees = [Tree(task=config.task, n_classes=n_classes, masks=tree_masks,
+                  feature_n_bins=binned.n_bins.copy(),
+                  feature_missing_bin=binned.missing_bin.copy(),
+                  **{name: part[t] for name, part in parts.items()})
+             for t, tree_masks in enumerate(np.split(masks, before[roots[1:]]))]
+    return (trees, stacked_id[leaf],
+            np.concatenate(losses)[order] if use_oob else None)

@@ -7,7 +7,7 @@ import pytest
 
 from aggforest import forest as forest_module
 from aggforest.aggregation import build_state, node_values, predict_aggregated
-from aggforest.datasets import make_toy_classification
+from aggforest.datasets import add_noise, make_toy_classification, signal_grid
 from aggforest.forest import Forest, TrainConfig, fit
 from aggforest.model_io import save_model
 from aggforest.sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
@@ -181,6 +181,27 @@ def test_fit_input_validation():
         reg.predict_proba(X)
 
 
+def test_huge_regression_targets_are_refused():
+    # At x1e153 fit used to warn hundreds of times and fit nothing (MSE/var
+    # 1.00); at x1e200 the default temperature underflowed to 0.0.
+    t, clean = signal_grid("doppler", 1024)
+    y = add_noise(clean, 2.0, seed=3)
+    config = TrainConfig(task="regression", n_trees=5, seed=3)
+
+    def mse_ratio(scale):
+        pred = fit([t], y * scale, ["continuous"], config).predict([t]) / scale
+        return np.mean((pred - clean) ** 2) / np.var(clean)
+
+    for scale in (1e153, 1e200):
+        with pytest.raises(ValueError, match="rescale"):
+            fit([t], y * scale, ["continuous"], config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = mse_ratio(1e150)
+    assert huge == pytest.approx(mse_ratio(1.0), rel=1e-9)
+    assert huge < 0.6
+
+
 def test_max_features_one_still_learns():
     forest, X, y = toy_forest(seed=14, max_features=1)
     assert (forest.predict(X) == y).mean() > 0.55
@@ -265,22 +286,31 @@ def test_stacked_prediction_equals_per_tree_fold(monkeypatch, task, n_classes,
             assert np.array_equal(one[0], got[i])
 
 
-@pytest.mark.parametrize("task,n_classes,multiclass,aggregation", [
-    ("regression", 0, "heuristic", True),
-    ("classification", 3, "heuristic", True),
-    ("classification", 3, "one_vs_rest", True),
-    ("classification", 2, "heuristic", False),
-])
+@pytest.mark.parametrize("task,n_classes,multiclass,aggregation,options", [
+    ("regression", 0, "heuristic", True, {}),
+    ("classification", 3, "heuristic", True, {}),
+    ("classification", 3, "one_vs_rest", True, {}),
+    ("classification", 2, "heuristic", False, {}),
+    # Out-of-bag rows also stop at the depth limit and at nodes whose
+    # children would be too small.
+    ("classification", 3, "heuristic", True, {"max_depth": 2}),
+    ("regression", 0, "heuristic", True, {"min_samples_leaf": 12}),
+    ("classification", 2, "heuristic", False, {"min_samples_leaf": 12}),
+], ids=["regression-0-heuristic-True", "classification-3-heuristic-True",
+        "classification-3-one_vs_rest-True", "classification-2-heuristic-False",
+        "classification-3-max_depth-2", "regression-0-min_samples_leaf-12",
+        "classification-2-off-min_samples_leaf-12"])
 def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
                                                    n_classes, multiclass,
-                                                   aggregation):
-    """Trees grown in groups and scored in one oob pass per group carry the
-    tree, state and oob loss mean of growing, ``build_state`` and routing
-    each tree alone."""
+                                                   aggregation, options):
+    """Trees grown in groups, their oob rows scored while they grow, carry
+    the tree, state and oob loss mean of growing, ``build_state`` and
+    routing each tree alone."""
     X, y = mixed_data(200, 18, task, n_classes)
     kinds = ["categorical", "continuous", "continuous"]
     config = TrainConfig(task=task, n_trees=5, multiclass=multiclass,
-                         aggregation=aggregation, max_features=2, seed=18)
+                         aggregation=aggregation, max_features=2, seed=18,
+                         **options)
     # Groups of two trees, so the last group of each class holds one.
     monkeypatch.setattr(forest_module, "_GROUP_ROWS", 400)
     forest = fit(X, y, kinds, config)
@@ -292,7 +322,7 @@ def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
     assert [(b.class_id, b.index) for b in forest.trees] == [
         (c, i) for c in (range(n_classes) if ovr else [-1]) for i in range(5)]
     for b in forest.trees:
-        # Fitting routes the stacked group, so no tree carries a table.
+        # Fitting routes no tree after growth, so none carries a table.
         assert b.tree._router is None
         source = RandomSource(18).child(*([b.class_id] if ovr else []),
                                         b.index)

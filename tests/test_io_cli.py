@@ -226,13 +226,16 @@ def test_malformed_tree_links_are_rejected(tmp_path, name, index, value,
     (False, set_tree_field("state_temperature", -1.0), "temperature"),
     (False, set_tree_field("state_temperature", float("nan")), "temperature"),
     (False, set_entry("t0.log_agg_weight", 0, np.nan), "log_agg_weight"),
+    (False, set_entry("t0.log_agg_weight", 0, -1e300), "log_agg_weight"),
+    (False, set_entry("t0.log_agg_weight", 0, 1.0), "log_agg_weight"),
     (False, set_entry("t0.oob_loss", 1, -np.inf), "oob_loss"),
     (False, set_entry("t0.forecasts", (0, 0), -0.5), "forecasts"),
     (False, set_entry("t0.feature_n_bins", 0, 3), "feature_n_bins"),
     (False, set_entry("t0.feature_missing_bin", 0, 99), "feature_missing_bin"),
     (True, narrow_masks, "narrower"),
 ], ids=["no-y_min", "negative-temperature", "nan-temperature",
-        "nan-log-weight", "negative-oob-loss", "negative-forecast",
+        "nan-log-weight", "tiny-log-weight", "positive-log-weight",
+        "negative-oob-loss", "negative-forecast",
         "n_bins-differ", "missing-bin-out-of-range", "narrow-masks"])
 def test_invalid_model_state_is_rejected(tmp_path, categorical, edit, message):
     # Each of these used to load, or to fail with KeyError, and then gave

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from aggforest.aggregation import LOG_LOSS, SQUARED_LOSS, accumulate_oob_losses
 from aggforest.binning import fit_bins, transform
 from aggforest.forest import TrainConfig, fit
 from aggforest.sampling import (
@@ -22,7 +23,7 @@ from aggforest.splits import (
     find_best_split,
     impurity,
 )
-from aggforest.tree import Tree, grow_tree, grow_trees, stack_trees
+from aggforest.tree import Tree, grow_tree, grow_trees, node_forecast, stack_trees
 
 
 def grown(n=120, seed=0, task="classification", aggregation=True, **kw):
@@ -416,7 +417,9 @@ def starved_sample(n):
 def test_grouped_growth_equals_one_tree_growth(task, options):
     """Growing a group of trees together gives each tree exactly as grown
     alone: feature streams per tree, categorical masks and child, parent
-    and mask ids re-based per tree, stopping rules per node."""
+    and mask ids re-based per tree, stopping rules per node.  The oob leaf
+    of each (row, tree) pair is where routing the grown tree puts the row,
+    and the nodes' oob losses are bitwise those of routing the rows again."""
     options = dict(options)
     starved = options.pop("starved", None)
     seed = 31
@@ -432,8 +435,8 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
         samples[starved] = starved_sample(len(y))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        group = grow_trees(binned, y, samples, config, sources,
-                           n_classes=n_classes)
+        group, leaf, oob_loss = grow_trees(binned, y, samples, config,
+                                           sources, n_classes=n_classes)
     assert len(caught) == (starved is not None)
     assert len(group) == 5
     for i, (got, sample, source) in enumerate(zip(group, samples, sources)):
@@ -453,3 +456,17 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
     if task != "regression" and not options:
         # Several trees hold categorical masks, so mask ids are re-based.
         assert sum(t.masks.shape[0] > 0 for t in group) >= 2
+    _, roots = stack_trees(group)
+    np.testing.assert_array_equal(leaf, np.concatenate([
+        root + t.route(binned.entries[s.oob_indices])
+        for root, t, s in zip(roots, group, samples)]))
+    if config.aggregation:
+        loss = LOG_LOSS if n_classes else SQUARED_LOSS
+        want = np.concatenate([accumulate_oob_losses(
+            t, node_forecast(t.stats, config.task, config.dirichlet),
+            binned.entries, s.oob_indices, y, loss)
+            for t, s in zip(group, samples)])
+        assert oob_loss.tobytes() == want.tobytes()
+    else:
+        assert oob_loss is None
+        assert all((t.oob_count == 0).all() for t in group)
