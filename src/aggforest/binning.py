@@ -65,10 +65,19 @@ class FeatureBins:
 
 @dataclass
 class BinMapper:
-    """Per-feature bin layouts plus the global bin budget they were fit with."""
+    """Per-feature bin layouts plus the global bin budget they were fit with.
+
+    On its first ``transform`` a mapper builds its ``BinTable``: every
+    continuous feature's thresholds in one NaN-padded table, and the
+    per-feature layout arrays each ``BinnedMatrix`` carries.  The table is
+    derived state, never saved or compared, so change ``features`` only
+    before transforming with it.
+    """
 
     max_bins: int
     features: list[FeatureBins]
+    _table: BinTable | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def n_features(self) -> int:
@@ -76,6 +85,88 @@ class BinMapper:
 
     def n_bins_per_feature(self) -> np.ndarray:
         return np.array([f.n_bins for f in self.features], dtype=np.int64)
+
+    @property
+    def table(self) -> BinTable:
+        """The search table, built on first use."""
+        if self._table is None:
+            self._table = BinTable.of(self)
+        return self._table
+
+    def validate(self) -> None:
+        """Raise ValueError unless ``transform`` gives every value a code
+        inside its feature's bins, and those codes fit the entry dtype of
+        ``max_bins``: thresholds finite, strictly increasing and one fewer
+        than the plain bins, category bins plain, and an overflow bin that
+        is none or the last plain bin."""
+        for j, fb in enumerate(self.features):
+            n_plain = fb.n_plain_bins
+            if not 1 <= fb.n_bins <= self.max_bins:
+                raise ValueError(f"feature {j}: n_bins {fb.n_bins} outside "
+                                 f"[1, max_bins {self.max_bins}]")
+            if fb.overflow_bin not in (-1, n_plain - 1):
+                raise ValueError(f"feature {j}: overflow_bin {fb.overflow_bin}"
+                                 " is neither -1 nor the last plain bin")
+            if fb.kind is FeatureKind.CONTINUOUS:
+                thr = fb.thresholds
+                if thr.ndim != 1 or thr.shape[0] != n_plain - 1:
+                    raise ValueError(f"feature {j}: {thr.size} thresholds for "
+                                     f"{n_plain} plain bins")
+                if not (np.isfinite(thr).all() and (np.diff(thr) > 0).all()):
+                    raise ValueError(f"feature {j}: thresholds are not finite"
+                                     " and strictly increasing")
+            elif any(not (isinstance(b, int) and 0 <= b < n_plain)
+                     for b in fb.categories.values()):
+                raise ValueError(f"feature {j}: category bin outside "
+                                 f"[0, {n_plain})")
+
+
+@dataclass(frozen=True)
+class BinTable:
+    """What ``transform`` reads of a mapper, in arrays.
+
+    Row c of ``thresholds`` holds the thresholds of continuous feature
+    ``continuous[c]``, padded with NaN to a width W, a power of two greater
+    than every threshold count.  NaN compares false, so the number of
+    entries <= v in a row is the number of thresholds <= v: the bin code of
+    a non-missing value v, ``np.searchsorted(thresholds, v, side="right")``.
+    """
+
+    continuous: np.ndarray   # (C,) feature index of each continuous column
+    categorical: list[int]   # feature index of each categorical column
+    thresholds: np.ndarray   # (C, W) float64, NaN-padded
+    missing: np.ndarray      # (C,) missing bin of each, -1 when it has none
+    n_bins: np.ndarray       # per feature, as in BinnedMatrix
+    kinds: np.ndarray
+    missing_bin: np.ndarray
+
+    @classmethod
+    def of(cls, mapper: BinMapper) -> BinTable:
+        features = mapper.features
+        continuous = [j for j, fb in enumerate(features)
+                      if fb.kind is FeatureKind.CONTINUOUS]
+        rows = [features[j].thresholds for j in continuous]
+        width = 1 << max((r.shape[0] for r in rows), default=0).bit_length()
+        thresholds = np.full((len(rows), width), np.nan)
+        for c, r in enumerate(rows):
+            thresholds[c, :r.shape[0]] = r
+        missing_bin = np.array([fb.missing_bin for fb in features],
+                               dtype=np.int64)
+        n_bins = mapper.n_bins_per_feature()
+        kinds = np.array([fb.kind for fb in features], dtype=object)
+        # Every BinnedMatrix shares these three.
+        for shared in (n_bins, kinds, missing_bin):
+            shared.flags.writeable = False
+        return cls(
+            continuous=np.array(continuous, dtype=np.intp),
+            categorical=[j for j, fb in enumerate(features)
+                         if fb.kind is FeatureKind.CATEGORICAL],
+            thresholds=thresholds,
+            missing=missing_bin[continuous],
+            n_bins=n_bins,
+            kinds=kinds,
+            missing_bin=missing_bin,
+        )
 
 
 @dataclass
@@ -232,18 +323,57 @@ def fit_bins(X, kinds, max_bins: int = 256) -> BinMapper:
     return BinMapper(max_bins=max_bins, features=features)
 
 
-def _transform_continuous(col: np.ndarray, fb: FeatureBins, j: int) -> np.ndarray:
-    values = col.astype(np.float64, copy=False)
-    out = np.searchsorted(fb.thresholds, values, side="right")
-    missing = np.isnan(values)
-    if missing.any():
-        if not fb.has_missing:
-            raise ValueError(
-                f"feature {j}: missing value seen at transform time but none "
-                "were present when bins were fit"
-            )
-        out[missing] = fb.missing_bin
-    return out
+# A block of rows holds about _BLOCK_VALUES continuous values; a block of at
+# most _COUNT_CELLS (value, table entry) pairs compares every pair instead.
+_BLOCK_VALUES = 1 << 16
+_COUNT_CELLS = 1 << 14
+
+
+def _count_le(thresholds: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For every value of row c of ``values``, the number of entries <= it
+    in row c of ``thresholds``, whose entries are sorted with NaN last.
+
+    A branch-free binary search (Khuong and Morin 2017) runs over every
+    value at once: each of the log2 W steps, halves W/2, ..., 1, is one
+    gather and one compare.
+    """
+    n_cont, width = thresholds.shape
+    if values.size * width <= _COUNT_CELLS:
+        return (thresholds[:, None, :] <= values[:, :, None]).sum(axis=2)
+    flat = thresholds.reshape(-1)
+    # 32-bit offsets gather about twice as fast as 64-bit ones.
+    index = np.int32 if flat.size < 1 << 31 else np.intp
+    base = (np.arange(n_cont, dtype=index) * width)[:, None]
+    at = np.repeat(base, values.shape[1], axis=1)
+    half = index(width >> 1)
+    while half:
+        at += (flat[at + (half - 1)] <= values) * half
+        half >>= 1
+    return at - base
+
+
+def _bin_continuous(cols: list[np.ndarray], table: BinTable,
+                    out: np.ndarray) -> None:
+    """Write the codes of every continuous column into its row of ``out``
+    (features x rows), one block of rows at a time."""
+    if table.continuous.size == 0:
+        return
+    step = max(1, _BLOCK_VALUES // table.continuous.size)
+    for lo in range(0, out.shape[1], step):
+        values = np.array([cols[j][lo:lo + step] for j in table.continuous],
+                          dtype=np.float64)
+        codes = _count_le(table.thresholds, values)
+        missing = np.isnan(values)
+        if missing.any():
+            bad = missing.any(axis=1) & (table.missing < 0)
+            if bad.any():
+                raise ValueError(
+                    f"feature {table.continuous[bad.argmax()]}: missing value "
+                    "seen at transform time but none were present when bins "
+                    "were fit"
+                )
+            codes = np.where(missing, table.missing[:, None], codes)
+        out[table.continuous, lo:lo + step] = codes
 
 
 def _transform_categorical(col: np.ndarray, fb: FeatureBins, j: int) -> np.ndarray:
@@ -280,24 +410,24 @@ def _transform_categorical(col: np.ndarray, fb: FeatureBins, j: int) -> np.ndarr
 
 
 def transform(X, mapper: BinMapper) -> BinnedMatrix:
-    """Map raw feature columns to bin indices using a fitted mapper."""
+    """Map raw feature columns to bin indices using a fitted mapper.
+
+    A continuous value v gets the number of its feature's thresholds <= v,
+    found for every continuous column of a block of rows in one search
+    (see ``BinTable``); NaN gets the missing bin.  A categorical value gets
+    its category's bin by one dict lookup.  A missing value in a feature
+    that had none at fit time is refused with ValueError.
+    """
     cols = _columns(X)
     if len(cols) != mapper.n_features:
         raise ValueError(
             f"mapper was fit on {mapper.n_features} features, got {len(cols)}"
         )
+    table = mapper.table
     dtype = np.uint8 if mapper.max_bins <= 256 else np.uint16
-    n_rows = cols[0].shape[0]
-    entries = np.empty((n_rows, len(cols)), dtype=dtype, order="F")
-    for j, (col, fb) in enumerate(zip(cols, mapper.features)):
-        if fb.kind is FeatureKind.CONTINUOUS:
-            binned = _transform_continuous(col, fb, j)
-        else:
-            binned = _transform_categorical(col, fb, j)
-        entries[:, j] = binned
-    return BinnedMatrix(
-        entries=entries,
-        n_bins=mapper.n_bins_per_feature(),
-        kinds=np.array([fb.kind for fb in mapper.features], dtype=object),
-        missing_bin=np.array([fb.missing_bin for fb in mapper.features], dtype=np.int64),
-    )
+    entries = np.empty((cols[0].shape[0], len(cols)), dtype=dtype, order="F")
+    _bin_continuous(cols, table, entries.T)
+    for j in table.categorical:
+        entries[:, j] = _transform_categorical(cols[j], mapper.features[j], j)
+    return BinnedMatrix(entries=entries, n_bins=table.n_bins,
+                        kinds=table.kinds, missing_bin=table.missing_bin)

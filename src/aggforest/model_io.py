@@ -204,6 +204,10 @@ def _forest_from(meta: dict, body) -> Forest:
             overflow_bin=fm["overflow_bin"],
         ))
     mapper = BinMapper(max_bins=meta["max_bins"], features=features)
+    try:
+        mapper.validate()
+    except ValueError as exc:
+        raise ModelFormatError(f"bin mapper: {exc}") from None
 
     layout = (mapper.n_bins_per_feature().tolist(),
               [fb.missing_bin for fb in mapper.features],
@@ -243,8 +247,10 @@ def _check_tree(tree: Tree, state: AggregationState, n_bins: list,
                 missing: list, widest: int) -> None:
     """Refuse what prediction would read past a node's bits or turn into a
     non-finite value.  A tree's bin layout must be the mapper's, since
-    routing reads each split's bits at the codes ``transform`` gives, and
-    every number of the aggregation state must be finite and in range."""
+    routing reads each split's bits at the codes ``transform`` gives;
+    every number of the aggregation state must be finite and in range; and
+    every node must hold the in-bag rows, and with oob losses the oob rows,
+    that growth gives it."""
     if tree.feature_n_bins.tolist() != n_bins:
         raise ValueError("feature_n_bins differ from the bin mapper's")
     if tree.feature_missing_bin.tolist() != missing:
@@ -252,6 +258,8 @@ def _check_tree(tree: Tree, state: AggregationState, n_bins: list,
     if tree.masks.shape[1] < widest:
         raise ValueError("masks are narrower than the widest categorical "
                          "feature")
+    if (tree.itb_count < 1).any():
+        raise ValueError("itb_count is not >= 1 at every node")
     n, temperature = tree.n_nodes, state.temperature
     if not (isinstance(temperature, (int, float))
             and 0 <= temperature < math.inf):
@@ -276,6 +284,9 @@ def _check_tree(tree: Tree, state: AggregationState, n_bins: list,
         raise ValueError("oob losses and log weights come only together")
     if loss is None:
         return
+    if (tree.oob_count < 1).any():
+        raise ValueError("oob_count is not >= 1 at every node of a tree with "
+                         "oob losses")
     if loss.shape != (n,) or log_w.shape != (n,):
         raise ValueError(f"oob_loss or log_agg_weight is not one value per "
                          f"node of {n}")

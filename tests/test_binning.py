@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aggforest import binning
 from aggforest.binning import (
     FeatureKind,
     _is_missing_category,
@@ -182,6 +183,120 @@ def test_entry_dtype_tracks_bin_budget():
     col = rng.normal(size=50)
     assert transform([col], fit_bins([col], ["continuous"], 256)).entries.dtype == np.uint8
     assert transform([col], fit_bins([col], ["continuous"], 300)).entries.dtype == np.uint16
+
+
+def continuous_fit_columns(n=1000):
+    """Continuous training columns of several shapes: one with missing
+    values, one constant with missing values (no thresholds at a budget of
+    2), one of ints, one of float32 with infinities, and a categorical
+    column between them."""
+    rng = np.random.default_rng(5)
+    gauss = rng.normal(size=n)
+    gauss[::11] = np.nan
+    constant = np.full(n, 3.0)
+    constant[::19] = np.nan
+    wide = rng.standard_cauchy(size=n).astype(np.float32)
+    wide[::13], wide[::17] = np.inf, -np.inf
+    color = rng.choice(np.array(list("abc"), dtype=object), size=n)
+    cols = [gauss, constant, color, rng.integers(-5, 60, size=n), wide]
+    return cols, ["continuous", "continuous", "categorical", "continuous",
+                  "continuous"]
+
+
+def probe_columns(mapper, cols, rng):
+    """For each column of the mapper, values of the column's dtype around
+    every threshold: for floats the threshold and its neighbours, signed
+    zeros, infinities, subnormals and the extremes, and NaN where the
+    feature has a missing bin; for ints the integers on either side.
+    Categorical columns are resampled."""
+    n = max(3 * (fb.n_bins + 4) for fb in mapper.features)
+    out = []
+    for fb, col in zip(mapper.features, cols):
+        if fb.kind is FeatureKind.CATEGORICAL:
+            out.append(rng.choice(col, size=n))
+            continue
+        if col.dtype.kind == "i":
+            t, info = fb.thresholds, np.iinfo(col.dtype)
+            v = np.concatenate([np.floor(t), np.ceil(t), np.floor(t) - 1,
+                                np.ceil(t) + 1]).astype(col.dtype)
+            v = np.append(v, [info.min, info.max, 0])
+        else:
+            t, info = fb.thresholds.astype(col.dtype), np.finfo(col.dtype)
+            edge = np.array([0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+                             -info.smallest_subnormal, info.max, -info.max],
+                            dtype=col.dtype)
+            v = np.concatenate([t, np.nextafter(t, t.dtype.type(np.inf)),
+                                np.nextafter(t, t.dtype.type(-np.inf)), edge])
+        v = np.resize(rng.permutation(v), n)
+        if fb.has_missing:
+            v[rng.random(n) < 0.1] = np.nan
+        out.append(v)
+    return out
+
+
+def searchsorted_codes(mapper, cols):
+    """The codes of the continuous columns, by one ``np.searchsorted`` per
+    column, NaN to the missing bin."""
+    out = []
+    for fb, col in zip(mapper.features, cols):
+        if fb.kind is FeatureKind.CONTINUOUS:
+            v = np.asarray(col, dtype=np.float64)
+            codes = np.searchsorted(fb.thresholds, v, side="right")
+            out.append(np.where(np.isnan(v), fb.missing_bin, codes))
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("max_bins", [2, 3, 256, 300])
+@pytest.mark.parametrize("block,count", [
+    (1 << 16, 1 << 14),       # the defaults
+    (7, 0),                   # search only, blocks of one row
+    (23, 1 << 30),            # compare every pair, blocks of 5 rows
+    (1 << 16, 0),             # search only, one block
+])
+def test_continuous_codes_match_searchsorted(monkeypatch, max_bins, block,
+                                             count):
+    monkeypatch.setattr(binning, "_BLOCK_VALUES", block)
+    monkeypatch.setattr(binning, "_COUNT_CELLS", count)
+    fit_cols, kinds = continuous_fit_columns()
+    mapper = fit_bins(fit_cols, kinds, max_bins)
+    if max_bins == 2:
+        assert mapper.features[1].thresholds.size == 0
+    if max_bins == 300:
+        assert mapper.features[0].n_bins > 256
+    cols = probe_columns(mapper, fit_cols, np.random.default_rng(max_bins))
+    want = searchsorted_codes(mapper, cols)
+    cont = np.array([fb.kind is FeatureKind.CONTINUOUS
+                     for fb in mapper.features])
+    got = transform(cols, mapper).entries
+    assert got.dtype == (np.uint8 if max_bins <= 256 else np.uint16)
+    np.testing.assert_array_equal(got[:, cont], want)
+    # A 2-d array of the continuous columns gives the same codes.
+    sub = fit_bins([fit_cols[j] for j in np.flatnonzero(cont)],
+                   ["continuous"] * int(cont.sum()), max_bins)
+    X = np.stack([cols[j] for j in np.flatnonzero(cont)], axis=1)
+    np.testing.assert_array_equal(transform(X, sub).entries, want)
+    # Each single-row call gives its row of the batch call.
+    for i in range(0, got.shape[0], 37):
+        one = transform([c[i:i + 1] for c in cols], mapper).entries
+        np.testing.assert_array_equal(one[0], got[i])
+
+
+@pytest.mark.parametrize("block,count", [(1 << 16, 1 << 14), (3, 0),
+                                         (3, 1 << 30)])
+def test_missing_value_refused_in_any_block(monkeypatch, block, count):
+    monkeypatch.setattr(binning, "_BLOCK_VALUES", block)
+    monkeypatch.setattr(binning, "_COUNT_CELLS", count)
+    rng = np.random.default_rng(2)
+    fit_cols = [rng.normal(size=200), rng.normal(size=200)]
+    fit_cols[0][::7] = np.nan
+    mapper = fit_bins(fit_cols, ["continuous"] * 2, 256)
+    cols = [rng.normal(size=40), rng.normal(size=40)]
+    cols[0][-1] = np.nan           # feature 0 has a missing bin
+    assert transform(cols, mapper).entries[-1, 0] == mapper.features[0].missing_bin
+    cols[1][-1] = np.nan           # feature 1 has none, in the last block
+    with pytest.raises(ValueError,
+                       match="feature 1: missing value seen at transform"):
+        transform(cols, mapper)
 
 
 def per_value_bins(col, fb, j=0):

@@ -101,7 +101,8 @@ def test_aggregation_off_round_trip(tmp_path):
 
     assert back.config.aggregation is False
     for t in back.trees:
-        assert t.state.oob_loss is None
+        # Stored oob counts are 0 without aggregation, and load anyway.
+        assert t.state.oob_loss is None and not t.tree.oob_count.any()
     assert np.array_equal(back.predict_proba(cols), forest.predict_proba(cols))
 
 
@@ -205,6 +206,26 @@ def narrow_masks(meta, arrays):
     arrays["t0.masks"] = arrays["t0.masks"][:, :1].copy()
 
 
+def set_feature_field(key, value):
+    def edit(meta, arrays):
+        meta["features"][0][key] = value
+    return edit
+
+
+def prepend_thresholds(meta, arrays):
+    thresholds = arrays["f0.thresholds"]
+    arrays["f0.thresholds"] = np.concatenate(
+        [thresholds[0] - 61 + np.arange(60.0), thresholds])
+
+
+def set_category_bin(value, b):
+    def edit(meta, arrays):
+        meta["features"][0]["categories"] = [
+            [v, b if v == value else old]
+            for v, old in meta["features"][0]["categories"]]
+    return edit
+
+
 @pytest.mark.parametrize("name,index,value,message", [
     ("left_child", 0, 10**6, "outside"),     # IndexError at predict before
     ("left_child", 0, 0, "outside"),         # routing looped forever before
@@ -233,13 +254,27 @@ def test_malformed_tree_links_are_rejected(tmp_path, name, index, value,
     (False, set_entry("t0.feature_n_bins", 0, 3), "feature_n_bins"),
     (False, set_entry("t0.feature_missing_bin", 0, 99), "feature_missing_bin"),
     (True, narrow_masks, "narrower"),
+    (False, set_entry("t0.itb_count", 1, 0), "itb_count"),
+    (False, set_entry("t0.oob_count", 1, 0), "oob_count"),
+    (False, prepend_thresholds, "119 thresholds for 60 plain bins"),
+    (False, set_entry("f0.thresholds", 0, 1e9), "strictly increasing"),
+    (False, set_entry("f0.thresholds", 1, np.nan), "not finite"),
+    (False, set_feature_field("overflow_bin", 0), "overflow_bin"),
+    (False, lambda meta, arrays: meta.update(max_bins=2), "max_bins 2"),
+    (True, set_category_bin("a", 200), "category bin outside"),
+    (True, set_feature_field("overflow_bin", 0), "overflow_bin"),
 ], ids=["no-y_min", "negative-temperature", "nan-temperature",
         "nan-log-weight", "tiny-log-weight", "positive-log-weight",
         "negative-oob-loss", "negative-forecast",
-        "n_bins-differ", "missing-bin-out-of-range", "narrow-masks"])
+        "n_bins-differ", "missing-bin-out-of-range", "narrow-masks",
+        "no-itb-rows", "no-oob-rows", "prepended-thresholds",
+        "unsorted-thresholds", "nan-threshold", "continuous-overflow-bin",
+        "n_bins-over-max_bins", "category-bin-out-of-range",
+        "categorical-overflow-bin"])
 def test_invalid_model_state_is_rejected(tmp_path, categorical, edit, message):
     # Each of these used to load, or to fail with KeyError, and then gave
-    # non-finite predictions or read past a node's bits when routing.
+    # non-finite predictions, read past a node's bits when routing, or
+    # binned values to codes that fit was never shown.
     if categorical:
         rng = np.random.default_rng(9)
         color = rng.choice(np.array(list("abcdef"), dtype=object), size=80)
