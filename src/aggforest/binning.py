@@ -9,6 +9,9 @@ from itertools import repeat
 
 import numpy as np
 
+# Largest bin budget: ``transform`` stores codes as uint16 above 256 bins.
+MAX_BINS = 1 << 16
+
 
 class FeatureKind(str, Enum):
     CONTINUOUS = "continuous"
@@ -99,6 +102,7 @@ class BinMapper:
         ``max_bins``: thresholds finite, strictly increasing and one fewer
         than the plain bins, category bins plain, and an overflow bin that
         is none or the last plain bin."""
+        check_max_bins(self.max_bins)
         for j, fb in enumerate(self.features):
             n_plain = fb.n_plain_bins
             if not 1 <= fb.n_bins <= self.max_bins:
@@ -293,6 +297,12 @@ def _fit_categorical(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
     )
 
 
+def check_max_bins(max_bins: int) -> None:
+    """Raise ValueError unless ``max_bins`` is in [2, ``MAX_BINS``]."""
+    if not 2 <= max_bins <= MAX_BINS:
+        raise ValueError(f"max_bins must be in [2, {MAX_BINS}], got {max_bins}")
+
+
 def fit_bins(X, kinds, max_bins: int = 256) -> BinMapper:
     """Learn a bin layout for every feature column.
 
@@ -305,11 +315,11 @@ def fit_bins(X, kinds, max_bins: int = 256) -> BinMapper:
     kinds : sequence of FeatureKind or str
         Declared kind of each column.  Kinds are never inferred.
     max_bins : int
-        Bin budget per feature, at least 2.  The missing bin, when a feature
-        has missing values at fit time, counts against the budget.
+        Bin budget per feature, from 2 to ``MAX_BINS``.  The missing bin,
+        when a feature has missing values at fit time, counts against the
+        budget.
     """
-    if max_bins < 2:
-        raise ValueError(f"max_bins must be >= 2, got {max_bins}")
+    check_max_bins(max_bins)
     cols = _columns(X)
     kinds = [_as_kind(k) for k in kinds]
     if len(kinds) != len(cols):

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .aggregation import (LOG_LOSS, SQUARED_LOSS, AggregationState,
                           compute_log_agg_weights, node_values, stack_states)
-from .binning import BinMapper, BinnedMatrix, fit_bins, transform
+from .binning import (BinMapper, BinnedMatrix, check_max_bins, fit_bins,
+                      transform)
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
 from .tree import Tree, grow_trees, node_forecast, stack_trees
@@ -51,8 +51,7 @@ class TrainConfig:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_bins < 2:
-            raise ValueError(f"max_bins must be >= 2, got {self.max_bins}")
+        check_max_bins(self.max_bins)
         if self.max_features is not None and self.max_features < 1:
             raise ValueError("max_features must be >= 1 when given")
         if self.min_samples_leaf < 1:
@@ -288,6 +287,9 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
         fitted = [_fit_group(binned, y_enc, config, temperature, n_classes, *g)
                   for g in groups]
     else:
+        # Imported here, so that importing aggforest loads no pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         payload = (binned, y_enc, config, temperature, n_classes)
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_pool_init,
                                  initargs=(payload,)) as pool:

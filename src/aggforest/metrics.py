@@ -3,14 +3,25 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d float array, each run of ties taking its mean
+    rank (the "average" method of ranking)."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    ends = np.r_[starts[1:], v.shape[0]]
+    ranks = np.empty(v.shape[0], dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def roc_auc(scores, labels) -> float:
     """Probability that a positive outranks a negative, ties counted half.
 
     Computed from midranks: auc = (R+ - n+(n+ + 1)/2) / (n+ n-), where R+ is
-    the rank sum of the positives.
+    the rank sum of the positives.  NaN scores are refused.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
@@ -18,7 +29,9 @@ def roc_auc(scores, labels) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes present")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        raise ValueError("roc_auc got NaN scores")
+    ranks = _midranks(scores)
     r_pos = float(ranks[labels].sum())
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

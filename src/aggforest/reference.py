@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import xlogy
 
 from .aggregation import (
     LOG2,
@@ -25,7 +24,7 @@ from .aggregation import (
 )
 from .binning import FeatureKind, fit_bins, transform
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
-from .splits import SplitConstraints, impurity
+from .splits import SplitConstraints, impurity, xlogy
 from .tree import Tree, grow_tree
 
 # Enumerating prunings of anything larger is a caller bug, not a use case.

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .binning import BinnedMatrix, FeatureKind
 
@@ -126,7 +125,8 @@ def impurity(stats: np.ndarray, criterion: str):
     """Mean impurity of a node from its label statistics.
 
     Classification stats are per-class weights; regression stats are
-    (weight, weighted sum, weighted sum of squares).  Stats of several nodes
+    (weight, weighted sum, weighted sum of squares).  Entropy is in nats,
+    with 0 log 0 taken as 0 (see ``xlogy``).  Stats of several nodes
     stacked along the first axis give one impurity per node as an array;
     a single node's stats give a float.
     """
@@ -148,6 +148,13 @@ def impurity(stats: np.ndarray, criterion: str):
     else:
         raise ValueError(f"unknown impurity criterion {criterion!r}")
     return float(out) if out.ndim == 0 else out
+
+
+def xlogy(x, y) -> np.ndarray:
+    """``x * log(y)``, and exactly 0 where ``x == 0``, without warnings."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
 
 
 def _impw(stats: np.ndarray, w: np.ndarray, criterion: str) -> np.ndarray:

@@ -168,6 +168,24 @@ def test_input_validation():
         transform([np.array([1.0]), np.array([1.0])], mapper)
 
 
+def test_max_bins_beyond_uint16_codes_is_refused():
+    # Codes are stored as uint16 above 256 bins: with 70000 bins, code
+    # 69999 used to wrap to 4463.
+    col = np.arange(70000.0)
+    with pytest.raises(ValueError, match="max_bins"):
+        fit_bins([col], ["continuous"], 70000)
+    with pytest.raises(ValueError, match="max_bins"):
+        TrainConfig(max_bins=binning.MAX_BINS + 1)
+    mapper = fit_bins([col], ["continuous"], binning.MAX_BINS)
+    codes = transform([col], mapper).entries[:, 0].astype(np.int64)
+    np.testing.assert_array_equal(
+        codes, np.searchsorted(mapper.features[0].thresholds, col, "right"))
+    assert codes[-1] == binning.MAX_BINS - 1
+    mapper.max_bins = 70000
+    with pytest.raises(ValueError, match="max_bins"):
+        mapper.validate()
+
+
 def test_two_dim_array_and_column_list_agree():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))

@@ -261,6 +261,7 @@ def test_malformed_tree_links_are_rejected(tmp_path, name, index, value,
     (False, set_entry("f0.thresholds", 1, np.nan), "not finite"),
     (False, set_feature_field("overflow_bin", 0), "overflow_bin"),
     (False, lambda meta, arrays: meta.update(max_bins=2), "max_bins 2"),
+    (False, lambda meta, arrays: meta.update(max_bins=70000), "max_bins"),
     (True, set_category_bin("a", 200), "category bin outside"),
     (True, set_feature_field("overflow_bin", 0), "overflow_bin"),
 ], ids=["no-y_min", "negative-temperature", "nan-temperature",
@@ -269,7 +270,8 @@ def test_malformed_tree_links_are_rejected(tmp_path, name, index, value,
         "n_bins-differ", "missing-bin-out-of-range", "narrow-masks",
         "no-itb-rows", "no-oob-rows", "prepended-thresholds",
         "unsorted-thresholds", "nan-threshold", "continuous-overflow-bin",
-        "n_bins-over-max_bins", "category-bin-out-of-range",
+        "n_bins-over-max_bins", "max_bins-over-uint16",
+        "category-bin-out-of-range",
         "categorical-overflow-bin"])
 def test_invalid_model_state_is_rejected(tmp_path, categorical, edit, message):
     # Each of these used to load, or to fail with KeyError, and then gave

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aggforest.metrics import log_loss, mse, multiclass_auc, roc_auc
+from aggforest.metrics import _midranks, log_loss, mse, multiclass_auc, roc_auc
 
 
 def pairwise_auc(scores, labels):
@@ -39,6 +39,45 @@ def test_roc_auc_matches_pair_counting():
 def test_roc_auc_needs_both_classes():
     with pytest.raises(ValueError, match="class"):
         roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+
+def rank_cases():
+    rng = np.random.default_rng(82)
+    return {
+        "heavy-ties": rng.integers(0, 4, size=500).astype(float),
+        "all-equal": np.full(37, 0.25),
+        "one": np.array([3.5]),
+        "signed-zeros": np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0, 0.0]),
+        "random": rng.random(1000),
+        "random-ties": np.round(rng.normal(size=1000), 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(rank_cases()))
+def test_midranks_match_scipy_bitwise(case):
+    stats = pytest.importorskip("scipy.stats")
+    values = rank_cases()[case]
+    got = _midranks(values)
+    want = stats.rankdata(values, method="average")
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["heavy-ties", "signed-zeros", "random",
+                                  "random-ties"])
+def test_roc_auc_matches_scipy_ranked_formula_bitwise(case):
+    stats = pytest.importorskip("scipy.stats")
+    scores = rank_cases()[case]
+    labels = np.arange(scores.shape[0]) % 3 == 0
+    n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+    r_pos = float(stats.rankdata(scores)[labels].sum())
+    want = (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert roc_auc(scores, labels) == want
+
+
+def test_roc_auc_refuses_nan_scores():
+    with pytest.raises(ValueError, match="NaN"):
+        roc_auc(np.array([0.1, np.nan, 0.3]), np.array([1, 0, 1]))
 
 
 def test_multiclass_auc_is_mean_of_one_vs_rest():

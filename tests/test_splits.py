@@ -1,12 +1,14 @@
 """Histograms, impurity, and the bin-scan split search against brute force."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import layout, random_class_table, random_reg_table
 
 from aggforest.splits import (
+    CLASSIFICATION_CRITERIA,
     Histogram,
     Split,
     SplitConstraints,
@@ -15,6 +17,7 @@ from aggforest.splits import (
     impurity,
     level_histogram,
     sibling_histogram,
+    xlogy,
 )
 from aggforest.reference import (
     exhaustive_categorical_gain,
@@ -41,6 +44,26 @@ def test_impurity_frozen_values():
     # Regression stats are (weight, weighted sum, weighted sum of squares).
     assert impurity(np.array([4.0, 8.0, 20.0]), "variance") == pytest.approx(1.0)
     assert impurity(np.array([3.0, 6.0, 12.0]), "variance") == 0.0
+
+
+def test_xlogy_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(35)
+    counts = rng.integers(0, 1000, size=(50, 7)).astype(float)
+    counts[:, 0] = 0.0
+    totals = counts.sum(axis=1, keepdims=True)
+    for x, y in [(counts, counts), (totals, totals)]:
+        assert xlogy(x, y).tobytes() == special.xlogy(x, y).tobytes()
+    p = np.exp(-rng.exponential(2.0, size=10_000))  # reals in (0, 1]
+    np.testing.assert_allclose(xlogy(p, p), special.xlogy(p, p),
+                               rtol=4e-16, atol=0)
+
+
+def test_xlogy_is_zero_where_x_is_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = xlogy(np.zeros(3), np.array([0.0, 1.0, 0.5]))
+    assert out.tobytes() == np.zeros(3).tobytes()
 
 
 def test_impurity_errors():
@@ -194,15 +217,16 @@ def test_continuous_scan_matches_exhaustive_classification():
         table = random_class_table(rng, n_bins, K)
         missing = n_bins - 1 if has_missing else -1
         binned = layout(["continuous"], [n_bins], [missing])
-        split = find_best_split(one_feature_hist(table), binned, "gini",
-                                LOOSE, n_classes=K)
-        want = exhaustive_continuous_gain(table, "gini", LOOSE,
-                                          missing_bin=missing)
-        if split is None:
-            assert want == -np.inf
-            continue
-        assert not split.is_categorical
-        worst = max(worst, abs(split.gain - want) / max(want, 1e-12))
+        for criterion in CLASSIFICATION_CRITERIA:
+            split = find_best_split(one_feature_hist(table), binned,
+                                    criterion, LOOSE, n_classes=K)
+            want = exhaustive_continuous_gain(table, criterion, LOOSE,
+                                              missing_bin=missing)
+            if split is None:
+                assert want == -np.inf
+                continue
+            assert not split.is_categorical
+            worst = max(worst, abs(split.gain - want) / max(want, 1e-12))
     assert worst < 1e-9
 
 
@@ -231,15 +255,16 @@ def test_categorical_scan_exact_for_binary_labels():
         n_bins = int(rng.integers(2, 9))
         table = random_class_table(rng, n_bins, 2)
         binned = layout(["categorical"], [n_bins])
-        split = find_best_split(one_feature_hist(table), binned, "gini",
-                                LOOSE, n_classes=2)
-        want = exhaustive_categorical_gain(table, "gini", LOOSE)
-        if split is None:
-            assert want == -np.inf
-            continue
-        assert split.is_categorical
-        assert split.left_mask.shape == (n_bins,)
-        assert split.gain == pytest.approx(want, rel=1e-8, abs=1e-12)
+        for criterion in CLASSIFICATION_CRITERIA:
+            split = find_best_split(one_feature_hist(table), binned,
+                                    criterion, LOOSE, n_classes=2)
+            want = exhaustive_categorical_gain(table, criterion, LOOSE)
+            if split is None:
+                assert want == -np.inf
+                continue
+            assert split.is_categorical
+            assert split.left_mask.shape == (n_bins,)
+            assert split.gain == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
 def test_categorical_multiclass_heuristic_never_beats_exhaustive():

@@ -317,10 +317,16 @@ def mixed_problem(seed, task, n=400):
     return cols, kinds, score, 0
 
 
-@pytest.mark.parametrize("task", ["binary", "multiclass", "regression"])
+@pytest.mark.parametrize(
+    "task, criterion",
+    [("binary", "gini"), ("multiclass", "gini"), ("regression", "variance"),
+     ("binary", "entropy"), ("multiclass", "entropy")],
+    ids=["binary", "multiclass", "regression", "binary-entropy",
+         "multiclass-entropy"])
 @pytest.mark.parametrize("max_features", [2, 5])
 @pytest.mark.parametrize("aggregation", [True, False])
-def test_stored_splits_match_find_best_split(task, max_features, aggregation):
+def test_stored_splits_match_find_best_split(task, criterion, max_features,
+                                             aggregation):
     """Every node's stored split is what find_best_split picks from that
     node's own histogram, sampled features and oob bin counts, and every
     leaf the stopping rules left open has no admissible split."""
@@ -329,7 +335,8 @@ def test_stored_splits_match_find_best_split(task, max_features, aggregation):
     config = TrainConfig(
         task="regression" if task == "regression" else "classification",
         max_bins=32, max_features=max_features, aggregation=aggregation,
-        min_samples_leaf=1 if aggregation else 3, seed=seed)
+        min_samples_leaf=1 if aggregation else 3, criterion=criterion,
+        seed=seed)
     binned = transform(cols, fit_bins(cols, kinds, config.max_bins))
     source = RandomSource(seed).child(0)
     sample = bootstrap(len(y), source.child(TAG_BOOTSTRAP))
@@ -337,7 +344,6 @@ def test_stored_splits_match_find_best_split(task, max_features, aggregation):
     assert binned.missing_bin[[0, 1, 3]].min() >= 0
     assert len({binned.kinds[j] for j in tree.feature[tree.feature >= 0]}) == 2
 
-    criterion = "gini" if n_classes else "variance"
     constraints = SplitConstraints(
         min_leaf_weight=float(config.min_samples_leaf),
         min_leaf_oob=config.min_samples_leaf if aggregation else 0)
