@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +29,10 @@ _BLOCK_PAIRS = 2 ** 16
 _GROUP_ROWS = 2 ** 15
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything that determines a training run besides the data itself."""
@@ -49,23 +55,25 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        for name, low in (("n_trees", 1), ("max_bins", 2), ("max_features", 1),
+                          ("min_samples_leaf", 1), ("min_samples_split", 2),
+                          ("max_depth", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if value is None and name in ("max_features", "max_depth"):
+                continue
+            if not _is_int(value) or value < low:
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+            # A numpy integer becomes an int, which the model header stores.
+            object.__setattr__(self, name, int(value))
         check_max_bins(self.max_bins)
-        if self.max_features is not None and self.max_features < 1:
-            raise ValueError("max_features must be >= 1 when given")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.impurity_threshold < 0:
+        # NaN fails every comparison, so each check asks for the good case.
+        if not self.impurity_threshold >= 0:
             raise ValueError("impurity_threshold must be >= 0")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0 when given")
-        if self.temperature is not None and self.temperature < 0:
-            raise ValueError("temperature must be >= 0 when given")
-        if self.dirichlet <= 0:
-            raise ValueError("dirichlet must be positive")
+        if self.temperature is not None and not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0 when given")
+        if not 0 < self.dirichlet < math.inf:
+            raise ValueError("dirichlet must be finite and positive")
         if self.criterion is not None:
             allowed = (CLASSIFICATION_CRITERIA if self.task == "classification"
                        else REGRESSION_CRITERIA)
@@ -245,6 +253,8 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     seeded by (config.seed, tree index), so the worker count changes wall time
     only, never the model.  With n_jobs=1 everything runs in-process.
     """
+    if not _is_int(n_jobs) or n_jobs < 1:
+        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     y = np.asarray(y)
     classes = None
     if config.task == "classification":

@@ -12,6 +12,14 @@ from .binning import BinnedMatrix, FeatureKind
 # pairs are scanned in blocks of at most this many cells, so that a level
 # holding thousands of nodes stays bounded in memory.
 _BLOCK_CELLS = 1 << 17
+# Most padding cells (pairs x bins) a block of the batched split search may
+# hold beyond the cells of its pairs.  Enough pairs share a block to spread
+# its fixed cost, and the scan still costs about one pass over the cells.
+_BLOCK_SLACK = 2048
+# A level numbers its cells from a table over every possible key (pair x
+# bin) when there are at most this many keys per (itb row, feature) entry,
+# and by sorting the keys otherwise.
+_DENSE_KEYS = 8
 
 CLASSIFICATION_CRITERIA = ("gini", "entropy")
 REGRESSION_CRITERIA = ("variance",)
@@ -366,10 +374,14 @@ def level_histogram(binned: BinnedMatrix, features: np.ndarray, rows, node,
     makes every cell sum its rows in the order ``compute_histogram`` does.
     Oob rows are given the same way, or not at all.
 
-    Each (itb row, sampled feature) entry has the key pair * n_bins + bin.
-    One argsort of the keys numbers the cells, the runs of equal keys, and
-    the bincounts then add the entries in their given order.  The oob keys
-    are sorted and placed among the cells by one search of sorted needles.
+    Each (itb row, sampled feature) entry has the key pair * n_bins + bin,
+    and the cells, the distinct keys, are numbered in key order.  When there
+    are at most ``_DENSE_KEYS`` possible keys per entry, a table marks the
+    keys present and its running count numbers them, with no sort; an oob
+    key's place among the cells is that count too.  Otherwise one argsort of
+    the keys numbers the runs of equal keys, and the oob keys are sorted and
+    placed by one search of sorted needles.  Either way the bincounts add the
+    entries in their given order, so both give bitwise the same histogram.
     """
     # ``transform`` stores entries column-major, so this ravel is a view, not
     # a copy: feature f of row r sits at f * n_rows + r.
@@ -383,13 +395,26 @@ def level_histogram(binned: BinnedMatrix, features: np.ndarray, rows, node,
         return (first_key[at] + codes[offset[at] + r[:, None]]).ravel()
 
     k = keys(rows, node)
-    order = np.argsort(k)
-    present = k[order]
-    fresh = np.ones(present.shape, dtype=bool)
-    np.not_equal(present[1:], present[:-1], out=fresh[1:])
-    cell = np.empty_like(k)
-    cell[order] = np.cumsum(fresh) - 1
-    present = np.append(present[fresh], n * m * n_bins)
+    n_keys = n * m * n_bins
+    dense = n_keys <= _DENSE_KEYS * k.shape[0]
+    if dense:
+        # A table over every key: a cell's number is the count of present
+        # keys below its own.
+        seen = np.zeros(n_keys, dtype=bool)
+        seen[k] = True
+        rank = np.cumsum(seen, dtype=np.int32 if n_keys < 2 ** 31
+                         else np.int64) - 1
+        cell = rank[k]
+        present = np.flatnonzero(seen)
+    else:
+        order = np.argsort(k)
+        present = k[order]
+        fresh = np.ones(present.shape, dtype=bool)
+        np.not_equal(present[1:], present[:-1], out=fresh[1:])
+        cell = np.empty_like(k)
+        cell[order] = np.cumsum(fresh) - 1
+        present = present[fresh]
+    present = np.append(present, n_keys)
     size = present.shape[0]
     if m > 1:
         weights, y = np.repeat(weights, m), np.repeat(y, m)
@@ -405,9 +430,14 @@ def level_histogram(binned: BinnedMatrix, features: np.ndarray, rows, node,
                           pair=present // n_bins, bin=present % n_bins,
                           sums=sums)
     if oob_rows is not None:
-        k = np.sort(keys(oob_rows, oob_node))
+        k = keys(oob_rows, oob_node)
+        if dense:
+            # The count of present keys below k, as searchsorted gives it.
+            at = rank[k] + 1 - seen[k]
+        else:
+            k = np.sort(k)
+            at = np.searchsorted(present, k)
         pair = k // n_bins
-        at = np.searchsorted(present, k)
         hist.oob_total = np.bincount(pair, minlength=n * m)
         hist.oob_exact = np.bincount(at[present[at] == k], minlength=size)
         hist.oob_upto = np.bincount(at[hist.pair[at] == pair], minlength=size)
@@ -450,6 +480,27 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return differ.any(axis=1) & ~a[np.arange(a.shape[0]), first]
 
 
+def _scan_blocks(widths: np.ndarray, n_cont: int, channels: int):
+    """Cut pairs of descending ``widths`` into the blocks of ``best_splits``.
+
+    Yields (lo, hi) bounds: the first ``n_cont`` pairs and the rest never
+    share a block, and a block of more than one pair holds at most
+    ``_BLOCK_CELLS`` padded cells with channels and at most ``_BLOCK_SLACK``
+    cells of padding (its width times its pairs, less their cells).
+    """
+    upto = np.concatenate(([0], np.cumsum(widths)))
+    lo, n = 0, widths.shape[0]
+    while lo < n:
+        width = int(widths[lo])
+        end = n_cont if lo < n_cont else n
+        hi = min(end, lo + max(1, _BLOCK_CELLS // (width * channels)))
+        padding = width * np.arange(1, hi - lo + 1) - (upto[lo + 1:hi + 1]
+                                                       - upto[lo])
+        hi = lo + int(np.searchsorted(padding, _BLOCK_SLACK, side="right"))
+        yield lo, hi
+        lo = hi
+
+
 @dataclass
 class NodeSplits:
     """The splits found among many nodes, one entry per node that splits.
@@ -481,8 +532,13 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
     smallest categorical mask.  The arithmetic follows ``find_best_split``
     step for step, so equal tables give equal gains to the last bit (with
     fewer than eight classes numpy adds the channels in order either way).
-    Pairs are scanned in blocks of one feature kind and similar width, each
-    of at most ``_BLOCK_CELLS`` padded cells.
+    Pairs are scanned in blocks of one feature kind, widest first, and each
+    block is padded to its first pair's width with cells of zero sums.  A
+    block holds at most ``_BLOCK_CELLS`` padded cells and at most
+    ``_BLOCK_SLACK`` cells of padding (see ``_scan_blocks``), so the work
+    follows the cells that hold rows.  Each pair is scanned along its own
+    row, and padding adds only zeros after its cells, so the splits do not
+    depend on where the blocks are cut.
     """
     classification = n_classes > 0
     n, m = hist.features.shape
@@ -517,13 +573,10 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
     todo = np.flatnonzero(count >= 2)
     todo = todo[np.lexsort((-count[todo], is_cat[todo]))]
     n_cont = int((~is_cat[todo]).sum())
-    lo = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        while lo < todo.shape[0]:
-            width = int(count[todo[lo]])
-            end = n_cont if lo < n_cont else todo.shape[0]
-            hi = min(end, lo + max(1, _BLOCK_CELLS // (width * channels)))
-            pairs, lo = todo[lo:hi], hi
+        for lo, hi in _scan_blocks(count[todo], n_cont, channels):
+            pairs = todo[lo:hi]
+            width = int(count[pairs[0]])
             cnt = count[pairs]
             cols = np.arange(width)
             idx = np.where(cols < cnt[:, None], start[pairs, None] + cols, pad)

@@ -181,6 +181,44 @@ def test_fit_input_validation():
         reg.predict_proba(X)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("temperature", float("nan")), ("temperature", float("inf")),
+    ("temperature", -float("inf")), ("dirichlet", float("nan")),
+    ("dirichlet", float("inf")), ("impurity_threshold", float("nan"))])
+def test_non_finite_settings_are_refused(name, value):
+    # NaN passes every "< 0" check: a NaN temperature or dirichlet used to
+    # give NaN predictions and a model load_model refuses, and a NaN
+    # impurity_threshold grew single-leaf trees.
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("n_trees", 2.5), ("n_trees", True), ("max_bins", 16.0),
+    ("max_features", 1.5), ("min_samples_leaf", 1.5),
+    ("min_samples_split", 2.5), ("max_depth", 2.5), ("seed", 2.5),
+    ("seed", -1)])
+def test_integer_settings_are_refused(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
+def test_worker_count_is_checked(tmp_path):
+    X, y = make_toy_classification(60, seed=14)
+    # One group of trees used to run n_jobs=0 silently, and several raised
+    # the pool's own error.
+    for n_jobs in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="n_jobs"):
+            fit(X, y, KINDS2, TrainConfig(n_trees=2), n_jobs=n_jobs)
+    # Numpy integers are integers, and the saved header takes them.
+    config = TrainConfig(n_trees=np.int64(2), max_depth=np.int32(3),
+                         seed=np.uint8(4))
+    assert all(type(v) is int
+               for v in (config.n_trees, config.max_depth, config.seed))
+    save_model(fit(X, y, KINDS2, config, n_jobs=np.int64(1)),
+               tmp_path / "numpy-ints.agf")
+
+
 def test_huge_regression_targets_are_refused():
     # At x1e153 fit used to warn hundreds of times and fit nothing (MSE/var
     # 1.00); at x1e200 the default temperature underflowed to 0.0.

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from conftest import layout, random_class_table, random_reg_table
 
+from aggforest import splits
 from aggforest.splits import (
     CLASSIFICATION_CRITERIA,
     Histogram,
     Split,
     SplitConstraints,
+    best_splits,
     compute_histogram,
     find_best_split,
     impurity,
@@ -139,11 +141,13 @@ def test_sibling_histogram_subtraction_and_trap():
 @pytest.mark.parametrize("n_classes", [3, 0])
 @pytest.mark.parametrize("m", [2, 4])
 @pytest.mark.parametrize("order", ["F", "C"])
-def test_level_histogram_matches_per_pair_tally(n_classes, m, order):
+def test_level_histogram_matches_per_pair_tally(monkeypatch, n_classes, m,
+                                                order):
     # Columns: continuous with a missing bin, categorical, continuous, and a
     # categorical with a missing bin.  In-bag rows mostly hold odd interior
     # bins and out-of-bag rows any bin, so out-of-bag rows fall below a
-    # pair's first cell, between cells and above its last cell.
+    # pair's first cell, between cells and above its last cell.  Each level
+    # is numbered from the dense key table and by sorting the keys.
     n_bins = np.array([8, 6, 5, 7])
     binned = layout(["continuous", "categorical", "continuous", "categorical"],
                     n_bins, [7, -1, -1, 6])
@@ -168,9 +172,6 @@ def test_level_histogram_matches_per_pair_tally(n_classes, m, order):
                     np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :m],
                             axis=1))
 
-        hist = level_histogram(binned, features, in_bag, node, weights,
-                               labels[in_bag], n_classes, oob_rows, oob_node)
-
         pair, bin_, sums, total, exact, upto = [], [], [], [], [], []
         for i in range(n):
             mine, oob = node == i, oob_rows[oob_node == i]
@@ -192,16 +193,133 @@ def test_level_histogram_matches_per_pair_tally(n_classes, m, order):
                     ~np.isin(oob_codes, held) & (oob_codes > held[0])
                     & (oob_codes < held[-1]))
 
-        assert hist.n_bins == 8 and hist.features is features
-        np.testing.assert_array_equal(hist.pair, pair + [n * m])
-        np.testing.assert_array_equal(hist.bin, bin_ + [0])
-        # Bitwise: every cell adds its rows in compute_histogram's order.
-        assert np.array_equal(hist.sums[:, :-1], np.concatenate(sums).T)
-        assert not hist.sums[:, -1].any()
-        np.testing.assert_array_equal(hist.oob_total, total)
-        np.testing.assert_array_equal(hist.oob_exact, exact + [0])
-        np.testing.assert_array_equal(hist.oob_upto, upto + [0])
+        for dense_keys in (1 << 30, 0):
+            monkeypatch.setattr(splits, "_DENSE_KEYS", dense_keys)
+            hist = level_histogram(binned, features, in_bag, node, weights,
+                                   labels[in_bag], n_classes, oob_rows,
+                                   oob_node)
+            assert hist.n_bins == 8 and hist.features is features
+            np.testing.assert_array_equal(hist.pair, pair + [n * m])
+            np.testing.assert_array_equal(hist.bin, bin_ + [0])
+            # Bitwise: every cell adds its rows in compute_histogram's order.
+            assert np.array_equal(hist.sums[:, :-1], np.concatenate(sums).T)
+            assert not hist.sums[:, -1].any()
+            np.testing.assert_array_equal(hist.oob_total, total)
+            np.testing.assert_array_equal(hist.oob_exact, exact + [0])
+            np.testing.assert_array_equal(hist.oob_upto, upto + [0])
     assert min(totals.values()) > 0
+
+
+def random_level(seed, n_classes, oob):
+    """A level of 12 nodes over 6 columns, 3 sampled each, with its binned
+    matrix: continuous columns without and with a missing bin, categorical
+    ones likewise, and widths from 2 to 40 bins, so pairs hold from one
+    cell to dozens."""
+    n_bins = np.array([40, 9, 31, 6, 25, 2])
+    binned = layout(["continuous", "continuous", "categorical", "categorical",
+                     "continuous", "categorical"],
+                    n_bins, [-1, 8, -1, 5, 24, -1])
+    rng = np.random.default_rng([seed, n_classes, oob])
+    n_rows, n, m = 900, 12, 3
+    # Skewed codes leave many bins empty in small nodes.
+    codes = (n_bins * rng.random((n_rows, n_bins.shape[0])) ** 2).astype(int)
+    binned.entries = np.asarray(codes, dtype=np.uint8, order="F")
+    # Labels rise with the plain bins of the columns with a missing bin and
+    # sit low where they are missing, so missing values often go left.
+    score = (np.where(codes[:, 1] == 8, 0.0, codes[:, 1] / 8)
+             + np.where(codes[:, 4] == 24, 0.0, codes[:, 4] / 24)
+             + (codes[:, 3] % 2) + rng.random(n_rows))
+    labels = (np.minimum((score * n_classes / 4).astype(int), n_classes - 1)
+              if n_classes else score)
+    in_bag = np.sort(rng.choice(n_rows, size=600, replace=False))
+    oob_rows = np.setdiff1d(np.arange(n_rows), in_bag)
+    # Node sizes from a handful of rows to hundreds.
+    node = np.minimum(rng.geometric(0.25, size=in_bag.shape[0]) - 1, n - 1)
+    oob_node = rng.integers(0, n, size=oob_rows.shape[0])
+    features = np.sort(np.argsort(rng.random((n, 6)), axis=1)[:, :m], axis=1)
+    weights = rng.integers(1, 4, size=in_bag.shape[0]).astype(float)
+    hist = level_histogram(binned, features, in_bag, node, weights,
+                           labels[in_bag], n_classes,
+                           oob_rows if oob else None, oob_node)
+    return hist, binned
+
+
+def assert_splits_equal(a, b):
+    for name in ("node", "feature", "gain", "threshold", "missing_left",
+                 "left", "stats_left"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("n_classes,criterion", [
+    (2, "gini"), (3, "entropy"), (3, "gini"), (0, "variance")])
+@pytest.mark.parametrize("oob", [False, True])
+def test_best_splits_do_not_depend_on_block_cuts(monkeypatch, n_classes,
+                                                 criterion, oob):
+    cons = SplitConstraints(min_leaf_weight=1.0, min_leaf_oob=int(oob))
+    scanned = []
+    best_prefix = splits._best_prefix
+
+    def spy(cum, oob_left, oob_total, count, *args):
+        # Every scan, a missing-left rescan of some of a block's pairs
+        # included, pads at most the slack beyond its cells.
+        rows, width = cum.shape[1:]
+        if rows > 1:
+            assert rows * width - count.sum() <= splits._BLOCK_SLACK
+            assert rows * width * cum.shape[0] <= splits._BLOCK_CELLS
+        scanned.append(rows)
+        return best_prefix(cum, oob_left, oob_total, count, *args)
+
+    monkeypatch.setattr(splits, "_best_prefix", spy)
+    kinds = set()
+    for seed in range(3):
+        hist, binned = random_level(seed, n_classes, oob)
+        found = {}
+        for cells, slack in ((1 << 17, 2048), (1 << 17, 0), (1, 0),
+                             (1 << 30, 1 << 30), (64, 16)):
+            monkeypatch.setattr(splits, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(splits, "_BLOCK_SLACK", slack)
+            scanned.clear()
+            found[cells, slack] = best_splits(hist, binned, criterion, cons,
+                                              n_classes)
+            if cells == 1:
+                assert max(scanned) == 1
+        want = found[1 << 30, 1 << 30]
+        for got in found.values():
+            assert_splits_equal(got, want)
+        kinds.update(("categorical" if t == -2 else "missing left" if left
+                      else "threshold")
+                     for t, left in zip(want.threshold, want.missing_left))
+    assert kinds == {"categorical", "missing left", "threshold"}
+
+
+def test_scan_blocks_pad_at_most_the_slack(monkeypatch):
+    rng = np.random.default_rng(16)
+    monkeypatch.setattr(splits, "_BLOCK_SLACK", 40)
+    monkeypatch.setattr(splits, "_BLOCK_CELLS", 900)
+    for trial in range(200):
+        n = int(rng.integers(1, 300))
+        n_cont = int(rng.integers(0, n + 1))
+        channels = int(rng.integers(1, 4))
+        widths = np.concatenate([
+            -np.sort(-rng.geometric(p, size=k) - 1)
+            for p, k in ((0.05, n_cont), (0.2, n - n_cont))])
+        blocks = list(splits._scan_blocks(widths, n_cont, channels))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        for lo, hi in blocks:
+            assert lo < hi and not lo < n_cont < hi
+            width = int(widths[lo])
+            padding = width * (hi - lo) - int(widths[lo:hi].sum())
+            if hi - lo > 1:
+                assert padding <= splits._BLOCK_SLACK
+                assert width * (hi - lo) * channels <= splits._BLOCK_CELLS
+            # A block ends only where the next pair would break a bound.
+            if hi not in (n, n_cont):
+                wider = width * (hi + 1 - lo)
+                assert (wider - int(widths[lo:hi + 1].sum())
+                        > splits._BLOCK_SLACK
+                        or wider * channels > splits._BLOCK_CELLS)
 
 
 # ------------------------------------------------- scan vs exhaustive search
