@@ -31,7 +31,6 @@ class AggregationState:
     ``oob_loss`` holds each node's total loss over the out-of-bag rows it
     contains, ``log_agg_weight`` the log-domain recursive weight.  Both are
     None for a state built without aggregation (leaf-only prediction).
-    ``temperature`` is per node in a stack of states (``stack_states``).
     """
 
     loss: str
@@ -77,26 +76,35 @@ def compute_log_agg_weights(tree: Tree, oob_loss: np.ndarray,
                             temperature: float) -> np.ndarray:
     """Log-domain recursive aggregation weight of every node.
 
-    One reverse pass suffices because children sit after their parent in the
-    node array.  Leaves carry -temperature * loss; an internal node averages
-    its own exponential weight with the product of its children's, all in the
-    log domain so huge losses cannot overflow.
+    Leaves carry -temperature * loss; an internal node averages its own
+    exponential weight with the product of its children's, all in the log
+    domain so huge losses cannot overflow.  One step per depth, deepest
+    first, handles every internal node of that depth at once.
     """
     if temperature < 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    neg = (-temperature * np.asarray(oob_loss, dtype=np.float64)).tolist()
-    out = list(neg)
-    feat = tree.feature.tolist()
-    lc = tree.left_child.tolist()
-    rc = tree.right_child.tolist()
-    log1p, exp = math.log1p, math.exp
-    for v in range(tree.n_nodes - 1, -1, -1):
-        if feat[v] >= 0:
-            a = neg[v]
-            b = out[lc[v]] + out[rc[v]]
-            m = a if a >= b else b
-            out[v] = m + log1p(exp(-abs(a - b))) - LOG2
-    return np.asarray(out, dtype=np.float64)
+    neg = -temperature * np.asarray(oob_loss, dtype=np.float64)
+    out = neg.copy()
+    node = np.flatnonzero(tree.feature >= 0)
+    depth = tree.depth[node]
+    node = node[np.argsort(depth, kind="stable")]
+    own, lc, rc = neg[node], tree.left_child[node], tree.right_child[node]
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
+        out[node[lo:hi]] = np.logaddexp(
+            own[lo:hi], out[lc[lo:hi]] + out[rc[lo:hi]]) - LOG2
+    return out
+
+
+def state_from_losses(tree: Tree, oob_loss: np.ndarray | None,
+                      temperature: float, dirichlet: float) -> AggregationState:
+    """The state that a tree's stats and its nodes' oob losses give: the
+    forecasts and, unless ``oob_loss`` is None, the log weights."""
+    return AggregationState(
+        LOG_LOSS if tree.task == "classification" else SQUARED_LOSS,
+        temperature, dirichlet, node_forecast(tree.stats, tree.task, dirichlet),
+        oob_loss, None if oob_loss is None
+        else compute_log_agg_weights(tree, oob_loss, temperature))
 
 
 def build_state(tree: Tree, entries: np.ndarray, labels, oob_rows,
@@ -106,19 +114,16 @@ def build_state(tree: Tree, entries: np.ndarray, labels, oob_rows,
     Pass oob_rows=None to build a leaf-only state (no aggregation arrays),
     which is what prediction with aggregation switched off uses.
     """
-    loss = LOG_LOSS if tree.task == "classification" else SQUARED_LOSS
-    forecasts = node_forecast(tree.stats, tree.task, dirichlet)
+    state = state_from_losses(tree, None, temperature, dirichlet)
     if oob_rows is None:
-        return AggregationState(loss, temperature, dirichlet, forecasts, None, None)
-    labels = np.asarray(labels)
-    if tree.task == "classification":
-        labels = labels.astype(np.int64, copy=False)
-    else:
-        labels = labels.astype(np.float64, copy=False)
-    L = accumulate_oob_losses(tree, forecasts, entries, np.asarray(oob_rows),
-                              labels, loss)
-    log_w = compute_log_agg_weights(tree, L, temperature)
-    return AggregationState(loss, temperature, dirichlet, forecasts, L, log_w)
+        return state
+    labels = np.asarray(labels, dtype=np.int64 if tree.task == "classification"
+                        else np.float64)
+    state.oob_loss = accumulate_oob_losses(
+        tree, state.forecasts, entries, np.asarray(oob_rows), labels, state.loss)
+    state.log_agg_weight = compute_log_agg_weights(tree, state.oob_loss,
+                                                   temperature)
+    return state
 
 
 def mix_coefficients(state: AggregationState) -> np.ndarray:
@@ -157,18 +162,6 @@ def predict_aggregated(tree: Tree, state: AggregationState, x,
     else:
         f = float(f)
     return (f, visits) if count_visits else f
-
-
-def stack_states(states: list[AggregationState]) -> AggregationState:
-    """The states of several trees as one, in the node order of
-    ``stack_trees``; each node keeps its own tree's temperature."""
-    first = states[0]
-    sizes = [s.forecasts.shape[0] for s in states]
-    joined = {name: None if getattr(first, name) is None else
-              np.concatenate([getattr(s, name) for s in states])
-              for name in ("forecasts", "oob_loss", "log_agg_weight")}
-    temperature = np.repeat([s.temperature for s in states], sizes)
-    return AggregationState(first.loss, temperature, first.dirichlet, **joined)
 
 
 def node_values(tree: Tree, state: AggregationState) -> np.ndarray:

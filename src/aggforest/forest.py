@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .aggregation import (LOG_LOSS, SQUARED_LOSS, AggregationState,
-                          compute_log_agg_weights, node_values, stack_states)
+from .aggregation import AggregationState, node_values, state_from_losses
 from .binning import (BinMapper, BinnedMatrix, check_max_bins, fit_bins,
                       transform)
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
-from .tree import Tree, grow_trees, node_forecast, stack_trees
+from .tree import STORED, Tree, grow_trees
 
 TASKS = ("classification", "regression")
 MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
@@ -87,12 +87,8 @@ class TrainConfig:
 
 @dataclass
 class FittedTree:
-    """One grown tree plus its aggregation state.
-
-    ``index`` is the tree's position within its sequence, so predicting with
-    the first k trees of a forest equals training with n_trees=k outright.
-    ``class_id`` is the positive class under one-versus-rest, -1 otherwise.
-    """
+    """One tree of a forest on its own, with its aggregation state; see
+    ``Forest`` for ``index``, ``class_id`` and ``oob_loss_mean``."""
 
     index: int
     class_id: int
@@ -103,58 +99,79 @@ class FittedTree:
 
 @dataclass
 class Forest:
-    """A trained forest.  Prediction routes every (row, tree) pair through
-    one stacked table of the trees, built on the first prediction and never
-    saved; change ``trees`` only before predicting."""
+    """A trained forest: every node of every tree in one stacked ``table``,
+    tree by tree, and one ``state`` over those nodes.  Per-tree arrays give
+    each tree's first node (``roots``), its index within its sequence, so
+    predicting with the first k trees equals training with n_trees=k
+    outright, its positive class under one-versus-rest (``class_id``, -1
+    otherwise) and the mean oob loss of its prediction."""
 
     config: TrainConfig
     mapper: BinMapper
-    trees: list[FittedTree]
+    table: Tree
+    state: AggregationState
+    roots: np.ndarray
+    index: np.ndarray
+    class_id: np.ndarray
+    oob_loss_mean: np.ndarray
     temperature_: float
     classes_: np.ndarray | None = None
     y_min_: float = 0.0
     y_max_: float = 0.0
     feature_names: list[str] | None = None
-    _table: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     @property
     def n_classes(self) -> int:
         return 0 if self.classes_ is None else self.classes_.shape[0]
 
+    @cached_property
+    def trees(self) -> list[FittedTree]:
+        """Each tree alone, its nodes numbered from 0, for inspection and
+        reference checks; prediction never builds these."""
+        s, out = self.state, []
+        ends = np.append(self.roots[1:], self.table.n_nodes)
+        for t, (lo, hi) in enumerate(zip(self.roots, ends)):
+            part = (None if a is None else a[lo:hi]
+                    for a in (s.forecasts, s.oob_loss, s.log_agg_weight))
+            out.append(FittedTree(
+                int(self.index[t]), int(self.class_id[t]),
+                self.table.take(lo, hi),
+                AggregationState(s.loss, s.temperature, s.dirichlet, *part),
+                float(self.oob_loss_mean[t])))
+        return out
+
     def _binned(self, X) -> BinnedMatrix:
         return transform(X, self.mapper)
 
-    def _stacked(self) -> tuple[Tree, np.ndarray, np.ndarray]:
-        """The stacked tree, every node's value per prediction column
-        (columns x nodes), and each tree's root.  Under one-versus-rest a
-        node's positive-class value sits in its tree's class column."""
-        if self._table is None:
-            tree, roots = stack_trees([b.tree for b in self.trees])
-            values = node_values(tree, stack_states([b.state for b in self.trees]))
-            if self.trees[0].class_id >= 0:
-                class_id = np.repeat([b.class_id for b in self.trees],
-                                     [b.tree.n_nodes for b in self.trees])
-                ovr = np.zeros((tree.n_nodes, self.n_classes))
-                ovr[np.arange(tree.n_nodes), class_id] = values[:, 1]
-                values = ovr
-            values = np.ascontiguousarray(values.reshape(tree.n_nodes, -1).T)
-            self._table = tree, values, roots
-        return self._table
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """Every node's value per prediction column (columns x nodes).
+        Under one-versus-rest a node's positive-class value sits in its
+        tree's class column."""
+        n = self.table.n_nodes
+        values = node_values(self.table, self.state)
+        if self.class_id[0] >= 0:
+            class_id = np.repeat(self.class_id, np.diff(self.roots, append=n))
+            ovr = np.zeros((n, self.n_classes))
+            ovr[np.arange(n), class_id] = values[:, 1]
+            values = ovr
+        return np.ascontiguousarray(values.reshape(n, -1).T)
 
     def _mean_values(self, X, max_trees: int | None) -> np.ndarray:
         """Sum over the selected trees of every row's leaf values, divided
         by the number of trees; one column per prediction column."""
-        if max_trees is not None and max_trees < 1:
-            raise ValueError("max_trees must be >= 1")
-        tree, values, roots = self._stacked()
+        roots = self.roots
         if max_trees is not None:
-            roots = roots[[b.index < max_trees for b in self.trees]]
+            if not _is_int(max_trees) or max_trees < 1:
+                raise ValueError(
+                    f"max_trees must be an integer >= 1, got {max_trees!r}")
+            roots = roots[self.index < max_trees]
+        values = self._values
         entries = self._binned(X).entries
         out = np.empty((entries.shape[0], values.shape[0]))
         step = max(1, _BLOCK_PAIRS // roots.shape[0])
         for lo in range(0, entries.shape[0], step):
-            leaf = tree.route(entries[lo:lo + step], roots)
+            leaf = self.table.route(entries[lo:lo + step], roots)
             # A running sum adds the trees in order, so a row's total does
             # not depend on the rows it shares a block with.
             out[lo:lo + step] = values[:, leaf].cumsum(axis=-1)[..., -1].T
@@ -165,7 +182,7 @@ class Forest:
         if self.config.task != "classification":
             raise ValueError("predict_proba requires a classification forest")
         proba = self._mean_values(X, max_trees)
-        if self.trees[0].class_id >= 0:
+        if self.class_id[0] >= 0:
             return proba / proba.sum(axis=1, keepdims=True)
         return proba
 
@@ -179,8 +196,7 @@ class Forest:
 
     def oob_loss_summary(self) -> tuple[float, float]:
         """Mean and standard deviation over trees of the per-tree mean oob loss."""
-        vals = np.array([b.oob_loss_mean for b in self.trees])
-        return float(vals.mean()), float(vals.std())
+        return float(self.oob_loss_mean.mean()), float(self.oob_loss_mean.std())
 
 
 def _resolve_temperature(config: TrainConfig, y: np.ndarray) -> float:
@@ -196,11 +212,12 @@ def _resolve_temperature(config: TrainConfig, y: np.ndarray) -> float:
 
 def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
                temperature: float, n_classes: int, class_id: int,
-               indices: range) -> list[FittedTree]:
+               indices: range):
     """Grow the trees ``indices`` together.  Growth scores the oob rows as
     it routes them: it gives the leaf of every (oob row, tree) pair and,
     with aggregation on, every node's oob loss, from which the log weights
-    follow; nothing routes those rows again."""
+    follow; nothing routes those rows again.  Returns the group's table,
+    its roots, its nodes' oob losses and each tree's mean oob loss."""
     source = RandomSource(config.seed)
     if class_id >= 0:
         labels, k = (y_enc == class_id).astype(np.int64), 2
@@ -209,28 +226,16 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
         labels, k = y_enc, n_classes
     sources = [source.child(i) for i in indices]
     samples = [bootstrap(binned.n_rows, s.child(TAG_BOOTSTRAP)) for s in sources]
-    trees, leaf, oob_loss = grow_trees(binned, labels, samples, config,
-                                       sources, n_classes=k)
-    tree, roots = stack_trees(trees)
+    tree, roots, leaf, oob_loss = grow_trees(binned, labels, samples, config,
+                                             sources, n_classes=k)
+    state = state_from_losses(tree, oob_loss, temperature, config.dirichlet)
     rows = np.concatenate([s.oob_indices for s in samples])
-    n_oob = [s.n_oob for s in samples]
-    state = AggregationState(
-        LOG_LOSS if k else SQUARED_LOSS, temperature, config.dirichlet,
-        node_forecast(tree.stats, config.task, config.dirichlet), oob_loss,
-        None if oob_loss is None
-        else compute_log_agg_weights(tree, oob_loss, temperature))
     preds, y_oob = node_values(tree, state)[leaf], labels[rows]
     losses = (-np.log(preds[np.arange(rows.shape[0]), y_oob]) if k
               else (preds - y_oob) ** 2)
-
-    def cut(a):
-        return [None] * len(trees) if a is None else np.split(a, roots[1:])
-
-    return [FittedTree(i, class_id, t, replace(
-                state, forecasts=f, oob_loss=o, log_agg_weight=w), float(part.mean()))
-            for i, t, f, o, w, part in zip(
-                indices, trees, cut(state.forecasts), cut(state.oob_loss),
-                cut(state.log_agg_weight), np.split(losses, np.cumsum(n_oob)[:-1]))]
+    ends = np.cumsum([s.n_oob for s in samples])
+    means = [float(part.mean()) for part in np.split(losses, ends[:-1])]
+    return tree, roots, oob_loss, means
 
 
 _POOL_PAYLOAD = None
@@ -304,11 +309,26 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_pool_init,
                                  initargs=(payload,)) as pool:
             fitted = list(pool.map(_pool_task, groups))
-    bundles = [b for group in fitted for b in group]
 
-    forest = Forest(config=config, mapper=mapper, trees=bundles,
-                    temperature_=temperature, classes_=classes,
-                    feature_names=list(feature_names) if feature_names else None)
+    # One table of all the groups: their stored fields joined, the links
+    # taken from heap order again.
+    tables, roots, losses, means = zip(*fitted)
+    offsets = np.cumsum([0] + [t.n_nodes for t in tables[:-1]])
+    roots = np.concatenate([r + o for r, o in zip(roots, offsets)])
+    table = Tree.from_heap(
+        config.task, tables[0].n_classes, binned, roots,
+        np.concatenate([t.masks for t in tables]),
+        **{name: np.concatenate([getattr(t, name) for t in tables])
+           for name in STORED})
+    oob_loss = None if losses[0] is None else np.concatenate(losses)
+    forest = Forest(
+        config=config, mapper=mapper, table=table,
+        state=state_from_losses(table, oob_loss, temperature, config.dirichlet),
+        roots=roots, index=np.concatenate([list(r) for _, r in groups]),
+        class_id=np.repeat([c for c, _ in groups], [len(r) for _, r in groups]),
+        oob_loss_mean=np.concatenate(means), temperature_=temperature,
+        classes_=classes,
+        feature_names=list(feature_names) if feature_names else None)
     if config.task == "regression":
         forest.y_min_ = float(y_enc.min())
         forest.y_max_ = float(y_enc.max())

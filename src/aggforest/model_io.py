@@ -9,10 +9,23 @@ A model file is:
     bytes 52..    payload
 
 The payload is one JSON header (length-prefixed with a uint64) holding all
-scalar fields plus a manifest of the numpy arrays that follow, then the raw
-array bytes concatenated in manifest order, every array little-endian and
-C-contiguous.  Everything about the encoding is deterministic, so two
-equal forests serialize to identical bytes.
+scalar fields, the bin layout of every feature among them, plus a manifest
+of the numpy arrays that follow, then the raw array bytes concatenated in
+manifest order, every array little-endian and C-contiguous.  Everything
+about the encoding is deterministic, so two equal forests serialize to
+identical bytes.
+
+Format version 2 stores the forest as one node table, tree after tree, each
+tree breadth first, with one array per field for the whole forest: per node
+``feature``, ``threshold``, ``missing_left``, ``gain``, ``itb_count``,
+``oob_count``, ``stats`` and, with aggregation on, ``oob_loss``; the
+categorical ``masks``, eight bins to a byte in little-endian bit order; per
+tree ``roots``, ``index``, ``class_id`` and ``oob_loss_mean``; and each
+feature's thresholds.  Load rebuilds the rest: the child links from
+breadth-first order, then parents, depths, mask ids and itb weights, the
+forecasts from the stats, and the log weights from the oob losses and the
+temperature; the trees' bin layout is the mapper's.  Version 1, which
+stored every field tree by tree, is refused.
 """
 
 from __future__ import annotations
@@ -28,18 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import AggregationState
+from .aggregation import state_from_losses
 from .binning import BinMapper, FeatureBins, FeatureKind
-from .forest import FittedTree, Forest, TrainConfig
-from .tree import Tree
+from .forest import Forest, TrainConfig
+from .tree import STORED, Tree
 
 MAGIC = b"AGFOREST"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_TREE_ARRAYS = ("feature", "threshold", "missing_left", "mask_id", "masks",
-                "left_child", "right_child", "parent", "depth", "gain",
-                "itb_count", "itb_weight", "oob_count", "stats",
-                "feature_n_bins", "feature_missing_bin")
+_PER_TREE = ("roots", "index", "class_id", "oob_loss_mean")
 
 
 class ModelFormatError(ValueError):
@@ -76,7 +86,6 @@ def save_model(forest: Forest, path: str) -> None:
         "feature_names": forest.feature_names,
         "max_bins": forest.mapper.max_bins,
         "features": [],
-        "trees": [],
         "arrays": [],
     }
     if forest.classes_ is None:
@@ -109,22 +118,13 @@ def save_model(forest: Forest, path: str) -> None:
         put(f"f{i}.thresholds",
             fb.thresholds if fb.thresholds is not None else np.empty(0))
 
-    for i, b in enumerate(forest.trees):
-        meta["trees"].append({
-            "index": b.index,
-            "class_id": b.class_id,
-            "task": b.tree.task,
-            "n_classes": b.tree.n_classes,
-            "loss": b.state.loss,
-            "state_temperature": b.state.temperature,
-            "dirichlet": b.state.dirichlet,
-            "oob_loss_mean": b.oob_loss_mean,
-        })
-        for name in _TREE_ARRAYS:
-            put(f"t{i}.{name}", getattr(b.tree, name))
-        put(f"t{i}.forecasts", b.state.forecasts)
-        put(f"t{i}.oob_loss", b.state.oob_loss)
-        put(f"t{i}.log_agg_weight", b.state.log_agg_weight)
+    table = forest.table
+    for name in STORED:
+        put(name, getattr(table, name))
+    put("masks", np.packbits(table.masks, axis=1, bitorder="little"))
+    put("oob_loss", forest.state.oob_loss)
+    for name in _PER_TREE:
+        put(name, getattr(forest, name))
 
     header = json.dumps(meta, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
@@ -209,99 +209,86 @@ def _forest_from(meta: dict, body) -> Forest:
     except ValueError as exc:
         raise ModelFormatError(f"bin mapper: {exc}") from None
 
-    layout = (mapper.n_bins_per_feature().tolist(),
-              [fb.missing_bin for fb in mapper.features],
-              max((fb.n_bins for fb in features
-                   if fb.kind is FeatureKind.CATEGORICAL), default=0))
-    trees = []
-    for i, tm in enumerate(meta["trees"]):
-        tree = Tree(task=tm["task"], n_classes=tm["n_classes"],
-                    **{name: arrays[f"t{i}.{name}"] for name in _TREE_ARRAYS})
-        state = AggregationState(
-            loss=tm["loss"],
-            temperature=tm["state_temperature"],
-            dirichlet=tm["dirichlet"],
-            forecasts=arrays[f"t{i}.forecasts"],
-            oob_loss=arrays[f"t{i}.oob_loss"],
-            log_agg_weight=arrays[f"t{i}.log_agg_weight"],
-        )
-        try:
-            tree.validate()
-            _check_tree(tree, state, *layout)
-        except ValueError as exc:
-            raise ModelFormatError(f"tree {i}: {exc}") from None
-        trees.append(FittedTree(tm["index"], tm["class_id"], tree, state,
-                                tm["oob_loss_mean"]))
-
     classes = None
     if meta["classes"] is not None:
         classes = np.array(meta["classes"]["values"],
                            dtype=np.dtype(meta["classes"]["dtype"]))
-    return Forest(config=config, mapper=mapper, trees=trees,
-                  temperature_=meta["temperature"], classes_=classes,
+    temperature = meta["temperature"]
+    if not (type(temperature) in (int, float) and 0 <= temperature < math.inf):
+        raise ModelFormatError(f"temperature {temperature!r} is not a finite "
+                               "number >= 0")
+    one_vs_rest = (config.task == "classification"
+                   and config.multiclass == "one_vs_rest")
+    n_classes = 0 if classes is None else classes.shape[0]
+    packed = arrays["masks"]
+    widest = max((fb.n_bins for fb in features
+                  if fb.kind is FeatureKind.CATEGORICAL), default=0)
+    try:
+        if 8 * packed.shape[1] < widest:
+            raise ValueError("masks are narrower than the widest categorical "
+                             "feature")
+        masks = np.unpackbits(packed, axis=1, bitorder="little",
+                              count=int(mapper.n_bins_per_feature().max()))
+        table = Tree.from_heap(config.task, 2 if one_vs_rest else n_classes,
+                               mapper.table, arrays["roots"], masks.view(bool),
+                               **{name: arrays[name] for name in STORED})
+        per_tree = {name: arrays[name] for name in _PER_TREE}
+        _check(table, arrays["oob_loss"], config,
+               n_classes if one_vs_rest else 0, **per_tree)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = state_from_losses(table, arrays["oob_loss"], temperature,
+                                      config.dirichlet)
+        if not all(np.isfinite(a).all() for a in (
+                state.forecasts, state.log_agg_weight) if a is not None):
+            raise ValueError("stats, oob losses and temperature give forecasts "
+                             "or log weights that are not finite")
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+    return Forest(config=config, mapper=mapper, table=table, state=state,
+                  temperature_=temperature, classes_=classes,
                   y_min_=meta["y_min"], y_max_=meta["y_max"],
-                  feature_names=meta["feature_names"])
+                  feature_names=meta["feature_names"], **per_tree)
 
 
-def _check_tree(tree: Tree, state: AggregationState, n_bins: list,
-                missing: list, widest: int) -> None:
-    """Refuse what prediction would read past a node's bits or turn into a
-    non-finite value.  A tree's bin layout must be the mapper's, since
-    routing reads each split's bits at the codes ``transform`` gives;
-    every number of the aggregation state must be finite and in range; and
-    every node must hold the in-bag rows, and with oob losses the oob rows,
-    that growth gives it."""
-    if tree.feature_n_bins.tolist() != n_bins:
-        raise ValueError("feature_n_bins differ from the bin mapper's")
-    if tree.feature_missing_bin.tolist() != missing:
-        raise ValueError("feature_missing_bin differs from the bin mapper's")
-    if tree.masks.shape[1] < widest:
-        raise ValueError("masks are narrower than the widest categorical "
-                         "feature")
-    if (tree.itb_count < 1).any():
+def _check(table: Tree, oob_loss, config: TrainConfig, ovr_classes: int,
+           roots, index, class_id, oob_loss_mean) -> None:
+    """Refuse stored numbers that growth never gives: a node without in-bag
+    rows, or without oob rows when it holds an oob loss; stats or losses
+    that are not finite and >= 0, or stats of no weight; a tree's class
+    outside the ``ovr_classes`` classes under one-versus-rest, or not -1
+    otherwise."""
+    n = table.n_nodes
+    if (table.itb_count < 1).any():
         raise ValueError("itb_count is not >= 1 at every node")
-    n, temperature = tree.n_nodes, state.temperature
-    if not (isinstance(temperature, (int, float))
-            and 0 <= temperature < math.inf):
-        raise ValueError(f"state temperature {temperature!r} is not a finite "
-                         "number >= 0")
-    forecasts = state.forecasts
-    classification = tree.task == "classification"
-    shape = (n, tree.n_classes) if classification else (n,)
-    if forecasts is None or forecasts.shape != shape:
-        raise ValueError(f"forecasts do not have the shape {shape}")
-    if classification:
-        # NaN fails the sign test and inf the sum test; a product with ones
-        # sums short rows far faster than sum(axis=1).
-        total = forecasts @ np.ones(tree.n_classes)
-        if not (forecasts.min() > 0 and (np.abs(total - 1.0) <= 1e-9).all()):
-            raise ValueError("class forecasts are not positive rows summing "
-                             "to 1")
-    elif not np.isfinite(forecasts).all():
-        raise ValueError("forecasts are not all finite")
-    loss, log_w = state.oob_loss, state.log_agg_weight
-    if (loss is None) != (log_w is None):
-        raise ValueError("oob losses and log weights come only together")
-    if loss is None:
-        return
-    if (tree.oob_count < 1).any():
-        raise ValueError("oob_count is not >= 1 at every node of a tree with "
-                         "oob losses")
-    if loss.shape != (n,) or log_w.shape != (n,):
-        raise ValueError(f"oob_loss or log_agg_weight is not one value per "
-                         f"node of {n}")
-    if not ((loss >= 0) & (loss < math.inf)).all():
-        raise ValueError("oob_loss is not all finite and >= 0")
-    if not np.isfinite(log_w).all():
-        raise ValueError("log_agg_weight is not all finite")
-    # A node's weight averages its own exp(-temperature * loss) with its
-    # children's product, all at most 1: so it is at most 1 and at least
-    # half its own, up to rounding relative to the exponent.
-    own = -temperature * loss
-    if (log_w > 0).any() or (
-            own - log_w > math.log(2.0) + 1e-9 * np.abs(own)).any():
-        raise ValueError("log_agg_weight is not within [own weight - log 2, "
-                         "0]")
+    stats = table.stats
+    width = table.n_classes if config.task == "classification" else 3
+    if stats.shape != (n, width):
+        raise ValueError(f"stats do not have the shape {(n, width)}")
+    # NaN fails every comparison, so each check asks for the good case.
+    if config.task == "classification":
+        good = (stats >= 0).all() and (stats @ np.ones(width) > 0).all()
+    else:
+        good = (stats[:, 0] > 0).all() and (stats[:, 2] >= 0).all()
+    if not (good and np.isfinite(stats).all()):
+        raise ValueError("stats are not finite and >= 0 with a positive "
+                         "total at every node")
+    if (oob_loss is None) == config.aggregation:
+        raise ValueError("oob_loss is stored exactly when aggregation is on")
+    if oob_loss is not None:
+        if (table.oob_count < 1).any():
+            raise ValueError("oob_count is not >= 1 at every node of a "
+                             "forest with oob losses")
+        if oob_loss.shape != (n,) or not (
+                (oob_loss >= 0) & (oob_loss < math.inf)).all():
+            raise ValueError("oob_loss is not one finite value >= 0 per node")
+    if any(a.shape != roots.shape for a in (index, class_id, oob_loss_mean)
+           ) or not ((oob_loss_mean >= 0) & (oob_loss_mean < math.inf)).all():
+        raise ValueError("index, class_id and oob_loss_mean are not one value "
+                         "per tree, the last finite and >= 0")
+    if not ((0 <= class_id) & (class_id < ovr_classes) if ovr_classes
+            else class_id == -1).all():
+        raise ValueError("class_id is not a class under one-versus-rest, "
+                         "-1 otherwise")
 
 
 @dataclass

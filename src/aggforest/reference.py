@@ -22,7 +22,7 @@ from .aggregation import (
     compute_log_agg_weights,
     predict_aggregated_batch,
 )
-from .binning import FeatureKind, fit_bins, transform
+from .binning import BinnedMatrix, FeatureKind, fit_bins, transform
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import SplitConstraints, impurity, xlogy
 from .tree import Tree, grow_tree
@@ -243,48 +243,35 @@ def exhaustive_continuous_gain(table: np.ndarray, criterion: str,
 
 def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
                       root_arg) -> Tree:
-    """A tree over one feature of ``n_bins`` bins, built in preorder.
+    """A tree over one feature of ``n_bins`` bins, built breadth first.
 
     ``node(lo, hi, depth, arg)`` returns the stats of the node owning bins
     [lo, hi) and either None (a leaf) or (threshold, gain, left arg, right
     arg); the left child owns bins [lo, threshold].
     """
-    cols: dict[str, list] = {k: [] for k in (
-        "feature", "threshold", "left_child", "right_child", "parent",
-        "depth", "gain", "stats")}
-
-    def build(lo: int, hi: int, depth: int, par: int, arg) -> int:
-        my = len(cols["feature"])
+    cols: dict[str, list] = {"feature": [], "threshold": [], "gain": [],
+                             "stats": []}
+    queue = [(0, n_bins, 0, root_arg)]
+    for lo, hi, depth, arg in queue:    # the loop visits what it appends
         stats, split = node(lo, hi, depth, arg)
-        for k, v in zip(cols, (-1, -2, -1, -1, par, depth, np.nan, stats)):
+        t, gain, left_arg, right_arg = split or (-2, np.nan, None, None)
+        for k, v in zip(cols, (-1 if split is None else 0, t, gain, stats)):
             cols[k].append(v)
         if split is not None:
-            t, gain, left_arg, right_arg = split
-            cols["feature"][my], cols["threshold"][my] = 0, t
-            cols["gain"][my] = gain
-            cols["left_child"][my] = build(lo, t + 1, depth + 1, my, left_arg)
-            cols["right_child"][my] = build(t + 1, hi, depth + 1, my, right_arg)
-        return my
-
-    build(0, n_bins, 0, -1, root_arg)
-    n = len(cols["feature"])
-    ids = {k: np.asarray(cols[k], dtype=np.int32) for k in (
-        "feature", "threshold", "left_child", "right_child", "parent", "depth")}
-    return Tree(
-        task=task,
-        n_classes=n_classes if task == "classification" else 0,
-        missing_left=np.zeros(n, dtype=bool),
-        mask_id=np.full(n, -1, dtype=np.int32),
-        masks=np.zeros((0, n_bins), dtype=bool),
-        gain=np.asarray(cols["gain"], dtype=np.float64),
-        itb_count=np.ones(n, dtype=np.int64),
-        itb_weight=np.ones(n, dtype=np.float64),
-        oob_count=np.ones(n, dtype=np.int64),
-        stats=np.vstack(cols["stats"]),
-        feature_n_bins=np.asarray([n_bins], dtype=np.int64),
-        feature_missing_bin=np.asarray([-1], dtype=np.int64),
-        **ids,
-    )
+            queue += [(lo, t + 1, depth + 1, left_arg),
+                      (t + 1, hi, depth + 1, right_arg)]
+    n = len(queue)
+    layout = BinnedMatrix(np.zeros((0, 1), dtype=np.uint8), np.array([n_bins]),
+                          np.array([FeatureKind.CONTINUOUS], dtype=object),
+                          np.array([-1]))
+    return Tree.from_heap(
+        task, n_classes if task == "classification" else 0, layout,
+        np.zeros(1, dtype=np.int64), np.zeros((0, n_bins), dtype=bool),
+        feature=np.asarray(cols["feature"], dtype=np.int32),
+        threshold=np.asarray(cols["threshold"], dtype=np.int32),
+        missing_left=np.zeros(n, dtype=bool), gain=np.asarray(cols["gain"]),
+        itb_count=np.ones(n, dtype=np.int32),
+        oob_count=np.ones(n, dtype=np.int32), stats=np.vstack(cols["stats"]))
 
 
 def synthetic_tree(rng: np.random.Generator, n_leaves: int,

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .binning import BinnedMatrix
+from .binning import BinnedMatrix, FeatureKind
 from .sampling import (
     TAG_FEATURES,
     BootstrapSample,
@@ -80,10 +80,11 @@ class Router:
 
 @dataclass
 class Tree:
-    """A grown tree as parallel per-node arrays.
+    """A grown tree, or a stack of trees one after another, as parallel
+    per-node arrays.
 
-    Children always sit at larger indexes than their parent (the root is
-    node 0), so a single reverse pass visits children before parents.
+    Children always sit at larger indexes than their parent (a tree's root
+    first), so a single reverse pass visits children before parents.
     Categorical split masks live in the shared ``masks`` pool, indexed by
     ``mask_id``; ``threshold`` is meaningful only for continuous splits.
 
@@ -108,7 +109,6 @@ class Tree:
     depth: np.ndarray
     gain: np.ndarray
     itb_count: np.ndarray
-    itb_weight: np.ndarray
     oob_count: np.ndarray
     stats: np.ndarray
     feature_n_bins: np.ndarray
@@ -127,6 +127,11 @@ class Tree:
     @property
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
+
+    @property
+    def itb_weight(self) -> np.ndarray:
+        """Each node's total in-bag weight, from its stats."""
+        return row_totals(self.stats) if self.n_classes else self.stats[:, 0]
 
     @property
     def max_node_depth(self) -> int:
@@ -161,7 +166,7 @@ class Tree:
         """Leaf index for every row of a binned matrix.
 
         From the root, node 0, by default: one leaf per row.  Given the
-        roots of several trees (see ``stack_trees``), every (row, root) pair
+        roots of a stack of trees, every (row, root) pair
         is routed at once and the result has shape (rows, roots).
         """
         r = self.router
@@ -190,71 +195,93 @@ class Tree:
         out.append(~at)
         return np.asarray(out, dtype=np.int64)
 
-    def validate(self) -> None:
-        """Raise ValueError unless routing from node 0 stays in the tree:
-        one entry per node, features, missing bins and mask ids in range,
-        and parent and child links that agree, each child after its
-        parent."""
-        n = self.n_nodes
-        if n == 0:
-            raise ValueError("tree has no nodes")
-        for name in _PER_NODE:
-            size = getattr(self, name).shape[0]
-            if size != n:
-                raise ValueError(f"{name} has {size} entries for {n} nodes")
-        n_bins = self.feature_n_bins.tolist()
-        missing = self.feature_missing_bin.tolist()
-        if len(missing) != len(n_bins) or min(n_bins, default=0) < 1:
-            raise ValueError("feature_n_bins and feature_missing_bin do not "
-                             "describe the same features")
-        if any(not -1 <= m < b for m, b in zip(missing, n_bins)):
-            raise ValueError("feature_missing_bin outside [-1, n_bins)")
-        if self.feature.max() >= len(n_bins):
+    def take(self, lo: int, hi: int) -> Tree:
+        """The tree of nodes lo..hi-1 of a stack of trees, on its own: links
+        and mask ids numbered from its root, as if grown alone."""
+        cols = {name: getattr(self, name)[lo:hi].copy() for name in _PER_NODE}
+        first = int((self.mask_id[:lo] >= 0).sum())
+        for name, base in (("left_child", lo), ("right_child", lo),
+                           ("parent", lo), ("mask_id", first)):
+            cols[name][cols[name] >= 0] -= base
+        count = int((cols["mask_id"] >= 0).sum())
+        return replace(self, masks=self.masks[first:first + count], **cols)
+
+    @classmethod
+    def from_heap(cls, task: str, n_classes: int, layout, roots: np.ndarray,
+                  masks: np.ndarray, **stored) -> Tree:
+        """A stack of trees from its ``STORED`` fields, ``masks`` and each
+        tree's first node; the other fields follow from these.
+
+        A tree's nodes fill one block from its root, breadth first as
+        ``grow_trees`` numbers them, so the k-th internal node of a tree has
+        its children at 2k + 1 and 2k + 2 of its block.  Mask ids number the
+        splits on the categorical features of ``layout`` (a ``BinnedMatrix``
+        or a ``BinTable``) in node order.  Raise ValueError unless every tree
+        has 2I + 1 nodes for I internal ones, each child after its parent,
+        which keeps routing from a root inside its tree, and unless features
+        and masks fit the layout.
+        """
+        feature = stored["feature"]
+        n = feature.shape[0]
+        if any(col.shape[0] != n for col in stored.values()):
+            raise ValueError(f"the stored fields do not all hold {n} nodes")
+        sizes = np.diff(roots, append=n)
+        if roots.size == 0 or roots[0] != 0 or (sizes < 1).any():
+            raise ValueError("roots do not start at node 0 and rise within "
+                             "the nodes")
+        if feature.max() >= layout.n_bins.shape[0]:
             raise ValueError("feature index out of range")
-        if self.masks.ndim != 2 or self.mask_id.max() >= self.masks.shape[0]:
-            raise ValueError("mask id out of range")
-        # n - 1 child links name each node but the root once, by its parent.
-        internal = self.feature >= 0
-        owner = np.flatnonzero(internal)
-        expect = np.full(n, NO_NODE)
-        for child in (self.left_child[internal], self.right_child[internal]):
-            if ((child <= owner) | (child >= n)).any():
-                raise ValueError("child id outside (parent, n_nodes)")
-            expect[child] = owner
-        if (2 * owner.shape[0] != n - 1 or (expect[1:] == NO_NODE).any()
-                or (expect != self.parent).any()):
-            raise ValueError("parent and child links disagree")
+        internal = feature >= 0
+        node = np.flatnonzero(internal)
+        n_internal = np.add.reduceat(internal, roots, dtype=np.int64)
+        if (2 * n_internal + 1 != sizes).any():
+            raise ValueError("a tree's node count is not 2I + 1 for its I "
+                             "internal nodes")
+        # Internal node k of the table is internal node k - b of its tree,
+        # b counting those of the trees before: its left child sits at
+        # root + 2 (k - b) + 1 = 2k + 1 + shift.
+        shift = roots - 2 * (np.cumsum(n_internal) - n_internal)
+        left = 2 * np.arange(node.shape[0]) + 1 + np.repeat(shift, n_internal)
+        if (left <= node).any():
+            raise ValueError("a child sits at or before its parent")
+        cols = {name: np.full(n, NO_NODE, dtype=np.int32)
+                for name in ("left_child", "right_child", "parent", "mask_id")}
+        cols["left_child"][node], cols["right_child"][node] = left, left + 1
+        cols["parent"][left], cols["parent"][left + 1] = node, node
+        # Level d + 1 of a tree starts at the left child of its first
+        # internal node at or after the start of level d; depth counts the
+        # level starts up to a node, tree by tree.
+        rank = np.concatenate([[0], np.cumsum(internal)])
+        start, step = roots, np.zeros(n + 1, dtype=np.int32)
+        while True:
+            start = 2 * rank[start] + 1 + shift
+            live = start < roots + sizes
+            if not live.any():
+                break
+            step[start[live]] += 1
+        step[roots[1:]] -= np.add.reduceat(step[:n], roots)[:-1]
+        depth = np.cumsum(step[:n], dtype=np.int32)
+        categorical = np.array([k is FeatureKind.CATEGORICAL
+                                for k in layout.kinds], dtype=bool)
+        cat = node[categorical[feature[node]]]
+        if masks.shape[0] != cat.shape[0]:
+            raise ValueError(f"{masks.shape[0]} masks for {cat.shape[0]} "
+                             "categorical splits")
+        cols["mask_id"][cat] = np.arange(cat.shape[0])
+        return cls(task=task, n_classes=n_classes, masks=masks,
+                   feature_n_bins=layout.n_bins.copy(),
+                   feature_missing_bin=layout.missing_bin.copy(), depth=depth,
+                   **cols, **stored)
 
 
 # Tree fields with one entry per node; the rest describe the whole tree.
 _PER_NODE = ("feature", "threshold", "missing_left", "mask_id", "left_child",
              "right_child", "parent", "depth", "gain", "itb_count",
-             "itb_weight", "oob_count", "stats")
+             "oob_count", "stats")
 
-
-def stack_trees(trees: list[Tree]) -> tuple[Tree, np.ndarray]:
-    """Every node of ``trees`` in one Tree, and the id of each tree's root.
-
-    Child, parent and mask ids are shifted by their tree's offset, so
-    routing from a tree's root stays inside that tree.  The trees must
-    share their task and bin layout, as the trees of one forest do.
-    """
-    sizes = [t.n_nodes for t in trees]
-    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int32)
-    n_masks = [t.masks.shape[0] for t in trees]
-    mask_base = np.concatenate([[0], np.cumsum(n_masks)[:-1]]).astype(np.int32)
-    cols = {name: np.concatenate([getattr(t, name) for t in trees])
-            for name in _PER_NODE}
-    for name, base in (("left_child", roots), ("right_child", roots),
-                       ("parent", roots), ("mask_id", mask_base)):
-        ids = cols[name]
-        cols[name] = np.where(ids >= 0, ids + np.repeat(base, sizes), ids)
-    first = trees[0]
-    stacked = Tree(task=first.task, n_classes=first.n_classes,
-                   masks=np.concatenate([t.masks for t in trees]),
-                   feature_n_bins=first.feature_n_bins,
-                   feature_missing_bin=first.feature_missing_bin, **cols)
-    return stacked, roots
+# The per-node fields that ``Tree.from_heap`` derives the others from.
+STORED = ("feature", "threshold", "missing_left", "gain", "itb_count",
+          "oob_count", "stats")
 
 
 def _resolve_criterion(config) -> str:
@@ -272,6 +299,15 @@ def _node_stats(abs_rows, w_rows, labels, n_classes) -> np.ndarray:
     return np.array([w_rows.sum(), wy.sum(), (wy * yr).sum()])
 
 
+def row_totals(stats: np.ndarray) -> np.ndarray:
+    """``stats.sum(axis=-1)`` bit for bit, as numpy adds fewer than 8 values
+    in order, but without a reduction's cost per short row."""
+    if stats.shape[-1] >= 8:
+        return stats.sum(axis=-1)
+    cols = np.moveaxis(stats, -1, 0)
+    return sum(cols[1:], cols[0])
+
+
 def node_forecast(stats, task: str, dirichlet: float = 0.5):
     """Forecast of a node from its itb label statistics, or of every node
     of a stack of them (one node per row).
@@ -284,7 +320,7 @@ def node_forecast(stats, task: str, dirichlet: float = 0.5):
     if task == "classification":
         if dirichlet <= 0:
             raise ValueError(f"dirichlet must be positive, got {dirichlet}")
-        total = stats.sum(axis=-1, keepdims=True)
+        total = row_totals(stats)[..., None]
         return (stats + dirichlet) / (total + dirichlet * stats.shape[-1])
     if task == "regression":
         if (stats[..., 0] <= 0).any():
@@ -297,7 +333,7 @@ def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
               source: RandomSource, *, n_classes: int = 0) -> Tree:
     """Grow one tree: ``grow_trees`` on a group of one."""
     return grow_trees(binned, labels, [sample], config, [source],
-                      n_classes=n_classes)[0][0]
+                      n_classes=n_classes)[0]
 
 
 def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
@@ -323,10 +359,10 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
 
     Every (oob row, tree) pair goes down to its leaf; with aggregation on,
     one ``bincount`` per level adds up each node's oob loss, in the order of
-    ``accumulate_oob_losses``.  Returns (trees, the leaf of each pair, tree
-    by tree in oob index order, and each node's oob loss or None), nodes
-    numbered as in ``stack_trees(trees)``.  Labels must be encoded class ids
-    when n_classes > 0, float targets otherwise.
+    ``accumulate_oob_losses``.  Returns the trees as one ``Tree``, tree by
+    tree, each tree's root, the leaf of each pair, tree by tree in oob index
+    order, and each node's oob loss or None.  Labels must be encoded class
+    ids when n_classes > 0, float targets otherwise.
     """
     classification = n_classes > 0
     if classification != (config.task == "classification"):
@@ -335,11 +371,7 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
     allowed = CLASSIFICATION_CRITERIA if classification else REGRESSION_CRITERIA
     if criterion not in allowed:
         raise ValueError(f"criterion {criterion!r} is not valid for {config.task}")
-    labels = np.asarray(labels)
-    if classification:
-        labels = labels.astype(np.int64, copy=False)
-    else:
-        labels = labels.astype(np.float64, copy=False)
+    labels = np.asarray(labels, dtype=np.int64 if classification else np.float64)
 
     entries = binned.entries
     d = binned.n_cols
@@ -378,9 +410,9 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
     oob_pair, leaf = np.arange(oob_rows.shape[0]), np.empty_like(oob_rows)
     while True:
         n, depth = stats.shape[0], len(levels)
-        w_node = stats.sum(axis=1) if classification else stats[:, 0]
+        w_node = row_totals(stats) if classification else stats[:, 0]
         # Oob counts are kept, like oob losses, only with aggregation on.
-        levels.append((stats, w_node, itb_count, oob_count * use_oob, owner))
+        levels.append((stats, itb_count, oob_count * use_oob, owner))
         leaf[oob_pair] = first + oob_slot
         if use_oob:
             forecast = node_forecast(stats, config.task, config.dirichlet)
@@ -427,7 +459,7 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
         n_split = best.node.shape[0]
         if n_split == 0:
             break
-        splits.append((first + cand[best.node], first + n, best))
+        splits.append((first + cand[best.node], best))
 
         # Route every row to its child in one step.
         rank = np.full(cand.size, -1)
@@ -448,64 +480,42 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
         owner = np.repeat(owner[cand[best.node]], 2)
         first += n
 
-    # Assemble the node arrays level by level across the trees: level
-    # columns, then split columns by id.
+    # The stored columns, level by level across the trees, then tree by
+    # tree: each tree's nodes stay breadth first, the order ``from_heap``
+    # takes links from.
     sizes = [lv[0].shape[0] for lv in levels]
     n_nodes = first + sizes[-1]
-    cols = {name: np.full(n_nodes, NO_NODE, dtype=np.int32) for name in
-            ("feature", "mask_id", "left_child", "right_child", "parent")}
-    cols.update(threshold=np.full(n_nodes, -2, dtype=np.int32),
+    cols = dict(feature=np.full(n_nodes, NO_NODE, dtype=np.int32),
+                threshold=np.full(n_nodes, -2, dtype=np.int32),
                 missing_left=np.zeros(n_nodes, dtype=bool),
                 gain=np.full(n_nodes, np.nan))
+    ids = np.zeros(0, dtype=np.int64)
     masks = np.zeros((0, int(binned.n_bins.max())), dtype=bool)
     if splits:
-        ids = np.concatenate([split for split, _, _ in splits])
-        child = np.concatenate([nxt + 2 * np.arange(split.shape[0])
-                                for split, nxt, _ in splits])
-        best = {k: np.concatenate([getattr(b, k) for _, _, b in splits])
+        ids = np.concatenate([split for split, _ in splits])
+        best = {k: np.concatenate([getattr(b, k) for _, b in splits])
                 for k in ("feature", "threshold", "missing_left", "gain", "left")}
         for name in ("feature", "threshold", "missing_left", "gain"):
             cols[name][ids] = best[name]
         cat = binned.is_categorical[best["feature"]]
-        cols["mask_id"][ids[cat]] = np.arange(int(cat.sum()))
-        masks = best["left"][cat]
-        cols["left_child"][ids], cols["right_child"][ids] = child, child + 1
-        cols["parent"][child], cols["parent"][child + 1] = ids, ids
+        ids, masks = ids[cat], best["left"][cat]
     cols.update(
-        depth=np.repeat(np.arange(len(levels), dtype=np.int32), sizes),
-        itb_count=np.concatenate([lv[2] for lv in levels]).astype(np.int64),
-        itb_weight=np.concatenate([lv[1] for lv in levels]),
-        oob_count=np.concatenate([lv[3] for lv in levels]).astype(np.int64),
+        itb_count=np.concatenate([lv[1] for lv in levels]).astype(np.int32),
+        oob_count=np.concatenate([lv[2] for lv in levels]).astype(np.int32),
         stats=np.concatenate([lv[0] for lv in levels]))
     if (cols["itb_count"] < 1).any():
         raise RuntimeError("grown tree has a node without itb rows")
     if use_oob and (cols["oob_count"] < 1).any():
         raise RuntimeError("grown tree has a node without oob rows")
 
-    # Undo stack_trees: order the nodes tree by tree, then number each
-    # tree's nodes and masks from 0.
-    owner = np.concatenate([lv[4] for lv in levels])
+    owner = np.concatenate([lv[3] for lv in levels])
     order = np.argsort(owner, kind="stable")
-    stacked_id = np.empty_like(order)
-    stacked_id[order] = np.arange(n_nodes)
-    cols = {name: col[order] for name, col in cols.items()}
+    position = np.empty_like(order)
+    position[order] = np.arange(n_nodes)
     per_tree = np.bincount(owner, minlength=n_trees)
     roots = np.cumsum(per_tree) - per_tree
-    root = np.repeat(roots, per_tree)
-    for name in ("left_child", "right_child", "parent"):
-        ids = cols[name]
-        linked = ids >= 0
-        ids[linked] = stacked_id[ids[linked]] - root[linked]
-    mask_id = cols["mask_id"]
-    cat = mask_id >= 0
-    masks = masks[mask_id[cat]]
-    before = np.cumsum(cat) - cat
-    mask_id[cat] = (before - before[root])[cat]
-    parts = {name: np.split(col, roots[1:]) for name, col in cols.items()}
-    trees = [Tree(task=config.task, n_classes=n_classes, masks=tree_masks,
-                  feature_n_bins=binned.n_bins.copy(),
-                  feature_missing_bin=binned.missing_bin.copy(),
-                  **{name: part[t] for name, part in parts.items()})
-             for t, tree_masks in enumerate(np.split(masks, before[roots[1:]]))]
-    return (trees, stacked_id[leaf],
+    tree = Tree.from_heap(config.task, n_classes, binned, roots,
+                          masks[np.argsort(position[ids])],
+                          **{name: col[order] for name, col in cols.items()})
+    return (tree, roots, position[leaf],
             np.concatenate(losses)[order] if use_oob else None)

@@ -21,6 +21,7 @@ from aggforest.aggregation import (
     predict_leaf_only,
     predict_leaf_only_batch,
 )
+from aggforest.forest import TrainConfig, fit
 from aggforest.reference import (
     aggregate_identity_error,
     complete_tree,
@@ -92,6 +93,37 @@ def test_depth_one_weight_closed_form():
     want = math.log(0.5 * (math.exp(-eta * 1.1)
                            + math.exp(-eta * (0.4 + 0.9))))
     assert log_w[0] == pytest.approx(want, rel=1e-12)
+
+
+def per_node_log_weights(tree, oob_loss, temperature):
+    """The weight recursion one node at a time, children before parents."""
+    neg = [-temperature * loss for loss in oob_loss.tolist()]
+    out = list(neg)
+    for v in range(tree.n_nodes - 1, -1, -1):
+        if tree.feature[v] >= 0:
+            a = neg[v]
+            b = out[tree.left_child[v]] + out[tree.right_child[v]]
+            m = a if a >= b else b
+            out[v] = m + math.log1p(math.exp(-abs(a - b))) - math.log(2.0)
+    return np.array(out)
+
+
+def test_log_weights_by_depth_equal_the_per_node_recursion():
+    for seed in range(12):
+        for task in ("classification", "regression"):
+            tree, state, *_ = random_grown_instance(seed, task, max_depth=6)
+            want = per_node_log_weights(tree, state.oob_loss,
+                                        state.temperature)
+            assert state.log_agg_weight.tobytes() == want.tobytes()
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0.0, 1.0, 600)
+    y = np.sin(12.0 * x) + rng.normal(0.0, 0.5, 600)
+    forest = fit([x], y, ["continuous"],
+                 TrainConfig(task="regression", n_trees=100, seed=8))
+    assert forest.roots.shape == (100,)
+    want = per_node_log_weights(forest.table, forest.state.oob_loss,
+                                forest.temperature_)
+    assert forest.state.log_agg_weight.tobytes() == want.tobytes()
 
 
 def test_mix_coefficient_closed_form_and_range():

@@ -73,8 +73,12 @@ def test_prefix_of_trees_equals_smaller_forest():
     small = fit(X, y, KINDS2, TrainConfig(n_trees=2, seed=5))
     np.testing.assert_array_equal(big.predict_proba(X, max_trees=2),
                                   small.predict_proba(X))
-    with pytest.raises(ValueError, match="max_trees"):
-        big.predict_proba(X, max_trees=0)
+    np.testing.assert_array_equal(big.predict(X, max_trees=np.int64(2)),
+                                  small.predict(X))
+    # A bool or a fraction once counted as that many trees, rounded up.
+    for bad in (0, True, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="max_trees"):
+            big.predict_proba(X, max_trees=bad)
 
 
 def test_one_vs_rest_trains_a_tree_per_class_and_tree():
@@ -322,6 +326,33 @@ def test_stacked_prediction_equals_per_tree_fold(monkeypatch, task, n_classes,
         for i in range(120):
             one = predict([c[i:i + 1] for c in Xq], max_trees=max_trees)
             assert np.array_equal(one[0], got[i])
+
+
+@pytest.mark.parametrize("task,n_classes,multiclass", [
+    ("regression", 0, "heuristic"),
+    ("classification", 3, "heuristic"),
+    ("classification", 3, "one_vs_rest"),
+])
+def test_tree_views_route_and_predict_like_the_table(task, n_classes,
+                                                     multiclass):
+    """Each ``Forest.trees`` view, routed alone from its node 0, reaches
+    the table's leaf less the tree's root, and its single-row fold gives
+    the table's value at that leaf."""
+    X, y = mixed_data(200, 19, task, n_classes)
+    forest = fit(X, y, ["categorical", "continuous", "continuous"],
+                 TrainConfig(task=task, n_trees=4, multiclass=multiclass,
+                             max_features=2, seed=19))
+    entries = forest._binned(mixed_data(60, 20, task, n_classes)[0]).entries
+    leaf = forest.table.route(entries, forest.roots)
+    values = node_values(forest.table, forest.state)
+    assert len(forest.trees) == 4 * (3 if multiclass == "one_vs_rest" else 1)
+    for t, view in enumerate(forest.trees):
+        local = view.tree.route(entries)
+        np.testing.assert_array_equal(local, leaf[:, t] - forest.roots[t])
+        for x, v in zip(entries, leaf[:, t]):
+            np.testing.assert_allclose(
+                predict_aggregated(view.tree, view.state, x), values[v],
+                rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("task,n_classes,multiclass,aggregation,options", [

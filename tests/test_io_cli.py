@@ -190,12 +190,6 @@ def drop_header_key(key):
     return edit
 
 
-def set_tree_field(key, value):
-    def edit(meta, arrays):
-        meta["trees"][0][key] = value
-    return edit
-
-
 def set_entry(name, index, value):
     def edit(meta, arrays):
         arrays[name][index] = value
@@ -203,7 +197,24 @@ def set_entry(name, index, value):
 
 
 def narrow_masks(meta, arrays):
-    arrays["t0.masks"] = arrays["t0.masks"][:, :1].copy()
+    arrays["masks"] = arrays["masks"][:, :0].copy()
+
+
+def one_more_internal_node(meta, arrays):
+    feature = arrays["feature"]
+    feature[np.flatnonzero(feature < 0)[0]] = 0
+
+
+def child_before_parent(meta, arrays):
+    # The root becomes a leaf and the last leaf a split, so the count of
+    # internal nodes holds but the first split's left child is itself or
+    # an earlier node.
+    arrays["feature"][[0, -1]] = [-1, 0]
+
+
+def overflowing_log_weight(meta, arrays):
+    meta["temperature"] = 1e10
+    arrays["oob_loss"][-1] = 1e300     # the last node is a leaf
 
 
 def set_feature_field(key, value):
@@ -226,36 +237,53 @@ def set_category_bin(value, b):
     return edit
 
 
-@pytest.mark.parametrize("name,index,value,message", [
-    ("left_child", 0, 10**6, "outside"),     # IndexError at predict before
-    ("left_child", 0, 0, "outside"),         # routing looped forever before
-    ("parent", 2, 1, "disagree"),
-    ("feature", 0, 7, "feature index"),
-])
-def test_malformed_tree_links_are_rejected(tmp_path, name, index, value,
-                                           message):
+# Each id names a fault of a format that stored the links; the edit puts
+# the same fault into the fields the links are now derived from.
+@pytest.mark.parametrize("edit,message", [
+    (set_entry("roots", 0, 10**6), "roots"),
+    (child_before_parent, "at or before its parent"),
+    (one_more_internal_node, r"not 2I \+ 1"),
+    (set_entry("feature", 0, 7), "feature index"),
+], ids=["left_child-0-1000000-outside", "left_child-0-0-outside",
+        "parent-2-1-disagree", "feature-0-7-feature index"])
+def test_malformed_tree_links_are_rejected(tmp_path, edit, message):
     path, _ = saved_model_bytes(tmp_path)
     assert load_model(str(path)).trees[0].tree.n_nodes >= 3
 
-    rewrite_model(path, set_entry(f"t0.{name}", index, value))
+    rewrite_model(path, edit)
     with pytest.raises(ModelFormatError, match=message):
+        load_model(str(path))
+
+
+def test_format_version_one_is_refused(tmp_path):
+    path, raw = saved_model_bytes(tmp_path)
+    body = bytearray(raw)
+    struct.pack_into("<I", body, 8, 1)
+    path.write_bytes(bytes(body))
+    with pytest.raises(ModelFormatError, match="version 1,"):
         load_model(str(path))
 
 
 @pytest.mark.parametrize("categorical,edit,message", [
     (False, drop_header_key("y_min"), "lacks the key 'y_min'"),
-    (False, set_tree_field("state_temperature", -1.0), "temperature"),
-    (False, set_tree_field("state_temperature", float("nan")), "temperature"),
-    (False, set_entry("t0.log_agg_weight", 0, np.nan), "log_agg_weight"),
-    (False, set_entry("t0.log_agg_weight", 0, -1e300), "log_agg_weight"),
-    (False, set_entry("t0.log_agg_weight", 0, 1.0), "log_agg_weight"),
-    (False, set_entry("t0.oob_loss", 1, -np.inf), "oob_loss"),
-    (False, set_entry("t0.forecasts", (0, 0), -0.5), "forecasts"),
-    (False, set_entry("t0.feature_n_bins", 0, 3), "feature_n_bins"),
-    (False, set_entry("t0.feature_missing_bin", 0, 99), "feature_missing_bin"),
+    (False, lambda meta, arrays: meta.update(temperature=-1.0),
+     "temperature"),
+    (False, lambda meta, arrays: meta.update(temperature=float("nan")),
+     "temperature"),
+    # Log weights and forecasts follow from the oob losses and the stats.
+    (False, set_entry("oob_loss", 0, np.nan), "oob_loss"),
+    (False, overflowing_log_weight, "log weights"),
+    (False, set_entry("oob_loss", 0, -1.0), "oob_loss"),
+    (False, set_entry("oob_loss", 1, -np.inf), "oob_loss"),
+    (False, set_entry("stats", (0, 0), -0.5), "stats"),
+    (False, set_entry("stats", (1, 1), np.nan), "stats"),
+    (False, set_entry("stats", 1, 0.0), "stats"),
+    # The trees' bin layout is the mapper's.
+    (False, set_feature_field("n_bins", 3), "thresholds for 3 plain bins"),
+    (False, set_feature_field("has_missing", True), "thresholds for"),
     (True, narrow_masks, "narrower"),
-    (False, set_entry("t0.itb_count", 1, 0), "itb_count"),
-    (False, set_entry("t0.oob_count", 1, 0), "oob_count"),
+    (False, set_entry("itb_count", 1, 0), "itb_count"),
+    (False, set_entry("oob_count", 1, 0), "oob_count"),
     (False, prepend_thresholds, "119 thresholds for 60 plain bins"),
     (False, set_entry("f0.thresholds", 0, 1e9), "strictly increasing"),
     (False, set_entry("f0.thresholds", 1, np.nan), "not finite"),
@@ -266,7 +294,8 @@ def test_malformed_tree_links_are_rejected(tmp_path, name, index, value,
     (True, set_feature_field("overflow_bin", 0), "overflow_bin"),
 ], ids=["no-y_min", "negative-temperature", "nan-temperature",
         "nan-log-weight", "tiny-log-weight", "positive-log-weight",
-        "negative-oob-loss", "negative-forecast",
+        "negative-oob-loss", "negative-forecast", "nan-stats",
+        "zero-total-stats",
         "n_bins-differ", "missing-bin-out-of-range", "narrow-masks",
         "no-itb-rows", "no-oob-rows", "prepended-thresholds",
         "unsorted-thresholds", "nan-threshold", "continuous-overflow-bin",

@@ -23,7 +23,7 @@ from aggforest.splits import (
     find_best_split,
     impurity,
 )
-from aggforest.tree import Tree, grow_tree, grow_trees, node_forecast, stack_trees
+from aggforest.tree import Tree, grow_tree, grow_trees, node_forecast
 
 
 def grown(n=120, seed=0, task="classification", aggregation=True, **kw):
@@ -129,7 +129,7 @@ def every_split_kind(seed=3, n=600):
     cols = [color, a, m, b]
     forest = fit(cols, y, ["categorical"] + ["continuous"] * 3,
                  TrainConfig(n_trees=6, max_features=2, seed=seed))
-    return stack_trees([t.tree for t in forest.trees]), forest._binned(cols)
+    return (forest.table, forest.roots), forest._binned(cols)
 
 
 def split_kinds_checked_bitwise(tree):
@@ -441,10 +441,12 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
         samples[starved] = starved_sample(len(y))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        group, leaf, oob_loss = grow_trees(binned, y, samples, config,
-                                           sources, n_classes=n_classes)
+        table, roots, leaf, oob_loss = grow_trees(
+            binned, y, samples, config, sources, n_classes=n_classes)
     assert len(caught) == (starved is not None)
-    assert len(group) == 5
+    assert roots.shape == (5,)
+    group = [table.take(lo, hi) for lo, hi in
+             zip(roots, np.append(roots[1:], table.n_nodes))]
     for i, (got, sample, source) in enumerate(zip(group, samples, sources)):
         if i == starved:
             with pytest.warns(UserWarning, match="out-of-bag"):
@@ -456,13 +458,11 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
                              n_classes=n_classes)
             assert got.n_nodes > 1
         assert_same_tree(got, want)
-        got.validate()
     if "max_depth" in options:
         assert max(t.max_node_depth for t in group) == options["max_depth"]
     if task != "regression" and not options:
         # Several trees hold categorical masks, so mask ids are re-based.
         assert sum(t.masks.shape[0] > 0 for t in group) >= 2
-    _, roots = stack_trees(group)
     np.testing.assert_array_equal(leaf, np.concatenate([
         root + t.route(binned.entries[s.oob_indices])
         for root, t, s in zip(roots, group, samples)]))
