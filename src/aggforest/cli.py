@@ -122,7 +122,7 @@ def _cmd_train(args) -> int:
     save_model(forest, args.out)
     mean, std = forest.oob_loss_summary()
     kind = "aggregated oob loss" if config.aggregation else "oob loss"
-    print(f"trained {len(forest.trees)} trees on {len(y)} rows "
+    print(f"trained {len(forest.roots)} trees on {len(y)} rows "
           f"in {elapsed:.2f}s")
     print(f"mean per-tree {kind}: {mean:.6f} (std {std:.6f})")
     print(f"model written to {args.out}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -217,7 +217,7 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
     it routes them: it gives the leaf of every (oob row, tree) pair and,
     with aggregation on, every node's oob loss, from which the log weights
     follow; nothing routes those rows again.  Returns the group's table,
-    its roots, its nodes' oob losses and each tree's mean oob loss."""
+    its roots, its state and each tree's mean oob loss."""
     source = RandomSource(config.seed)
     if class_id >= 0:
         labels, k = (y_enc == class_id).astype(np.int64), 2
@@ -235,7 +235,7 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
               else (preds - y_oob) ** 2)
     ends = np.cumsum([s.n_oob for s in samples])
     means = [float(part.mean()) for part in np.split(losses, ends[:-1])]
-    return tree, roots, oob_loss, means
+    return tree, roots, state, means
 
 
 _POOL_PAYLOAD = None
@@ -311,8 +311,9 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
             fitted = list(pool.map(_pool_task, groups))
 
     # One table of all the groups: their stored fields joined, the links
-    # taken from heap order again.
-    tables, roots, losses, means = zip(*fitted)
+    # taken from heap order again.  Each node's state depends on its own
+    # subtree only, so the groups' states join as they are.
+    tables, roots, states, means = zip(*fitted)
     offsets = np.cumsum([0] + [t.n_nodes for t in tables[:-1]])
     roots = np.concatenate([r + o for r, o in zip(roots, offsets)])
     table = Tree.from_heap(
@@ -320,11 +321,13 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
         np.concatenate([t.masks for t in tables]),
         **{name: np.concatenate([getattr(t, name) for t in tables])
            for name in STORED})
-    oob_loss = None if losses[0] is None else np.concatenate(losses)
+    state = replace(states[0], **{
+        name: None if getattr(states[0], name) is None
+        else np.concatenate([getattr(s, name) for s in states])
+        for name in ("forecasts", "oob_loss", "log_agg_weight")})
     forest = Forest(
-        config=config, mapper=mapper, table=table,
-        state=state_from_losses(table, oob_loss, temperature, config.dirichlet),
-        roots=roots, index=np.concatenate([list(r) for _, r in groups]),
+        config=config, mapper=mapper, table=table, state=state, roots=roots,
+        index=np.concatenate([list(r) for _, r in groups]),
         class_id=np.repeat([c for c, _ in groups], [len(r) for _, r in groups]),
         oob_loss_mean=np.concatenate(means), temperature_=temperature,
         classes_=classes,

@@ -131,7 +131,7 @@ class Tree:
     @property
     def itb_weight(self) -> np.ndarray:
         """Each node's total in-bag weight, from its stats."""
-        return row_totals(self.stats) if self.n_classes else self.stats[:, 0]
+        return self.stats.sum(axis=1) if self.n_classes else self.stats[:, 0]
 
     @property
     def max_node_depth(self) -> int:
@@ -299,15 +299,6 @@ def _node_stats(abs_rows, w_rows, labels, n_classes) -> np.ndarray:
     return np.array([w_rows.sum(), wy.sum(), (wy * yr).sum()])
 
 
-def row_totals(stats: np.ndarray) -> np.ndarray:
-    """``stats.sum(axis=-1)`` bit for bit, as numpy adds fewer than 8 values
-    in order, but without a reduction's cost per short row."""
-    if stats.shape[-1] >= 8:
-        return stats.sum(axis=-1)
-    cols = np.moveaxis(stats, -1, 0)
-    return sum(cols[1:], cols[0])
-
-
 def node_forecast(stats, task: str, dirichlet: float = 0.5):
     """Forecast of a node from its itb label statistics, or of every node
     of a stack of them (one node per row).
@@ -320,7 +311,7 @@ def node_forecast(stats, task: str, dirichlet: float = 0.5):
     if task == "classification":
         if dirichlet <= 0:
             raise ValueError(f"dirichlet must be positive, got {dirichlet}")
-        total = row_totals(stats)[..., None]
+        total = stats.sum(axis=-1, keepdims=True)
         return (stats + dirichlet) / (total + dirichlet * stats.shape[-1])
     if task == "regression":
         if (stats[..., 0] <= 0).any():
@@ -410,7 +401,7 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
     oob_pair, leaf = np.arange(oob_rows.shape[0]), np.empty_like(oob_rows)
     while True:
         n, depth = stats.shape[0], len(levels)
-        w_node = row_totals(stats) if classification else stats[:, 0]
+        w_node = stats.sum(axis=1) if classification else stats[:, 0]
         # Oob counts are kept, like oob losses, only with aggregation on.
         levels.append((stats, itb_count, oob_count * use_oob, owner))
         leaf[oob_pair] = first + oob_slot

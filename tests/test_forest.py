@@ -383,6 +383,8 @@ def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
     # Groups of two trees, so the last group of each class holds one.
     monkeypatch.setattr(forest_module, "_GROUP_ROWS", 400)
     forest = fit(X, y, kinds, config)
+    # Fitting routes no tree after growth, so the table carries no router.
+    assert forest.table._router is None
     binned = forest._binned(X)
     y_enc = (np.unique(y, return_inverse=True)[1] if n_classes
              else y.astype(np.float64))
@@ -391,8 +393,6 @@ def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
     assert [(b.class_id, b.index) for b in forest.trees] == [
         (c, i) for c in (range(n_classes) if ovr else [-1]) for i in range(5)]
     for b in forest.trees:
-        # Fitting routes no tree after growth, so none carries a table.
-        assert b.tree._router is None
         source = RandomSource(18).child(*([b.class_id] if ovr else []),
                                         b.index)
         labels = (y_enc == b.class_id).astype(np.int64) if ovr else y_enc
