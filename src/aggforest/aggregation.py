@@ -20,9 +20,6 @@ from .tree import Tree, node_forecast
 
 LOG2 = math.log(2.0)
 
-LOG_LOSS = "log"
-SQUARED_LOSS = "squared"
-
 
 @dataclass
 class AggregationState:
@@ -30,27 +27,26 @@ class AggregationState:
 
     ``oob_loss`` holds each node's total loss over the out-of-bag rows it
     contains, ``log_agg_weight`` the log-domain recursive weight.  Both are
-    None for a state built without aggregation (leaf-only prediction).
+    None for a state built without aggregation (leaf-only prediction).  The
+    loss is the tree's: log loss for classification, squared otherwise.
     """
 
-    loss: str
     temperature: float
-    dirichlet: float
     forecasts: np.ndarray
     oob_loss: np.ndarray | None
     log_agg_weight: np.ndarray | None
 
 
 def accumulate_oob_losses(tree: Tree, forecasts: np.ndarray, entries: np.ndarray,
-                          oob_rows: np.ndarray, labels: np.ndarray, loss: str):
+                          oob_rows: np.ndarray, labels: np.ndarray):
     """Route every oob row from the root to its leaf, through the tree's
     routing table, adding the loss of each visited node's forecast to that
-    node's total.
+    node's total: log loss for a classification tree, squared otherwise.
 
     This is the reference behind ``build_state``: fitting scores the oob
     rows as ``grow_trees`` routes them, level by level, and never calls it.
     """
-    classification = loss == LOG_LOSS
+    classification = tree.task == "classification"
     r = tree.router
     L = np.zeros(tree.n_nodes, dtype=np.float64)
     y = labels[oob_rows]
@@ -101,9 +97,8 @@ def state_from_losses(tree: Tree, oob_loss: np.ndarray | None,
     """The state that a tree's stats and its nodes' oob losses give: the
     forecasts and, unless ``oob_loss`` is None, the log weights."""
     return AggregationState(
-        LOG_LOSS if tree.task == "classification" else SQUARED_LOSS,
-        temperature, dirichlet, node_forecast(tree.stats, tree.task, dirichlet),
-        oob_loss, None if oob_loss is None
+        temperature, node_forecast(tree.stats, tree.task, dirichlet), oob_loss,
+        None if oob_loss is None
         else compute_log_agg_weights(tree, oob_loss, temperature))
 
 
@@ -114,16 +109,13 @@ def build_state(tree: Tree, entries: np.ndarray, labels, oob_rows,
     Pass oob_rows=None to build a leaf-only state (no aggregation arrays),
     which is what prediction with aggregation switched off uses.
     """
-    state = state_from_losses(tree, None, temperature, dirichlet)
     if oob_rows is None:
-        return state
+        return state_from_losses(tree, None, temperature, dirichlet)
     labels = np.asarray(labels, dtype=np.int64 if tree.task == "classification"
                         else np.float64)
-    state.oob_loss = accumulate_oob_losses(
-        tree, state.forecasts, entries, np.asarray(oob_rows), labels, state.loss)
-    state.log_agg_weight = compute_log_agg_weights(tree, state.oob_loss,
-                                                   temperature)
-    return state
+    return state_from_losses(tree, accumulate_oob_losses(
+        tree, node_forecast(tree.stats, tree.task, dirichlet), entries,
+        np.asarray(oob_rows), labels), temperature, dirichlet)
 
 
 def mix_coefficients(state: AggregationState) -> np.ndarray:

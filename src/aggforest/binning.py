@@ -274,26 +274,18 @@ def _fit_categorical(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
     order = np.argsort(-counts, kind="stable")
     ranked = uniques[order]
 
+    # When the modalities outnumber the slots, the sparsest share the last
+    # plain bin, the overflow bin.
     slots = max_bins - 1 if has_missing else max_bins
-    overflow_bin = -1
-    if ranked.size <= slots:
-        mapping = {v if not isinstance(v, np.generic) else v.item(): b
-                   for b, v in enumerate(ranked)}
-        n_plain = ranked.size
-    else:
-        # The sparsest modalities share the last plain bin.
-        overflow_bin = slots - 1
-        mapping = {}
-        for b, v in enumerate(ranked):
-            key = v.item() if isinstance(v, np.generic) else v
-            mapping[key] = min(b, overflow_bin)
-        n_plain = slots
+    n_plain = min(ranked.size, slots)
+    mapping = {v.item() if isinstance(v, np.generic) else v: min(b, n_plain - 1)
+               for b, v in enumerate(ranked)}
     return FeatureBins(
         kind=FeatureKind.CATEGORICAL,
         n_bins=n_plain + int(has_missing),
         categories=mapping,
         has_missing=has_missing,
-        overflow_bin=overflow_bin,
+        overflow_bin=n_plain - 1 if ranked.size > slots else -1,
     )
 
 

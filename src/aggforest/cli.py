@@ -53,8 +53,9 @@ def _tree_count_ladder(max_trees: int) -> list[int]:
     return counts
 
 
-def _load_features_for_model(path: str, forest: Forest):
-    """Read a CSV and return its columns in the model's feature order."""
+def _load_features_for_model(path: str, forest: Forest, target=None):
+    """Read a CSV and return its columns in the model's feature order and
+    its ``target`` cells as raw strings (None without a target)."""
     if forest.feature_names is None:
         raise ValueError(
             "model does not carry feature names; it was not trained from CSV")
@@ -63,6 +64,8 @@ def _load_features_for_model(path: str, forest: Forest):
             header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path} is empty") from None
+    if target in forest.feature_names:
+        raise ValueError(f"target column {target!r} is a feature of the model")
     missing = [n for n in forest.feature_names if n not in header]
     if missing:
         raise ValueError(f"{path} lacks feature columns: {missing}")
@@ -71,13 +74,13 @@ def _load_features_for_model(path: str, forest: Forest):
         if fb.kind is FeatureKind.CATEGORICAL
     }
     schema = DatasetSchema(
-        target=None,
+        target=target,
         categorical=categorical & set(header),
         ignore=set(header) - set(forest.feature_names),
     )
-    columns, names, _, _ = load_csv(path, schema)
+    columns, names, _, y_raw = load_csv(path, schema)
     order = [names.index(n) for n in forest.feature_names]
-    return [columns[j] for j in order]
+    return [columns[j] for j in order], y_raw
 
 
 def _parse_regression_target(raw: np.ndarray) -> np.ndarray:
@@ -131,7 +134,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     forest = load_model(args.model)
-    columns = _load_features_for_model(args.data, forest)
+    columns, _ = _load_features_for_model(args.data, forest)
     if args.proba:
         proba = forest.predict_proba(columns)
         header = [f"proba_{c}" for c in forest.classes_]
@@ -159,30 +162,9 @@ def _encode_labels(y_raw: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _read_target_column(path: str, target: str) -> np.ndarray:
-    """Target cells as raw strings, without touching the feature columns."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        if target not in header:
-            raise ValueError(f"target column {target!r} not in header")
-        j = header.index(target)
-        values = []
-        for r, row in enumerate(reader, start=2):
-            cell = row[j].strip() if j < len(row) else ""
-            if cell == "":
-                raise ValueError(f"row {r}: missing target value")
-            values.append(cell)
-    return np.array(values, dtype=object)
-
-
 def _cmd_evaluate(args) -> int:
     forest = load_model(args.model)
-    columns = _load_features_for_model(args.data, forest)
-    y_raw = _read_target_column(args.data, args.target)
+    columns, y_raw = _load_features_for_model(args.data, forest, args.target)
     n = y_raw.shape[0]
 
     if args.metric == "mse":
@@ -213,6 +195,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.max_leaves <= 16:
+        raise ValueError(f"--max-leaves must be in [1, 16], got {args.max_leaves}")
     worst_identity = 0.0
     for i in range(args.trials):
         task = "classification" if i % 2 == 0 else "regression"
@@ -324,7 +310,8 @@ def _cmd_make_data(args) -> int:
                 for i in range(args.n)]
     else:
         t, clean = signal_grid(args.kind, args.n)
-        values = add_noise(clean, args.snr, seed=args.seed) if args.snr else clean
+        values = (clean if args.snr is None
+                  else add_noise(clean, args.snr, seed=args.seed))
         header = ["t", "y"]
         rows = [[_fmt(t[i]), _fmt(values[i])] for i in range(args.n)]
     write_csv(args.out, header, rows)

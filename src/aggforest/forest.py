@@ -114,11 +114,14 @@ class Forest:
     index: np.ndarray
     class_id: np.ndarray
     oob_loss_mean: np.ndarray
-    temperature_: float
     classes_: np.ndarray | None = None
     y_min_: float = 0.0
     y_max_: float = 0.0
     feature_names: list[str] | None = None
+
+    @property
+    def temperature_(self) -> float:
+        return self.state.temperature
 
     @property
     def n_classes(self) -> int:
@@ -136,7 +139,7 @@ class Forest:
             out.append(FittedTree(
                 int(self.index[t]), int(self.class_id[t]),
                 self.table.take(lo, hi),
-                AggregationState(s.loss, s.temperature, s.dirichlet, *part),
+                AggregationState(s.temperature, *part),
                 float(self.oob_loss_mean[t])))
         return out
 
@@ -200,6 +203,7 @@ class Forest:
 
 
 def _resolve_temperature(config: TrainConfig, y: np.ndarray) -> float:
+    """The configured temperature, else 1, or 1/(8 max|y|^2) for regression."""
     if config.temperature is not None:
         return config.temperature
     if config.task == "classification":
@@ -207,7 +211,14 @@ def _resolve_temperature(config: TrainConfig, y: np.ndarray) -> float:
     bound = float(np.abs(y).max())
     if bound == 0.0:
         return 1.0
-    return 1.0 / (8.0 * bound * bound)
+    # Below about 2.6e-155, 8 max|y|^2 is 0 or its inverse overflows.
+    scale = 8.0 * bound * bound
+    if scale == 0.0 or 1.0 / scale == math.inf:
+        raise ValueError(
+            f"regression targets up to {bound:.3g} in magnitude give no finite "
+            "default temperature 1/(8 max|y|^2); rescale them or set "
+            "temperature")
+    return 1.0 / scale
 
 
 def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
@@ -261,6 +272,8 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     if not _is_int(n_jobs) or n_jobs < 1:
         raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     y = np.asarray(y)
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-d, got shape {y.shape}")
     classes = None
     if config.task == "classification":
         if any(v is None or v != v for v in y.tolist()):
@@ -288,6 +301,9 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     if binned.n_rows != y_enc.shape[0]:
         raise ValueError(
             f"got {binned.n_rows} rows of features but {y_enc.shape[0]} labels")
+    if feature_names is not None and len(feature_names) != binned.n_cols:
+        raise ValueError(f"got {len(feature_names)} feature names for "
+                         f"{binned.n_cols} feature columns")
 
     # Groups of consecutive trees of one class (under one-versus-rest),
     # holding at most about _GROUP_ROWS rows between them.
@@ -329,8 +345,7 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
         config=config, mapper=mapper, table=table, state=state, roots=roots,
         index=np.concatenate([list(r) for _, r in groups]),
         class_id=np.repeat([c for c, _ in groups], [len(r) for _, r in groups]),
-        oob_loss_mean=np.concatenate(means), temperature_=temperature,
-        classes_=classes,
+        oob_loss_mean=np.concatenate(means), classes_=classes,
         feature_names=list(feature_names) if feature_names else None)
     if config.task == "regression":
         forest.y_min_ = float(y_enc.min())

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -130,14 +131,17 @@ def save_model(forest: Forest, path: str) -> None:
                         separators=(",", ":")).encode("utf-8")
     payload = struct.pack("<Q", len(header)) + header + b"".join(blobs)
     digest = hashlib.sha256(payload).digest()
-    out = (MAGIC + struct.pack("<I", FORMAT_VERSION) + digest
-           + struct.pack("<Q", len(payload)) + payload)
+    _write_atomically(path, MAGIC + struct.pack("<I", FORMAT_VERSION) + digest
+                      + struct.pack("<Q", len(payload)) + payload)
 
+
+def _write_atomically(path: str, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(out)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -245,7 +249,7 @@ def _forest_from(meta: dict, body) -> Forest:
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     return Forest(config=config, mapper=mapper, table=table, state=state,
-                  temperature_=temperature, classes_=classes,
+                  classes_=classes,
                   y_min_=meta["y_min"], y_max_=meta["y_max"],
                   feature_names=meta["feature_names"], **per_tree)
 
@@ -377,16 +381,9 @@ def load_csv(path: str, schema: DatasetSchema):
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Write rows atomically with RFC-4180 quoting."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write rows atomically, UTF-8 with RFC-4180 quoting and CRLF endings."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomically(path, text.getvalue().encode("utf-8"))

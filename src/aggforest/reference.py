@@ -15,14 +15,13 @@ import numpy as np
 
 from .aggregation import (
     LOG2,
-    LOG_LOSS,
-    SQUARED_LOSS,
     AggregationState,
     build_state,
     compute_log_agg_weights,
     predict_aggregated_batch,
 )
 from .binning import BinnedMatrix, FeatureKind, fit_bins, transform
+from .forest import TrainConfig, _resolve_temperature
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import SplitConstraints, impurity, xlogy
 from .tree import Tree, grow_tree
@@ -131,7 +130,7 @@ def max_bound_violation(tree: Tree, state: AggregationState,
     if n == 0:
         raise ValueError("no oob rows to evaluate on")
     preds = predict_aggregated_batch(tree, state, entries[oob_rows])
-    if state.loss == LOG_LOSS:
+    if tree.task == "classification":
         y = labels[oob_rows].astype(np.int64)
         lhs = float(-np.log(preds[np.arange(n), y]).mean())
     else:
@@ -327,14 +326,12 @@ def synthetic_state(tree: Tree, rng: np.random.Generator, temperature: float,
     """Random forecasts and per-node oob losses for a synthetic tree."""
     n = tree.n_nodes
     if tree.task == "classification":
-        loss = LOG_LOSS
         forecasts = rng.dirichlet(np.ones(tree.n_classes), size=n)
     else:
-        loss = SQUARED_LOSS
         forecasts = rng.normal(0.0, 3.0, size=n)
     oob_loss = rng.uniform(0.0, max_loss, size=n)
     log_w = compute_log_agg_weights(tree, oob_loss, temperature)
-    return AggregationState(loss, temperature, 0.5, forecasts, oob_loss, log_w)
+    return AggregationState(temperature, forecasts, oob_loss, log_w)
 
 
 def random_grown_instance(seed: int, task: str = "classification",
@@ -356,20 +353,14 @@ def random_grown_instance(seed: int, task: str = "classification",
         if labels.min() == labels.max():
             labels[rng.integers(0, n_rows)] = 1 - labels[0]
         n_classes = 2
-        if temperature is None:
-            temperature = 1.0
     else:
         labels = score + rng.normal(0.0, 0.5, size=n_rows)
         n_classes = 0
-        if temperature is None:
-            bound = float(np.abs(labels).max())
-            temperature = 1.0 / (8.0 * bound * bound) if bound > 0 else 1.0
-
-    from .forest import TrainConfig
 
     config = TrainConfig(task=task, n_trees=1, max_bins=max_bins,
                          max_features=n_features, max_depth=max_depth,
                          temperature=temperature, seed=seed)
+    temperature = _resolve_temperature(config, labels)
     mapper = fit_bins(X, [FeatureKind.CONTINUOUS] * n_features, max_bins)
     binned = transform(X, mapper)
     source = RandomSource(seed).child(0)

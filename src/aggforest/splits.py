@@ -81,28 +81,18 @@ def compute_histogram(rows, weights, features, binned: BinnedMatrix, labels,
     weights = np.asarray(weights, dtype=np.float64)
     features = np.asarray(features)
     y = labels[rows]
-    entries = binned.entries
-    tables = []
+    # One weight per row and channel: a class's weight is 0 on the rows of
+    # the other classes, and adding 0 leaves a sum as it is.
     if n_classes > 0:
-        y = y.astype(np.int64, copy=False)
-        for j in features:
-            b = int(binned.n_bins[j])
-            codes = entries[rows, j].astype(np.int64)
-            flat = np.bincount(codes * n_classes + y, weights=weights,
-                               minlength=b * n_classes)
-            tables.append(flat.reshape(b, n_classes))
+        channels = [weights * (y == k) for k in range(n_classes)]
     else:
         y = y.astype(np.float64, copy=False)
-        wy = weights * y
-        wyy = wy * y
-        for j in features:
-            b = int(binned.n_bins[j])
-            codes = entries[rows, j]
-            table = np.empty((b, 3), dtype=np.float64)
-            table[:, 0] = np.bincount(codes, weights=weights, minlength=b)
-            table[:, 1] = np.bincount(codes, weights=wy, minlength=b)
-            table[:, 2] = np.bincount(codes, weights=wyy, minlength=b)
-            tables.append(table)
+        channels = [weights, weights * y, weights * y * y]
+    tables = []
+    for j in features:
+        b, codes = int(binned.n_bins[j]), binned.entries[rows, j]
+        tables.append(np.stack([np.bincount(codes, weights=c, minlength=b)
+                                for c in channels], axis=1))
     return Histogram(features=features.astype(np.int64), tables=tables)
 
 
@@ -175,31 +165,17 @@ def _impw(stats: np.ndarray, w: np.ndarray, criterion: str) -> np.ndarray:
     return stats[2] - stats[1] * stats[1] / stats[0]
 
 
-class _Candidate:
-    __slots__ = ("gain", "feature", "is_categorical", "threshold",
-                 "missing_left", "mask")
-
-    def __init__(self, gain, feature, is_categorical, threshold=-2,
-                 missing_left=False, mask=None):
-        self.gain = gain
-        self.feature = feature
-        self.is_categorical = is_categorical
-        self.threshold = threshold
-        self.missing_left = missing_left
-        self.mask = mask
-
-
-def _beats(a: _Candidate, b: _Candidate) -> bool:
+def _beats(a: Split, b: Split) -> bool:
     """Deterministic total order: gain, then feature id, then split identity."""
     if a.gain != b.gain:
         return a.gain > b.gain
     if a.feature != b.feature:
         return a.feature < b.feature
     if a.is_categorical:
-        return a.mask.tobytes() < b.mask.tobytes()
-    if a.threshold != b.threshold:
-        return a.threshold < b.threshold
-    return (not a.missing_left) and b.missing_left
+        return a.left_mask.tobytes() < b.left_mask.tobytes()
+    if a.bin_threshold != b.bin_threshold:
+        return a.bin_threshold < b.bin_threshold
+    return (not a.missing_goes_left) and b.missing_goes_left
 
 
 def _scan_order(table, order, oob_left, oob_total, criterion, cons, parent_impw,
@@ -258,7 +234,7 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
     w_total = float(node_stats.sum() if classification else node_stats[0])
     parent_impw = w_total * impurity(node_stats, criterion)
     check_oob = constraints.min_leaf_oob > 0
-    best: _Candidate | None = None
+    best: Split | None = None
 
     def consider(cand):
         nonlocal best
@@ -292,7 +268,7 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
                 if found is not None:
                     pos, gain = found
                     mask = _mask_from_bins(order[:pos + 1], int(binned.n_bins[j]))
-                    consider(_Candidate(gain, j, True, mask=mask))
+                    consider(Split(j, True, -2, False, mask, gain))
         else:
             missing_bin = int(binned.missing_bin[j])
             oob_below = np.cumsum(oob_bins) if check_oob else None
@@ -303,9 +279,7 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
                                 w_total, classification)
             if found is not None:
                 pos, gain = found
-                consider(_Candidate(gain, j, False,
-                                    threshold=int(nonempty[pos]),
-                                    missing_left=False))
+                consider(Split(j, False, int(nonempty[pos]), False, None, gain))
             if missing_bin >= 0 and w_bins[missing_bin] > 0:
                 # Second scan with the missing bin prepended to the left side.
                 plain = nonempty[nonempty != missing_bin]
@@ -323,19 +297,8 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
                     if found is not None:
                         pos, gain = found
                         thr = -1 if pos == 0 else int(order[pos])
-                        consider(_Candidate(gain, j, False, threshold=thr,
-                                            missing_left=True))
-
-    if best is None:
-        return None
-    return Split(
-        feature=best.feature,
-        is_categorical=best.is_categorical,
-        bin_threshold=best.threshold,
-        missing_goes_left=best.missing_left,
-        left_mask=best.mask,
-        gain=best.gain,
-    )
+                        consider(Split(j, False, thr, True, None, gain))
+    return best
 
 
 @dataclass

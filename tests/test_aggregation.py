@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aggforest.aggregation import (
-    LOG_LOSS,
-    SQUARED_LOSS,
     AggregationState,
     accumulate_oob_losses,
     build_state,
@@ -77,7 +75,7 @@ def test_accumulated_losses_match_per_path_recompute():
 def test_no_oob_rows_means_zero_losses():
     tree, state, binned, labels, _ = random_grown_instance(22)
     L = accumulate_oob_losses(tree, state.forecasts, binned.entries,
-                              np.empty(0, dtype=np.int64), labels, LOG_LOSS)
+                              np.empty(0, dtype=np.int64), labels)
     assert (L == 0).all()
 
 
@@ -130,7 +128,7 @@ def test_mix_coefficient_closed_form_and_range():
     tree = complete_tree(1)
     eta, L = 1.3, np.array([0.2, 1.5, 0.1])
     state = AggregationState(
-        LOG_LOSS, eta, 0.5, np.tile([0.5, 0.5], (3, 1)), L,
+        eta, np.tile([0.5, 0.5], (3, 1)), L,
         compute_log_agg_weights(tree, L, eta))
     mix = mix_coefficients(state)
     want = 0.5 * math.exp(-eta * 0.2 - state.log_agg_weight[0])
@@ -142,7 +140,7 @@ def test_depth_one_prediction_closed_form():
     tree = complete_tree(1)
     eta, L = 0.9, np.array([2.0, 0.3, 0.8])
     forecasts = np.array([[0.6, 0.4], [0.9, 0.1], [0.2, 0.8]])
-    state = AggregationState(LOG_LOSS, eta, 0.5, forecasts, L,
+    state = AggregationState(eta, forecasts, L,
                              compute_log_agg_weights(tree, L, eta))
     x = np.array([0])      # left leaf
     a = 0.5 * math.exp(-eta * L[0] - state.log_agg_weight[0])
@@ -155,7 +153,7 @@ def test_zero_losses_blend_halves_along_the_path():
     tree = complete_tree(2, task="regression")
     forecasts = np.arange(tree.n_nodes, dtype=np.float64)
     state = AggregationState(
-        SQUARED_LOSS, 1.0, 0.5, forecasts, np.zeros(tree.n_nodes),
+        1.0, forecasts, np.zeros(tree.n_nodes),
         compute_log_agg_weights(tree, np.zeros(tree.n_nodes), 1.0))
     x = np.array([0])
     path = tree.path(x)
@@ -249,7 +247,7 @@ def test_leaf_only_state_rejects_aggregated_prediction():
 def test_build_state_matches_manual_assembly():
     tree, state, binned, labels, sample = random_grown_instance(64)
     L = accumulate_oob_losses(tree, state.forecasts, binned.entries,
-                              sample.oob_indices, labels, LOG_LOSS)
+                              sample.oob_indices, labels)
     np.testing.assert_allclose(state.oob_loss, L)
     np.testing.assert_allclose(
         state.log_agg_weight,

@@ -9,7 +9,7 @@ from aggforest import forest as forest_module
 from aggforest.aggregation import build_state, node_values, predict_aggregated
 from aggforest.datasets import add_noise, make_toy_classification, signal_grid
 from aggforest.forest import Forest, TrainConfig, fit
-from aggforest.model_io import save_model
+from aggforest.model_io import load_model, save_model
 from aggforest.sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from aggforest.tree import grow_tree
 
@@ -244,6 +244,43 @@ def test_huge_regression_targets_are_refused():
     assert huge < 0.6
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-170])
+def test_tiny_regression_targets_are_refused(tmp_path, scale):
+    # The default temperature 1/(8 max|y|^2) used to be inf at 1e-160,
+    # which gave non-finite predictions and a model load_model refused, and
+    # to raise ZeroDivisionError at 1e-170.
+    t, clean = signal_grid("doppler", 256)
+    y = add_noise(clean, 2.0, seed=4) * scale
+    with pytest.raises(ValueError, match="rescale them or set temperature"):
+        fit([t], y, ["continuous"], TrainConfig(task="regression", n_trees=2))
+    forest = fit([t], y, ["continuous"],
+                 TrainConfig(task="regression", n_trees=2, temperature=1.0))
+    assert forest.temperature_ == 1.0
+    assert np.isfinite(forest.predict([t])).all()
+    save_model(forest, tmp_path / "tiny.agf")
+    assert np.isfinite(load_model(tmp_path / "tiny.agf").predict([t])).all()
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_targets_must_be_one_dimensional(task):
+    # Regression used to fail inside numpy ("operands could not be
+    # broadcast"), classification with "object too deep".
+    X, y = make_toy_classification(40, seed=16)
+    with pytest.raises(ValueError, match="y must be 1-d, got shape"):
+        fit(X, y.reshape(-1, 1), KINDS2, TrainConfig(task=task, n_trees=2))
+
+
+def test_feature_names_must_match_the_columns():
+    # Two columns with one name used to fit a model carrying one name.
+    X, y = make_toy_classification(40, seed=17)
+    for names in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match=f"got {len(names)} feature names "
+                           "for 2 feature columns"):
+            fit(X, y, KINDS2, TrainConfig(n_trees=2), feature_names=names)
+    forest = fit(X, y, KINDS2, TrainConfig(n_trees=2), feature_names=["a", "b"])
+    assert forest.feature_names == ["a", "b"]
+
+
 def test_max_features_one_still_learns():
     forest, X, y = toy_forest(seed=14, max_features=1)
     assert (forest.predict(X) == y).mean() > 0.55
@@ -409,8 +446,7 @@ def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
                 assert got is None, name
             else:
                 assert got.tobytes() == want.tobytes(), name
-        assert (b.state.loss, b.state.temperature) == (state.loss,
-                                                       state.temperature)
+        assert b.state.temperature == state.temperature
         preds = node_values(tree, state)[tree.route(
             binned.entries[sample.oob_indices])]
         y_oob = labels[sample.oob_indices]

@@ -1,15 +1,27 @@
 """Importing the library loads numpy and the standard library only: no
-scipy, and no process-pool machinery until a fit asks for workers."""
+scipy, and no process-pool machinery until a fit asks for workers.  The
+package exports the documented names, and those the benchmark calls."""
 
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+import aggforest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+EXPORTS = [
+    "BinMapper", "DatasetSchema", "FeatureKind", "Forest", "ModelFormatError",
+    "TrainConfig", "add_noise", "donoho_signal", "fit", "fit_bins",
+    "load_csv", "load_model", "log_loss", "make_toy_classification", "mse",
+    "multiclass_auc", "roc_auc", "save_model", "signal_grid", "transform",
+    "__version__"]
 
 PROBE = """
 import json, sys
@@ -38,3 +50,16 @@ def test_import_aggforest_loads_no_scipy_or_pool(loaded_after_import):
 
 def test_import_aggforest_cli_loads_no_scipy_or_pool(loaded_after_import):
     assert loaded_after_import[1] == []
+
+
+def test_package_exports_the_documented_names():
+    assert aggforest.__all__ == EXPORTS
+    assert all(hasattr(aggforest, name) for name in EXPORTS)
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("## Library")[1].split("\n## ")[0]
+    assert [n for n in EXPORTS if f"`{n}`" not in library] == []
+    run_py = (ROOT / "perfbench" / "run.py").read_text()
+    called = set(re.findall(r"\baggforest\.(\w+)\(", run_py))
+    assert called == {"TrainConfig", "fit", "load_model", "save_model",
+                      "transform"}
+    assert called <= set(EXPORTS)

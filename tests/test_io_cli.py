@@ -466,6 +466,16 @@ def test_write_csv_round_trip(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+def test_write_csv_bytes_are_crlf_rfc4180(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(str(path), ["a", "b,c", 'q"uote'],
+              [["1", "x,with comma", ""], [2, 'say "hi"', "line\nbreak"],
+               ["", " pad ", "\u00e9"]])
+    assert path.read_bytes() == (
+        b'a,"b,c","q""uote"\r\n1,"x,with comma",\r\n'
+        b'2,"say ""hi""","line\nbreak"\r\n, pad ,\xc3\xa9\r\n')
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 
@@ -571,6 +581,30 @@ def test_evaluate_rejects_unseen_label(tmp_path, capsys):
     assert "never seen during training" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["x1,x2,label", "0.1,0.2,1", "0.3,0.4, "], "row 3: missing target value"),
+    (["x1,x2,y", "0.1,0.2,1"], "target column 'label' not in header")])
+def test_evaluate_reads_the_target_with_the_features(tmp_path, capsys, lines,
+                                                     message):
+    data = tmp_path / "toy.csv"
+    bad = tmp_path / "bad.csv"
+    model = tmp_path / "model.agf"
+    run_cli(["make-data", "--kind", "toy", "--n", "120", "--out", data])
+    run_cli(["train", "--data", data, "--target", "label",
+             "--n-trees", "1", "--out", model])
+    write_lines(bad, lines)
+    capsys.readouterr()
+
+    assert run_cli(["evaluate", "--model", model, "--data", bad,
+                    "--target", "label", "--metric", "auc"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # A target that is one of the model's features is refused, not dropped
+    # from the features.
+    assert run_cli(["evaluate", "--model", model, "--data", data,
+                    "--target", "x1", "--metric", "auc"]) == 1
+    assert "'x1' is a feature of the model" in capsys.readouterr().err
+
+
 def test_cli_reports_missing_file_as_error(tmp_path, capsys):
     assert run_cli(["train", "--data", tmp_path / "nope.csv",
                     "--target", "y", "--out", tmp_path / "m.agf"]) == 1
@@ -592,6 +626,28 @@ def test_verify_command_passes(capsys):
     assert "aggregation identity" in out
     assert "pruning-competitive bound" in out
     assert "VIOLATED" not in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--trials", "0"], "--trials must be >= 1, got 0"),
+    (["--max-leaves", "0"], "--max-leaves must be in [1, 16], got 0"),
+    (["--max-leaves", "99"], "--max-leaves must be in [1, 16], got 99")])
+def test_verify_refuses_settings_it_cannot_run(capsys, argv, message):
+    # --trials 0 used to print "worst violation -inf (ok)" and exit 0; the
+    # leaf counts failed inside numpy.
+    assert run_cli(["verify", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run_cli(["verify", "--trials", "2", "--max-leaves", "16"]) == 0
+
+
+@pytest.mark.parametrize("snr", ["0", "-1"])
+def test_make_data_refuses_a_snr_that_is_not_positive(tmp_path, capsys, snr):
+    # --snr 0 used to write the clean signal and exit 0.
+    out = tmp_path / "sig.csv"
+    assert run_cli(["make-data", "--kind", "doppler", "--n", "64",
+                    "--snr", snr, "--out", out]) == 1
+    assert f"snr must be positive, got {float(snr)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_trees_writes_ladder_csv(tmp_path, capsys):

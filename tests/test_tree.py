@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aggforest.aggregation import LOG_LOSS, SQUARED_LOSS, accumulate_oob_losses
+from aggforest.aggregation import accumulate_oob_losses
 from aggforest.binning import fit_bins, transform
 from aggforest.forest import TrainConfig, fit
 from aggforest.sampling import (
@@ -467,10 +467,9 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
         root + t.route(binned.entries[s.oob_indices])
         for root, t, s in zip(roots, group, samples)]))
     if config.aggregation:
-        loss = LOG_LOSS if n_classes else SQUARED_LOSS
         want = np.concatenate([accumulate_oob_losses(
             t, node_forecast(t.stats, config.task, config.dirichlet),
-            binned.entries, s.oob_indices, y, loss)
+            binned.entries, s.oob_indices, y)
             for t, s in zip(group, samples)])
         assert oob_loss.tobytes() == want.tobytes()
     else:
