@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 
@@ -19,6 +18,8 @@ from .model_io import (
     ModelFormatError,
     load_csv,
     load_model,
+    parse_csv,
+    read_csv,
     save_model,
     write_csv,
 )
@@ -59,11 +60,7 @@ def _load_features_for_model(path: str, forest: Forest, target=None):
     if forest.feature_names is None:
         raise ValueError(
             "model does not carry feature names; it was not trained from CSV")
-    with open(path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
+    header, rows = read_csv(path)
     if target in forest.feature_names:
         raise ValueError(f"target column {target!r} is a feature of the model")
     missing = [n for n in forest.feature_names if n not in header]
@@ -78,7 +75,7 @@ def _load_features_for_model(path: str, forest: Forest, target=None):
         categorical=categorical & set(header),
         ignore=set(header) - set(forest.feature_names),
     )
-    columns, names, _, y_raw = load_csv(path, schema)
+    columns, names, _, y_raw = parse_csv(path, header, rows, schema)
     order = [names.index(n) for n in forest.feature_names]
     return [columns[j] for j in order], y_raw
 

@@ -14,7 +14,7 @@ from .binning import (BinMapper, BinnedMatrix, check_max_bins, fit_bins,
                       transform)
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
-from .tree import STORED, Tree, grow_trees
+from .tree import STORED, Tree, features_per_node, grow_trees
 
 TASKS = ("classification", "regression")
 MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
@@ -23,10 +23,13 @@ MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
 # prediction to a few arrays of this many entries.
 _BLOCK_PAIRS = 2 ** 16
 
-# Most rows, counted once per tree, of a group of trees grown together:
-# trees per group = max(1, _GROUP_ROWS // rows), which bounds the extra
-# working memory of growing several trees at once.
-_GROUP_ROWS = 2 ** 15
+# Most level entries, one per (row, tree, feature sampled per node), of a
+# group of trees grown together: a group holds at most
+# max(1, _GROUP_ENTRIES // (rows * features per node)) trees.  Each level
+# pass has a fixed cost, so larger groups fit faster, while a level's working
+# memory grows with its entries; 2^18 is about the entries of one tree of
+# 50k rows sampling 4 features.
+_GROUP_ENTRIES = 2 ** 18
 
 
 def _is_int(value) -> bool:
@@ -221,6 +224,16 @@ def _resolve_temperature(config: TrainConfig, y: np.ndarray) -> float:
     return 1.0 / scale
 
 
+def _group_plan(n_trees: int, size: int, n_jobs: int) -> list[range]:
+    """Consecutive trees in groups of near-equal size, larger ones first: as
+    few groups as hold at most ``size`` trees each, and at least
+    min(n_jobs, n_trees), so that every worker has a group."""
+    count = max(-(-n_trees // size), min(n_jobs, n_trees))
+    small, extra = divmod(n_trees, count)
+    bounds = [i * small + min(i, extra) for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
                temperature: float, n_classes: int, class_id: int,
                indices: range):
@@ -236,15 +249,23 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
     else:
         labels, k = y_enc, n_classes
     sources = [source.child(i) for i in indices]
-    samples = [bootstrap(binned.n_rows, s.child(TAG_BOOTSTRAP)) for s in sources]
-    tree, roots, leaf, oob_loss = grow_trees(binned, labels, samples, config,
-                                             sources, n_classes=k)
+    oob = []
+
+    def draw(s: RandomSource):
+        sample = bootstrap(binned.n_rows, s.child(TAG_BOOTSTRAP))
+        oob.append(sample.oob_indices)
+        return sample
+
+    # Growth reads the samples one by one, so only their oob rows are held
+    # while the trees grow.
+    tree, roots, leaf, oob_loss = grow_trees(
+        binned, labels, map(draw, sources), config, sources, n_classes=k)
     state = state_from_losses(tree, oob_loss, temperature, config.dirichlet)
-    rows = np.concatenate([s.oob_indices for s in samples])
+    rows = np.concatenate(oob)
     preds, y_oob = node_values(tree, state)[leaf], labels[rows]
     losses = (-np.log(preds[np.arange(rows.shape[0]), y_oob]) if k
               else (preds - y_oob) ** 2)
-    ends = np.cumsum([s.n_oob for s in samples])
+    ends = np.cumsum([r.shape[0] for r in oob])
     means = [float(part.mean()) for part in np.split(losses, ends[:-1])]
     return tree, roots, state, means
 
@@ -305,14 +326,14 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
         raise ValueError(f"got {len(feature_names)} feature names for "
                          f"{binned.n_cols} feature columns")
 
-    # Groups of consecutive trees of one class (under one-versus-rest),
-    # holding at most about _GROUP_ROWS rows between them.
-    size = max(1, _GROUP_ROWS // binned.n_rows)
+    # Groups of consecutive trees of one class (under one-versus-rest).
+    entries = binned.n_rows * features_per_node(config, binned.n_cols)
+    plan = _group_plan(config.n_trees, max(1, _GROUP_ENTRIES // entries),
+                       n_jobs)
     one_vs_rest = (config.task == "classification"
                    and config.multiclass == "one_vs_rest")
-    groups = [(c, range(lo, min(lo + size, config.n_trees)))
-              for c in (range(n_classes) if one_vs_rest else [-1])
-              for lo in range(0, config.n_trees, size)]
+    groups = [(c, trees) for c in (range(n_classes) if one_vs_rest else [-1])
+              for trees in plan]
 
     if n_jobs == 1 or len(groups) == 1:
         fitted = [_fit_group(binned, y_enc, config, temperature, n_classes, *g)

@@ -316,6 +316,17 @@ def _parse_float(cell: str, row: int, col: str) -> float:
         ) from None
 
 
+def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header row and the data rows of a CSV file, in one read."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path} is empty") from None
+        return header, list(reader)
+
+
 def load_csv(path: str, schema: DatasetSchema):
     """Read a CSV with a header row.
 
@@ -325,13 +336,12 @@ def load_csv(path: str, schema: DatasetSchema):
     back as raw strings (the caller knows the task) and must be present in
     every row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        rows = list(reader)
+    return parse_csv(path, *read_csv(path), schema)
+
+
+def parse_csv(path: str, header: list[str], rows: list[list[str]],
+              schema: DatasetSchema):
+    """``load_csv`` of the file ``path`` that ``read_csv`` has read."""
     if not rows:
         raise ValueError(f"{path} has a header but no data rows")
 

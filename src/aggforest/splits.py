@@ -338,73 +338,105 @@ def level_histogram(binned: BinnedMatrix, features: np.ndarray, rows, node,
     Oob rows are given the same way, or not at all.
 
     Each (itb row, sampled feature) entry has the key pair * n_bins + bin,
-    and the cells, the distinct keys, are numbered in key order.  When there
-    are at most ``_DENSE_KEYS`` possible keys per entry, a table marks the
-    keys present and its running count numbers them, with no sort; an oob
-    key's place among the cells is that count too.  Otherwise one argsort of
-    the keys numbers the runs of equal keys, and the oob keys are sorted and
-    placed by one search of sorted needles.  Either way the bincounts add the
+    and the cells, the distinct keys, are numbered in key order by a table
+    or by a sort (see ``_number_cells``).  Either way the bincounts add the
     entries in their given order, so both give bitwise the same histogram.
+    The numbering's temporaries go before the sums are built, so a level's
+    peak memory is that of numbering its keys.
     """
     # ``transform`` stores entries column-major, so this ravel is a view, not
     # a copy: feature f of row r sits at f * n_rows + r.
     codes = binned.entries.ravel(order="F")
     n_bins = int(binned.n_bins.max())
     n, m = features.shape
-    first_key = np.arange(n * m).reshape(n, m) * n_bins
+    # Keys, cells and their counts fit in 32 bits below 2^31 keys.
+    key_type = np.int32 if n * m * n_bins < 2 ** 31 else np.int64
+    first_key = np.arange(0, n * m * n_bins, n_bins, dtype=key_type)
+    first_key = first_key.reshape(n, m)
     offset = features * binned.n_rows
 
     def keys(r, at):
         return (first_key[at] + codes[offset[at] + r[:, None]]).ravel()
 
-    k = keys(rows, node)
-    n_keys = n * m * n_bins
-    dense = n_keys <= _DENSE_KEYS * k.shape[0]
-    if dense:
-        # A table over every key: a cell's number is the count of present
-        # keys below its own.
-        seen = np.zeros(n_keys, dtype=bool)
-        seen[k] = True
-        rank = np.cumsum(seen, dtype=np.int32 if n_keys < 2 ** 31
-                         else np.int64) - 1
-        cell = rank[k]
-        present = np.flatnonzero(seen)
-    else:
-        order = np.argsort(k)
-        present = k[order]
-        fresh = np.ones(present.shape, dtype=bool)
-        np.not_equal(present[1:], present[:-1], out=fresh[1:])
-        cell = np.empty_like(k)
-        cell[order] = np.cumsum(fresh) - 1
-        present = present[fresh]
-    present = np.append(present, n_keys)
+    cell, present, oob = _number_cells(
+        keys(rows, node), n * m, n_bins,
+        None if oob_rows is None else keys(oob_rows, oob_node))
     size = present.shape[0]
     if m > 1:
         weights, y = np.repeat(weights, m), np.repeat(y, m)
     if n_classes > 0:
-        sums = np.bincount(cell * n_classes + y, weights=weights,
-                           minlength=size * n_classes)
+        # Cells may be 32-bit; their ids per class take 64 bits.
+        sums = np.bincount(np.multiply(cell, n_classes, dtype=np.int64) + y,
+                           weights=weights, minlength=size * n_classes)
         sums = np.ascontiguousarray(sums.reshape(size, n_classes).T)
     else:
+        # Channels w, w y and w y^2, one at a time, and ``bincount`` takes
+        # its ids as intp.
+        cell = cell.astype(np.intp)
+        sums = np.empty((3, size))
+        sums[0] = np.bincount(cell, weights=weights, minlength=size)
         wy = weights * y
-        sums = np.array([np.bincount(cell, weights=v, minlength=size)
-                         for v in (weights, wy, wy * y)])
-    hist = LevelHistogram(n_bins=n_bins, features=features,
-                          pair=present // n_bins, bin=present % n_bins,
-                          sums=sums)
-    if oob_rows is not None:
-        k = keys(oob_rows, oob_node)
-        if dense:
-            # The count of present keys below k, as searchsorted gives it.
-            at = rank[k] + 1 - seen[k]
-        else:
-            k = np.sort(k)
-            at = np.searchsorted(present, k)
-        pair = k // n_bins
-        hist.oob_total = np.bincount(pair, minlength=n * m)
-        hist.oob_exact = np.bincount(at[present[at] == k], minlength=size)
-        hist.oob_upto = np.bincount(at[hist.pair[at] == pair], minlength=size)
-    return hist
+        sums[1] = np.bincount(cell, weights=wy, minlength=size)
+        wy *= y
+        sums[2] = np.bincount(cell, weights=wy, minlength=size)
+    return LevelHistogram(n_bins, features, present // n_bins,
+                          present % n_bins, sums, *oob)
+
+
+def _number_cells(k, n_pairs: int, n_bins: int, oob_key=None):
+    """Number the distinct keys of ``k`` (pair * n_bins + bin) in key order.
+
+    Returns each key's cell, the present keys followed by the padding key
+    n_pairs * n_bins, and the counts ``oob_total``, ``oob_exact`` and
+    ``oob_upto`` of ``LevelHistogram`` for the oob keys, or Nones.  The
+    temporaries of numbering and placing end with this call.
+
+    With at most ``_DENSE_KEYS`` possible keys per key of ``k``, a table
+    over every key counts the present keys below it: a key's cell, and an
+    oob key's place among the cells, with no sort.  Otherwise one argsort
+    of the keys numbers the runs of equal keys, and the oob keys are sorted
+    and placed by one search of sorted needles.
+    """
+    n_keys = n_pairs * n_bins
+    if n_keys <= _DENSE_KEYS * k.shape[0]:
+        below = np.zeros(n_keys + 1, dtype=k.dtype)
+        below[1:][k] = 1
+        np.cumsum(below, out=below)
+        cell = below[k]
+        present = np.empty(below[-1] + 1, dtype=k.dtype)
+        present[cell] = k
+        present[-1] = n_keys
+        at = None if oob_key is None else below[oob_key]
+        del below
+    else:
+        order = np.argsort(k)
+        run = k[order]
+        fresh = np.empty(run.shape, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(run[1:], run[:-1], out=fresh[1:])
+        present = np.empty(np.count_nonzero(fresh) + 1, dtype=k.dtype)
+        np.compress(fresh, run, out=present[:-1])
+        present[-1] = n_keys
+        # Each sorted key's run number.  A cumsum over bools would copy
+        # them to integers first.
+        run[:] = fresh
+        np.cumsum(run, out=run)
+        run -= 1
+        cell = np.empty_like(k)
+        cell[order] = run
+        del order, run
+        if oob_key is not None:
+            oob_key = np.sort(oob_key)
+            at = np.searchsorted(present, oob_key)
+    if oob_key is None:
+        return cell, present, (None, None, None)
+    # The key of the cell at or above each oob key, and their pairs.
+    pair, above = oob_key // n_bins, present[at]
+    size = present.shape[0]
+    return cell, present, (
+        np.bincount(pair, minlength=n_pairs),
+        np.bincount(at[above == oob_key], minlength=size),
+        np.bincount(at[above // n_bins == pair], minlength=size))
 
 
 def _best_prefix(cum, oob_left, oob_total, count, w_total, parent_impw,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -320,6 +321,21 @@ def node_forecast(stats, task: str, dirichlet: float = 0.5):
     raise ValueError(f"unknown task {task!r}")
 
 
+def features_per_node(config, n_features: int) -> int:
+    """How many features each node samples: ``config.max_features``, by
+    default floor(sqrt(d)), at most all d of them."""
+    return min(config.max_features or default_max_features(n_features),
+               n_features)
+
+
+def _oob_losses(forecast, slot, y, classification: bool) -> np.ndarray:
+    """Each node's oob loss: the losses of the forecasts ``forecast`` of
+    the nodes ``slot`` at labels ``y``, added node by node in pair order."""
+    loss = (-np.log(forecast[slot, y]) if classification
+            else (forecast[slot] - y) ** 2)
+    return np.bincount(slot, loss, minlength=forecast.shape[0])
+
+
 def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
               source: RandomSource, *, n_classes: int = 0) -> Tree:
     """Grow one tree: ``grow_trees`` on a group of one."""
@@ -327,10 +343,13 @@ def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
                       n_classes=n_classes)[0]
 
 
-def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
-               config, sources: list[RandomSource], *,
-               n_classes: int = 0):
+def grow_trees(binned: BinnedMatrix, labels,
+               samples: Iterable[BootstrapSample], config,
+               sources: list[RandomSource], *, n_classes: int = 0):
     """Grow one tree per bootstrap sample, all together, level by level.
+
+    ``samples`` is read once, before the first level: given an iterator, a
+    sample's arrays that growth does not keep go as soon as it is read.
 
     All open nodes of one depth, across the trees, are handled together: one
     tally builds their histograms over the bins their rows occupy
@@ -367,7 +386,7 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
     entries = binned.entries
     d = binned.n_cols
     use_oob = bool(config.aggregation)
-    m = min(config.max_features or default_max_features(d), d)
+    m = features_per_node(config, d)
     max_depth = config.max_depth
     eps = config.impurity_threshold
     min_split_w = float(config.min_samples_split)
@@ -380,37 +399,45 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
     # In-bag rows and (oob row, tree) pairs, tree by tree and ascending
     # within each node, and the position of each one's node in its level;
     # -2 and -1 mark in-bag rows of nodes that did not split.  Root t is at t.
-    n_trees = len(samples)
-    itb = [s.itb_indices for s in samples]
-    oob = [s.oob_indices for s in samples]
+    # Oob pairs also keep their index among all pairs.  Each sample is read
+    # once, and only these arrays are kept of it.
+    itb, weights, oob = zip(*[(s.itb_indices, s.weights[s.itb_indices],
+                               s.oob_indices) for s in samples])
+    n_trees = len(itb)
     itb_count, oob_count = (np.array([r.shape[0] for r in part])
                             for part in (itb, oob))
-    rows, oob_rows = np.concatenate(itb), np.concatenate(oob)
+    # Row, pair and node ids take 32 bits when they fit (a tree has fewer
+    # nodes than twice its in-bag rows).
+    index = (np.int32 if binned.n_rows + 2 * itb_count.sum() + oob_count.sum()
+             < 2 ** 31 else np.int64)
     slot, oob_slot = (np.repeat(np.arange(n_trees), count)
                       for count in (itb_count, oob_count))
-    weights = np.concatenate([s.weights[r] for s, r in zip(samples, itb)])
+    # The current level, ordered by tree: the children of split i of the
+    # last level sit at positions 2i (left) and 2i + 1 (right).  A level
+    # keeps its stats, its counts and how many of its nodes each tree owns.
+    stats = np.array([_node_stats(r, w, labels, n_classes)
+                      for r, w in zip(itb, weights)])
+    rows, oob_rows = (np.concatenate(r, dtype=index) for r in (itb, oob))
+    weights = np.concatenate(weights)
+    del itb, oob
+    oob_pair = np.arange(oob_rows.shape[0], dtype=index)
+    leaf = np.empty_like(oob_pair)
     y = labels[rows]
     all_features = np.broadcast_to(np.arange(d), (max(rows.shape[0], 1), d))
-
-    # The current level, ordered by tree: the children of split i of the
-    # last level sit at positions 2i (left) and 2i + 1 (right).
-    stats = np.array([_node_stats(r, s.weights[r], labels, n_classes)
-                      for s, r in zip(samples, itb)])
     owner = np.arange(n_trees)
     levels, splits, losses, first = [], [], [], 0
-    oob_pair, leaf = np.arange(oob_rows.shape[0]), np.empty_like(oob_rows)
     while True:
         n, depth = stats.shape[0], len(levels)
         w_node = stats.sum(axis=1) if classification else stats[:, 0]
         # Oob counts are kept, like oob losses, only with aggregation on.
-        levels.append((stats, itb_count, oob_count * use_oob, owner))
+        levels.append((stats, itb_count.astype(np.int32),
+                       (oob_count * use_oob).astype(np.int32),
+                       np.bincount(owner, minlength=n_trees)))
         leaf[oob_pair] = first + oob_slot
         if use_oob:
-            forecast = node_forecast(stats, config.task, config.dirichlet)
-            y_oob = labels[oob_rows[oob_pair]]
-            loss = (-np.log(forecast[oob_slot, y_oob]) if classification
-                    else (forecast[oob_slot] - y_oob) ** 2)
-            losses.append(np.bincount(oob_slot, loss, minlength=n))
+            losses.append(_oob_losses(
+                node_forecast(stats, config.task, config.dirichlet),
+                oob_slot, labels[oob_rows], classification))
         open_ = w_node >= min_split_w
         if max_depth is not None and depth >= max_depth:
             open_[:] = False
@@ -433,7 +460,8 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
         slot, oob_slot = at[slot], at[oob_slot]
         keep, oob_keep = slot >= 0, oob_slot >= 0
         rows, weights, y, slot = rows[keep], weights[keep], y[keep], slot[keep]
-        oob_slot, oob_pair = oob_slot[oob_keep], oob_pair[oob_keep]
+        oob_rows, oob_slot, oob_pair = (oob_rows[oob_keep], oob_slot[oob_keep],
+                                        oob_pair[oob_keep])
 
         # Histograms and splits of every open node at once.
         if m == d:
@@ -444,23 +472,27 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
                 d, m, sources[t].child(TAG_FEATURES, depth), n_sets=k)
                 for t, k in zip(trees.tolist(), n_open.tolist())])
         hist = level_histogram(binned, features, rows, slot, weights, y,
-                               n_classes, oob_rows[oob_pair] if use_oob
-                               else None, oob_slot)
+                               n_classes, oob_rows if use_oob else None,
+                               oob_slot)
         best = best_splits(hist, binned, criterion, constraints, n_classes)
         n_split = best.node.shape[0]
         if n_split == 0:
             break
-        splits.append((first + cand[best.node], best))
+        # Only categorical splits keep their ``left`` rows, as masks.
+        cat = binned.is_categorical[best.feature]
+        splits.append((first + cand[best.node], best.feature, best.threshold,
+                       best.missing_left, best.gain, best.left[cat]))
 
         # Route every row to its child in one step.
         rank = np.full(cand.size, -1)
         rank[best.node] = np.arange(n_split)
         slot, oob_slot = rank[slot], rank[oob_slot]
         oob_keep = oob_slot >= 0
-        oob_slot, oob_pair = oob_slot[oob_keep], oob_pair[oob_keep]
+        oob_rows, oob_slot, oob_pair = (oob_rows[oob_keep], oob_slot[oob_keep],
+                                        oob_pair[oob_keep])
         slot = 2 * slot + ~best.left[slot, entries[rows, best.feature[slot]]]
         oob_slot = 2 * oob_slot + ~best.left[
-            oob_slot, entries[oob_rows[oob_pair], best.feature[oob_slot]]]
+            oob_slot, entries[oob_rows, best.feature[oob_slot]]]
 
         parent_stats = stats[cand[best.node]]
         stats = np.empty((2 * n_split, stats.shape[1]))
@@ -470,12 +502,15 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
         oob_count = np.bincount(oob_slot, minlength=2 * n_split)
         owner = np.repeat(owner[cand[best.node]], 2)
         first += n
+        # The level's histogram and splits, masks included, go before the
+        # next level's are built.
+        del hist, best
 
     # The stored columns, level by level across the trees, then tree by
     # tree: each tree's nodes stay breadth first, the order ``from_heap``
-    # takes links from.
-    sizes = [lv[0].shape[0] for lv in levels]
-    n_nodes = first + sizes[-1]
+    # takes links from.  The levels go once joined, and columns are
+    # reordered one at a time, so that no column is held three times.
+    n_nodes = first + stats.shape[0]
     cols = dict(feature=np.full(n_nodes, NO_NODE, dtype=np.int32),
                 threshold=np.full(n_nodes, -2, dtype=np.int32),
                 missing_left=np.zeros(n_nodes, dtype=bool),
@@ -483,30 +518,29 @@ def grow_trees(binned: BinnedMatrix, labels, samples: list[BootstrapSample],
     ids = np.zeros(0, dtype=np.int64)
     masks = np.zeros((0, int(binned.n_bins.max())), dtype=bool)
     if splits:
-        ids = np.concatenate([split for split, _ in splits])
-        best = {k: np.concatenate([getattr(b, k) for _, b in splits])
-                for k in ("feature", "threshold", "missing_left", "gain", "left")}
-        for name in ("feature", "threshold", "missing_left", "gain"):
-            cols[name][ids] = best[name]
-        cat = binned.is_categorical[best["feature"]]
-        ids, masks = ids[cat], best["left"][cat]
-    cols.update(
-        itb_count=np.concatenate([lv[1] for lv in levels]).astype(np.int32),
-        oob_count=np.concatenate([lv[2] for lv in levels]).astype(np.int32),
-        stats=np.concatenate([lv[0] for lv in levels]))
+        ids, *found, masks = (np.concatenate(part) for part in zip(*splits))
+        for name, col in zip(("feature", "threshold", "missing_left", "gain"),
+                             found):
+            cols[name][ids] = col
+        ids = ids[binned.is_categorical[found[0]]]
+    cols["stats"], cols["itb_count"], cols["oob_count"], owned = (
+        np.concatenate(part) for part in zip(*levels))
+    n_levels = len(levels)
+    del levels, splits, stats
     if (cols["itb_count"] < 1).any():
         raise RuntimeError("grown tree has a node without itb rows")
     if use_oob and (cols["oob_count"] < 1).any():
         raise RuntimeError("grown tree has a node without oob rows")
 
-    owner = np.concatenate([lv[3] for lv in levels])
+    owner = np.repeat(np.tile(np.arange(n_trees), n_levels), owned)
     order = np.argsort(owner, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(n_nodes)
     per_tree = np.bincount(owner, minlength=n_trees)
     roots = np.cumsum(per_tree) - per_tree
+    for name in cols:
+        cols[name] = cols[name][order]
     tree = Tree.from_heap(config.task, n_classes, binned, roots,
-                          masks[np.argsort(position[ids])],
-                          **{name: col[order] for name, col in cols.items()})
+                          masks[np.argsort(position[ids])], **cols)
     return (tree, roots, position[leaf],
             np.concatenate(losses)[order] if use_oob else None)

@@ -56,7 +56,7 @@ def test_worker_count_does_not_change_the_model(monkeypatch, tmp_path):
     X, y = make_toy_classification(250, seed=4)
     config = TrainConfig(n_trees=5, seed=4)
     # Groups of two trees: three groups, split across the two workers.
-    monkeypatch.setattr(forest_module, "_GROUP_ROWS", 500)
+    monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", 500)
     serial = fit(X, y, KINDS2, config, n_jobs=1)
     parallel = fit(X, y, KINDS2, config, n_jobs=2)
     np.testing.assert_array_equal(serial.predict_proba(X),
@@ -65,6 +65,62 @@ def test_worker_count_does_not_change_the_model(monkeypatch, tmp_path):
     save_model(parallel, tmp_path / "parallel.agf")
     assert ((tmp_path / "serial.agf").read_bytes()
             == (tmp_path / "parallel.agf").read_bytes())
+
+
+@pytest.mark.parametrize("n_trees,size,n_jobs,sizes", [
+    (10, 6, 1, [5, 5]),
+    (10, 6, 2, [5, 5]),
+    (10, 3, 2, [3, 3, 2, 2]),
+    (100, 128, 1, [100]),
+    (100, 128, 2, [50, 50]),
+    (5, 2, 2, [2, 2, 1]),
+    (4, 1, 1, [1, 1, 1, 1]),
+    (3, 10, 8, [1, 1, 1]),
+    (1, 10, 2, [1]),
+])
+def test_group_plan(n_trees, size, n_jobs, sizes):
+    """Consecutive groups of near-equal size, larger first: as few as hold
+    ``size`` trees each, and at least one per worker while trees last."""
+    plan = forest_module._group_plan(n_trees, size, n_jobs)
+    assert [len(g) for g in plan] == sizes
+    assert [t for g in plan for t in g] == list(range(n_trees))
+    assert max(sizes) <= size or len(plan) == min(n_jobs, n_trees)
+
+
+def record_group_sizes(monkeypatch) -> list:
+    """The sizes of the groups of every plan ``fit`` makes from now on."""
+    sizes, plan = [], forest_module._group_plan
+
+    def recording(*args):
+        groups = plan(*args)
+        sizes.append([len(g) for g in groups])
+        return groups
+
+    monkeypatch.setattr(forest_module, "_group_plan", recording)
+    return sizes
+
+
+def test_one_group_splits_across_workers(monkeypatch, tmp_path):
+    X, y = make_toy_classification(250, seed=9)
+    config = TrainConfig(n_trees=5, seed=9)
+    sizes = record_group_sizes(monkeypatch)
+    for n_jobs in (1, 2):
+        save_model(fit(X, y, KINDS2, config, n_jobs=n_jobs),
+                   tmp_path / f"{n_jobs}.agf")
+    # The entries bound holds all five trees, but two workers get a group each.
+    assert sizes == [[5], [3, 2]]
+    assert ((tmp_path / "1.agf").read_bytes()
+            == (tmp_path / "2.agf").read_bytes())
+
+
+def test_groups_are_sized_by_level_entries(monkeypatch):
+    """A group holds _GROUP_ENTRIES // (rows * features per node) trees."""
+    X, y = make_toy_classification(250, seed=9)
+    sizes = record_group_sizes(monkeypatch)
+    monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", 1000)
+    for max_features in (1, 2):
+        fit(X, y, KINDS2, TrainConfig(n_trees=5, max_features=max_features))
+    assert sizes == [[3, 2], [2, 2, 1]]
 
 
 def test_prefix_of_trees_equals_smaller_forest():
@@ -418,7 +474,7 @@ def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
                          aggregation=aggregation, max_features=2, seed=18,
                          **options)
     # Groups of two trees, so the last group of each class holds one.
-    monkeypatch.setattr(forest_module, "_GROUP_ROWS", 400)
+    monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", 800)
     forest = fit(X, y, kinds, config)
     # Fitting routes no tree after growth, so the table carries no router.
     assert forest.table._router is None
@@ -455,3 +511,35 @@ def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
         else:
             losses = (preds - y_oob) ** 2
         assert b.oob_loss_mean == float(losses.mean())
+
+
+@pytest.mark.parametrize("task,n_classes,multiclass,aggregation", [
+    ("classification", 3, "heuristic", True),
+    ("classification", 3, "heuristic", False),
+    ("classification", 3, "one_vs_rest", True),
+    ("classification", 2, "heuristic", True),
+    ("regression", 0, "heuristic", True),
+    ("regression", 0, "heuristic", False),
+])
+def test_group_size_does_not_change_the_model(monkeypatch, tmp_path, task,
+                                              n_classes, multiclass,
+                                              aggregation):
+    """One tree per group and every tree of a class in one group save the
+    same bytes, and the stored masks are those of the categorical splits."""
+    X, y = mixed_data(300, 23, task, n_classes)
+    kinds = ["categorical", "continuous", "continuous"]
+    config = TrainConfig(task=task, n_trees=4, multiclass=multiclass,
+                         aggregation=aggregation, max_features=2, seed=23)
+    saved = []
+    for entries in (1, 2 ** 40):
+        monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", entries)
+        forest = fit(X, y, kinds, config)
+        table = forest.table
+        split = np.flatnonzero(table.feature >= 0)
+        cat = split[table.feature[split] == 0]    # the categorical column
+        assert cat.size > 0
+        assert table.masks.shape[0] == cat.size
+        np.testing.assert_array_equal(np.flatnonzero(table.mask_id >= 0), cat)
+        save_model(forest, tmp_path / f"{entries}.agf")
+        saved.append((tmp_path / f"{entries}.agf").read_bytes())
+    assert saved[0] == saved[1]

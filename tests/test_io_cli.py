@@ -1,5 +1,6 @@
 """Model serialization, CSV handling, and the command-line surface."""
 
+import builtins
 import functools
 import hashlib
 import json
@@ -603,6 +604,30 @@ def test_evaluate_reads_the_target_with_the_features(tmp_path, capsys, lines,
     assert run_cli(["evaluate", "--model", model, "--data", data,
                     "--target", "x1", "--metric", "auc"]) == 1
     assert "'x1' is a feature of the model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["predict", "--out", "preds.csv"],
+    ["evaluate", "--target", "label", "--metric", "auc"]])
+def test_predict_and_evaluate_open_the_data_once(tmp_path, monkeypatch,
+                                                 command):
+    data = tmp_path / "toy.csv"
+    model = tmp_path / "model.agf"
+    run_cli(["make-data", "--kind", "toy", "--n", "120", "--out", data])
+    run_cli(["train", "--data", data, "--target", "label",
+             "--n-trees", "1", "--out", model])
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([command[0], "--model", model, "--data", data]
+                   + command[1:]) == 0
+    assert [f for f in opened if f == str(data)] == [str(data)]
 
 
 def test_cli_reports_missing_file_as_error(tmp_path, capsys):
