@@ -81,11 +81,8 @@ def compute_log_agg_weights(tree: Tree, oob_loss: np.ndarray,
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     neg = -temperature * np.asarray(oob_loss, dtype=np.float64)
     out = neg.copy()
-    node = np.flatnonzero(tree.feature >= 0)
-    depth = tree.depth[node]
-    node = node[np.argsort(depth, kind="stable")]
+    node, ends = tree.levels
     own, lc, rc = neg[node], tree.left_child[node], tree.right_child[node]
-    ends = np.cumsum(np.bincount(depth)).tolist()
     for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
         out[node[lo:hi]] = np.logaddexp(
             own[lo:hi], out[lc[lo:hi]] + out[rc[lo:hi]]) - LOG2
@@ -162,27 +159,25 @@ def node_values(tree: Tree, state: AggregationState) -> np.ndarray:
     For an internal node p with child c, acc(c) = acc(p) + rem(p) mix(p)
     forecast(p) and rem(c) = rem(p) (1 - mix(p)); a node's value is
     acc + rem forecast, the upward fold of ``predict_aggregated`` expanded
-    from the root.  Every root (parent -1) starts a tree, so a stack of
-    trees takes one pass.  Without aggregation arrays the value is the
-    forecast.
+    from the root.  The internal nodes of every tree of a stack go down one
+    depth at a time (``Tree.levels``), so a stack of trees takes one pass.
+    Without aggregation arrays the value is the forecast.
     """
     if state.log_agg_weight is None:
         return state.forecasts
     forecasts = state.forecasts.reshape(tree.n_nodes, -1)
     mix = mix_coefficients(state)
     own, keep = mix[:, None] * forecasts, 1.0 - mix
-    internal = tree.feature >= 0
     children = np.stack([tree.left_child, tree.right_child], axis=1)
     acc = np.zeros_like(forecasts)
     rem = np.ones(tree.n_nodes)
-    nodes = np.flatnonzero(tree.parent < 0)
-    while nodes.size:
-        nodes = nodes[internal[nodes]]
+    node, ends = tree.levels
+    for lo, hi in zip([0] + ends[:-1], ends):
+        nodes = node[lo:hi]
         kids = children[nodes]
         r = rem[nodes]
         acc[kids] = (acc[nodes] + r[:, None] * own[nodes])[:, None]
         rem[kids] = (r * keep[nodes])[:, None]
-        nodes = kids.ravel()
     values = acc + rem[:, None] * forecasts
     if tree.task == "classification":
         s = values.sum(axis=1)

@@ -348,16 +348,25 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
             fitted = list(pool.map(_pool_task, groups))
 
     # One table of all the groups: their stored fields joined, the links
-    # taken from heap order again.  Each node's state depends on its own
-    # subtree only, so the groups' states join as they are.
-    tables, roots, states, means = zip(*fitted)
+    # and sums taken from heap order again, as ``load_model`` takes them.
+    # Each node's state depends on its own subtree only, so the groups'
+    # states join as they are.
+    tables, roots, states, means = (list(part) for part in zip(*fitted))
+    del fitted
     offsets = np.cumsum([0] + [t.n_nodes for t in tables[:-1]])
     roots = np.concatenate([r + o for r, o in zip(roots, offsets)])
-    table = Tree.from_heap(
-        config.task, tables[0].n_classes, binned, roots,
-        np.concatenate([t.masks for t in tables]),
-        **{name: np.concatenate([getattr(t, name) for t in tables])
-           for name in STORED})
+    if len(tables) == 1:
+        table = tables.pop()
+    else:
+        # Each group's table goes as soon as its stored fields are taken.
+        stored = []
+        while tables:
+            stored.append(tables.pop(0).stored())
+        table = Tree.from_heap(
+            config.task, 2 if one_vs_rest else n_classes, binned, roots,
+            **{name: np.concatenate([s[name] for s in stored])
+               for name in STORED})
+        del stored
     state = replace(states[0], **{
         name: None if getattr(states[0], name) is None
         else np.concatenate([getattr(s, name) for s in states])

@@ -15,25 +15,32 @@ manifest order, every array little-endian and C-contiguous.  Everything
 about the encoding is deterministic, so two equal forests serialize to
 identical bytes.
 
-Format version 2 stores the forest as one node table, tree after tree, each
-tree breadth first, with one array per field for the whole forest: per node
-``feature``, ``threshold``, ``missing_left``, ``gain``, ``itb_count``,
-``oob_count``, ``stats`` and, with aggregation on, ``oob_loss``; the
-categorical ``masks``, eight bins to a byte in little-endian bit order; per
-tree ``roots``, ``index``, ``class_id`` and ``oob_loss_mean``; and each
-feature's thresholds.  Load rebuilds the rest: the child links from
-breadth-first order, then parents, depths, mask ids and itb weights, the
-forecasts from the stats, and the log weights from the oob losses and the
-temperature; the trees' bin layout is the mapper's.  Version 1, which
-stored every field tree by tree, is refused.
+Format version 3 stores the forest as one node table, tree after tree, each
+tree breadth first, with one array per field for the whole forest, each
+holding only the nodes its field means something at:
+
+- ``internal``: one bit per node, set at internal nodes, eight to a byte in
+  little-endian bit order;
+- per internal node: ``feature``, ``threshold``, ``missing_left`` and
+  ``gain``, and per categorical split a row of ``masks``, the bins that go
+  left packed like ``internal``;
+- per leaf: ``itb_count``, ``stats`` and, with aggregation on,
+  ``oob_count``; an internal node's are the sums of its children's;
+- per node, with aggregation on: ``oob_loss``, which does not add up;
+- per tree: ``roots``, ``index``, ``class_id`` and ``oob_loss_mean``;
+- each feature's thresholds.
+
+Load rebuilds the rest through ``Tree.from_heap``, as fitting does: the
+child links from breadth-first order, then parents, depths, mask ids and
+the internal nodes' counts and stats, the forecasts from the stats, and the
+log weights from the oob losses and the temperature; the trees' bin layout
+is the mapper's.  Versions 1 and 2, which stored every field at every node,
+are refused.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
-import json
 import math
 import os
 import struct
@@ -45,12 +52,16 @@ import numpy as np
 from .aggregation import state_from_losses
 from .binning import BinMapper, FeatureBins, FeatureKind
 from .forest import Forest, TrainConfig
-from .tree import STORED, Tree
+from .tree import LEAF_FIELDS, SPLIT_FIELDS, STORED, Tree
 
 MAGIC = b"AGFOREST"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _PER_TREE = ("roots", "index", "class_id", "oob_loss_mean")
+
+# Arrays that load scatters into new columns; it keeps copies of the others,
+# not views of the file's bytes.
+_SCATTERED = ("internal",) + SPLIT_FIELDS + LEAF_FIELDS
 
 
 class ModelFormatError(ValueError):
@@ -79,6 +90,9 @@ def _encode_categories(cats: dict) -> tuple[str, list]:
 
 def save_model(forest: Forest, path: str) -> None:
     """Write the forest atomically (temp file + rename)."""
+    import hashlib
+    import json
+
     meta: dict = {
         "config": vars(forest.config).copy(),
         "temperature": forest.temperature_,
@@ -119,10 +133,12 @@ def save_model(forest: Forest, path: str) -> None:
         put(f"f{i}.thresholds",
             fb.thresholds if fb.thresholds is not None else np.empty(0))
 
-    table = forest.table
+    stored = forest.table.stored()
+    stored["internal"] = np.packbits(stored["internal"], bitorder="little")
+    if not forest.config.aggregation:
+        stored["oob_count"] = None
     for name in STORED:
-        put(name, getattr(table, name))
-    put("masks", np.packbits(table.masks, axis=1, bitorder="little"))
+        put(name, stored[name])
     put("oob_loss", forest.state.oob_loss)
     for name in _PER_TREE:
         put(name, getattr(forest, name))
@@ -150,6 +166,9 @@ def _write_atomically(path: str, data: bytes) -> None:
 
 
 def load_model(path: str) -> Forest:
+    import hashlib
+    import json
+
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 52 or raw[:8] != MAGIC:
@@ -189,7 +208,8 @@ def _forest_from(meta: dict, body) -> Forest:
         dt = np.dtype(dtype)
         count = math.prod(shape)
         arr = np.frombuffer(body, dtype=dt, count=count, offset=offset)
-        arrays[name] = arr.reshape(shape).copy()
+        arrays[name] = (arr.reshape(shape) if name in _SCATTERED
+                        else arr.reshape(shape).copy())
         offset += count * dt.itemsize
 
     config = TrainConfig(**meta["config"])
@@ -224,22 +244,26 @@ def _forest_from(meta: dict, body) -> Forest:
     one_vs_rest = (config.task == "classification"
                    and config.multiclass == "one_vs_rest")
     n_classes = 0 if classes is None else classes.shape[0]
-    packed = arrays["masks"]
-    widest = max((fb.n_bins for fb in features
-                  if fb.kind is FeatureKind.CATEGORICAL), default=0)
     try:
-        if 8 * packed.shape[1] < widest:
-            raise ValueError("masks are narrower than the widest categorical "
-                             "feature")
-        masks = np.unpackbits(packed, axis=1, bitorder="little",
-                              count=int(mapper.n_bins_per_feature().max()))
-        table = Tree.from_heap(config.task, 2 if one_vs_rest else n_classes,
-                               mapper.table, arrays["roots"], masks.view(bool),
-                               **{name: arrays[name] for name in STORED})
+        if any((arrays[name] is None) == config.aggregation
+               for name in ("oob_count", "oob_loss")):
+            raise ValueError("oob_count and oob_loss are stored exactly when "
+                             "aggregation is on")
+        n = arrays["feature"].shape[0] + arrays["itb_count"].shape[0]
+        if arrays["internal"].shape != ((n + 7) // 8,):
+            raise ValueError(f"internal is not one bit per node of {n}")
+        internal = np.unpackbits(arrays["internal"], count=n,
+                                 bitorder="little").view(bool)
         per_tree = {name: arrays[name] for name in _PER_TREE}
-        _check(table, arrays["oob_loss"], config,
-               n_classes if one_vs_rest else 0, **per_tree)
+        # Sums and forecasts of tampered numbers may overflow; the checks
+        # refuse what is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
+            table = Tree.from_heap(
+                config.task, 2 if one_vs_rest else n_classes, mapper.table,
+                arrays["roots"], internal, arrays["masks"],
+                **{name: arrays[name] for name in SPLIT_FIELDS + LEAF_FIELDS})
+            _check(table, arrays["oob_loss"], config,
+                   n_classes if one_vs_rest else 0, **per_tree)
             state = state_from_losses(table, arrays["oob_loss"], temperature,
                                       config.dirichlet)
         if not all(np.isfinite(a).all() for a in (
@@ -276,8 +300,6 @@ def _check(table: Tree, oob_loss, config: TrainConfig, ovr_classes: int,
     if not (good and np.isfinite(stats).all()):
         raise ValueError("stats are not finite and >= 0 with a positive "
                          "total at every node")
-    if (oob_loss is None) == config.aggregation:
-        raise ValueError("oob_loss is stored exactly when aggregation is on")
     if oob_loss is not None:
         if (table.oob_count < 1).any():
             raise ValueError("oob_count is not >= 1 at every node of a "
@@ -318,6 +340,8 @@ def _parse_float(cell: str, row: int, col: str) -> float:
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     """The header row and the data rows of a CSV file, in one read."""
+    import csv
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -392,6 +416,8 @@ def parse_csv(path: str, header: list[str], rows: list[list[str]],
 
 def write_csv(path: str, header: list[str], rows) -> None:
     """Write rows atomically, UTF-8 with RFC-4180 quoting and CRLF endings."""
+    import csv
+
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(header)

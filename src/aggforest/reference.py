@@ -246,31 +246,38 @@ def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
 
     ``node(lo, hi, depth, arg)`` returns the stats of the node owning bins
     [lo, hi) and either None (a leaf) or (threshold, gain, left arg, right
-    arg); the left child owns bins [lo, threshold].
+    arg); the left child owns bins [lo, threshold].  Only the leaves' stats
+    are kept: an internal node's are its children's sums.
     """
-    cols: dict[str, list] = {"feature": [], "threshold": [], "gain": [],
-                             "stats": []}
+    internal: list[bool] = []
+    cols: dict[str, list] = {"threshold": [], "gain": [], "stats": []}
     queue = [(0, n_bins, 0, root_arg)]
     for lo, hi, depth, arg in queue:    # the loop visits what it appends
         stats, split = node(lo, hi, depth, arg)
-        t, gain, left_arg, right_arg = split or (-2, np.nan, None, None)
-        for k, v in zip(cols, (-1 if split is None else 0, t, gain, stats)):
-            cols[k].append(v)
-        if split is not None:
-            queue += [(lo, t + 1, depth + 1, left_arg),
-                      (t + 1, hi, depth + 1, right_arg)]
-    n = len(queue)
+        internal.append(split is not None)
+        if split is None:
+            cols["stats"].append(stats)
+            continue
+        t, gain, left_arg, right_arg = split
+        cols["threshold"].append(t)
+        cols["gain"].append(gain)
+        queue += [(lo, t + 1, depth + 1, left_arg),
+                  (t + 1, hi, depth + 1, right_arg)]
+    k, leaves = sum(internal), len(cols["stats"])
     layout = BinnedMatrix(np.zeros((0, 1), dtype=np.uint8), np.array([n_bins]),
                           np.array([FeatureKind.CONTINUOUS], dtype=object),
                           np.array([-1]))
     return Tree.from_heap(
         task, n_classes if task == "classification" else 0, layout,
-        np.zeros(1, dtype=np.int64), np.zeros((0, n_bins), dtype=bool),
-        feature=np.asarray(cols["feature"], dtype=np.int32),
+        np.zeros(1, dtype=np.int64), np.array(internal),
+        np.zeros((0, (n_bins + 7) // 8), dtype=np.uint8),
+        feature=np.zeros(k, dtype=np.int32),
         threshold=np.asarray(cols["threshold"], dtype=np.int32),
-        missing_left=np.zeros(n, dtype=bool), gain=np.asarray(cols["gain"]),
-        itb_count=np.ones(n, dtype=np.int32),
-        oob_count=np.ones(n, dtype=np.int32), stats=np.vstack(cols["stats"]))
+        missing_left=np.zeros(k, dtype=bool),
+        gain=np.asarray(cols["gain"], dtype=np.float64),
+        itb_count=np.ones(leaves, dtype=np.int32),
+        oob_count=np.ones(leaves, dtype=np.int32),
+        stats=np.vstack(cols["stats"]))
 
 
 def synthetic_tree(rng: np.random.Generator, n_leaves: int,

@@ -155,12 +155,22 @@ def xlogy(x, y) -> np.ndarray:
         return np.where(x == 0, 0.0, x * np.log(y))
 
 
+def _channel_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum of two or more channel rows, added in order, which is what
+    ``rows.sum(axis=0)`` gives (numpy reduces a leading axis a row at a
+    time) without the reduction's overhead."""
+    out = rows[0] + rows[1]
+    for r in rows[2:]:
+        out += r
+    return out
+
+
 def _impw(stats: np.ndarray, w: np.ndarray, criterion: str) -> np.ndarray:
     """Weight-scaled impurity (w * mean impurity), channels on the first axis."""
     if criterion == "gini":
-        return w - (stats * stats).sum(axis=0) / w
+        return w - _channel_sum(stats * stats) / w
     if criterion == "entropy":
-        return xlogy(w, w) - xlogy(stats, stats).sum(axis=0)
+        return xlogy(w, w) - _channel_sum(xlogy(stats, stats))
     # variance: channels are (w, sum, sum of squares)
     return stats[2] - stats[1] * stats[1] / stats[0]
 
@@ -452,7 +462,7 @@ def _best_prefix(cum, oob_left, oob_total, count, w_total, parent_impw,
     has positive gain.  Padding may divide by zero, so callers silence
     numpy's floating-point warnings.
     """
-    wl = cum.sum(axis=0) if classification else cum[0]
+    wl = _channel_sum(cum) if classification else cum[0]
     wr = w_total[:, None] - wl
     valid = ((np.arange(cum.shape[2]) < count[:, None] - 1)
              & (wl >= cons.min_leaf_weight) & (wr >= cons.min_leaf_weight))
@@ -463,9 +473,10 @@ def _best_prefix(cum, oob_left, oob_total, count, w_total, parent_impw,
     impw_r = _impw(cum[:, :, -1:] - cum, wr, criterion)
     gains = np.where(valid, (parent_impw[:, None] - impw_l - impw_r)
                      / w_total[:, None], -np.inf)
-    gain = gains.max(axis=1)
+    pos = np.argmax(gains, axis=1)
+    gain = gains[np.arange(pos.shape[0]), pos]
     gain[gain <= 0.0] = -np.inf
-    return np.argmax(gains, axis=1), gain
+    return pos, gain
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -525,8 +536,8 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
     compete in the same order: gain, then the lowest feature, then the
     lowest threshold with missing values right before left, then the
     smallest categorical mask.  The arithmetic follows ``find_best_split``
-    step for step, so equal tables give equal gains to the last bit (with
-    fewer than eight classes numpy adds the channels in order either way).
+    step for step, so equal tables give equal gains to the last bit (both
+    add the channels in order, ``_channel_sum``, for any class count).
     Pairs are scanned in blocks of one feature kind, widest first, and each
     block is padded to its first pair's width with cells of zero sums.  A
     block holds at most ``_BLOCK_CELLS`` padded cells and at most
@@ -626,7 +637,7 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
             # class beyond binary) or by mean; padding sorts last.  Oob rows
             # in bins without itb rows stay right.
             exact = hist.oob_exact[idx] if check_oob else None
-            w_bins = tables.sum(axis=0) if classification else tables[0]
+            w_bins = _channel_sum(tables) if classification else tables[0]
             for channel in (range(n_classes) if n_classes > 2 else (1,)):
                 prop = np.where(cols < cnt[:, None], tables[channel] / w_bins,
                                 np.inf)

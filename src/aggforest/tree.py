@@ -68,8 +68,7 @@ class Router:
                                      byte | bit, byte & ~bit)
         # Categorical: the packed mask, the missing bin included.
         cat = np.flatnonzero(tree.mask_id[node] >= 0)
-        packed = np.packbits(tree.masks[:, :width], axis=1, bitorder="little")
-        bits[cat, :packed.shape[1]] = packed[tree.mask_id[node[cat]]]
+        bits[cat] = tree.masks[tree.mask_id[node[cat]]]
         return cls(feature, bits, child, node, link)
 
     def step(self, at, codes):
@@ -87,7 +86,10 @@ class Tree:
     Children always sit at larger indexes than their parent (a tree's root
     first), so a single reverse pass visits children before parents.
     Categorical split masks live in the shared ``masks`` pool, indexed by
-    ``mask_id``; ``threshold`` is meaningful only for continuous splits.
+    ``mask_id``, each a row of ``np.packbits(left_bins, bitorder="little")``
+    as wide as the widest feature needs; ``threshold`` is meaningful only
+    for continuous splits.  An internal node's stats and counts are the
+    sums of its children's.
 
     Routing reads none of these split fields at a step.  On its first route
     a tree builds its ``Router``: one packed bitset of the bins that go left
@@ -116,6 +118,8 @@ class Tree:
     feature_missing_bin: np.ndarray
     _router: Router | None = field(default=None, init=False, repr=False,
                                    compare=False)
+    _levels: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -145,7 +149,8 @@ class Tree:
         mid = int(self.mask_id[index])
         mask = None
         if mid >= 0:
-            mask = self.masks[mid, : int(self.feature_n_bins[j])].copy()
+            mask = np.unpackbits(self.masks[mid], count=int(
+                self.feature_n_bins[j]), bitorder="little").astype(bool)
         return Split(
             feature=j,
             is_categorical=mid >= 0,
@@ -154,6 +159,25 @@ class Tree:
             left_mask=mask,
             gain=float(self.gain[index]),
         )
+
+    @property
+    def levels(self) -> tuple[np.ndarray, list[int]]:
+        """The internal nodes by depth, shallowest first and in node order
+        within a depth, and where each depth's run ends."""
+        if self._levels is None:
+            self._levels = _by_depth(self.depth, self.feature >= 0)
+        return self._levels
+
+    def stored(self) -> dict[str, np.ndarray]:
+        """What ``from_heap`` rebuilds the table from, besides the roots:
+        which nodes are ``internal``, the split fields and masks of the
+        internal nodes and the counts and stats of the leaves, each in node
+        order."""
+        internal = self.feature >= 0
+        out = {name: getattr(self, name)[internal] for name in SPLIT_FIELDS}
+        out.update((name, getattr(self, name)[~internal])
+                   for name in LEAF_FIELDS)
+        return dict(out, internal=internal, masks=self.masks)
 
     @property
     def router(self) -> Router:
@@ -209,30 +233,30 @@ class Tree:
 
     @classmethod
     def from_heap(cls, task: str, n_classes: int, layout, roots: np.ndarray,
-                  masks: np.ndarray, **stored) -> Tree:
-        """A stack of trees from its ``STORED`` fields, ``masks`` and each
-        tree's first node; the other fields follow from these.
+                  internal: np.ndarray, masks: np.ndarray, *, feature,
+                  threshold, missing_left, gain, itb_count, stats,
+                  oob_count=None) -> Tree:
+        """A stack of trees from what ``stored`` gives and each tree's first
+        node; the other fields follow from these.
 
         A tree's nodes fill one block from its root, breadth first as
         ``grow_trees`` numbers them, so the k-th internal node of a tree has
-        its children at 2k + 1 and 2k + 2 of its block.  Mask ids number the
-        splits on the categorical features of ``layout`` (a ``BinnedMatrix``
-        or a ``BinTable``) in node order.  Raise ValueError unless every tree
-        has 2I + 1 nodes for I internal ones, each child after its parent,
-        which keeps routing from a root inside its tree, and unless features
-        and masks fit the layout.
+        its children at 2k + 1 and 2k + 2 of its block.  The split fields
+        hold one row per internal node and the counts and stats one per leaf
+        (``oob_count`` None: zeros), in node order.  An internal node's
+        counts and stats are its children's sums, added one depth at a time,
+        deepest first.  Mask ids number the splits on the categorical
+        features of ``layout`` (a ``BinnedMatrix`` or a ``BinTable``) in node
+        order.  Raise ValueError unless every tree has 2I + 1 nodes for I
+        internal ones, each child after its parent, which keeps routing from
+        a root inside its tree, unless the fields hold a row per node of
+        their kind, and unless features and masks fit the layout.
         """
-        feature = stored["feature"]
-        n = feature.shape[0]
-        if any(col.shape[0] != n for col in stored.values()):
-            raise ValueError(f"the stored fields do not all hold {n} nodes")
+        n = internal.shape[0]
         sizes = np.diff(roots, append=n)
         if roots.size == 0 or roots[0] != 0 or (sizes < 1).any():
             raise ValueError("roots do not start at node 0 and rise within "
                              "the nodes")
-        if feature.max() >= layout.n_bins.shape[0]:
-            raise ValueError("feature index out of range")
-        internal = feature >= 0
         node = np.flatnonzero(internal)
         n_internal = np.add.reduceat(internal, roots, dtype=np.int64)
         if (2 * n_internal + 1 != sizes).any():
@@ -245,34 +269,109 @@ class Tree:
         left = 2 * np.arange(node.shape[0]) + 1 + np.repeat(shift, n_internal)
         if (left <= node).any():
             raise ValueError("a child sits at or before its parent")
+        split = dict(feature=feature, threshold=threshold,
+                     missing_left=missing_left, gain=gain)
+        per_leaf = dict(itb_count=itb_count, oob_count=oob_count, stats=stats)
+        for fields, rows, kind in ((split, node.shape[0], "internal node"),
+                                   (per_leaf, n - node.shape[0], "leaf")):
+            for name, col in fields.items():
+                if col is not None and col.shape[:1] != (rows,):
+                    raise ValueError(f"{name} does not hold one row per {kind}")
+        if stats.ndim != 2:
+            raise ValueError("stats are not one row of numbers per leaf")
+        if node.size and not ((feature >= 0)
+                              & (feature < layout.n_bins.shape[0])).all():
+            raise ValueError("feature index out of range")
         cols = {name: np.full(n, NO_NODE, dtype=np.int32)
                 for name in ("left_child", "right_child", "parent", "mask_id")}
         cols["left_child"][node], cols["right_child"][node] = left, left + 1
         cols["parent"][left], cols["parent"][left + 1] = node, node
+        for name, fill, dtype in (("feature", NO_NODE, np.int32),
+                                  ("threshold", -2, np.int32),
+                                  ("missing_left", False, bool),
+                                  ("gain", np.nan, np.float64)):
+            cols[name] = np.full(n, fill, dtype=dtype)
+            cols[name][node] = split[name]
         # Level d + 1 of a tree starts at the left child of its first
         # internal node at or after the start of level d; depth counts the
         # level starts up to a node, tree by tree.
         rank = np.concatenate([[0], np.cumsum(internal)])
-        start, step = roots, np.zeros(n + 1, dtype=np.int32)
+        ends = roots + sizes
+        start, step, starts = roots, np.zeros(n + 1, dtype=np.int32), [roots]
         while True:
             start = 2 * rank[start] + 1 + shift
-            live = start < roots + sizes
+            live = start < ends
             if not live.any():
                 break
             step[start[live]] += 1
+            starts.append(np.minimum(start, ends))
         step[roots[1:]] -= np.add.reduceat(step[:n], roots)[:-1]
         depth = np.cumsum(step[:n], dtype=np.int32)
+        # Level d of a tree holds its internal nodes of ranks first[d] up to
+        # first[d + 1], and its last level none: these runs, laid end to end
+        # depth by depth, give the internal nodes shallowest first.
+        first = rank[np.array(starts)]
+        count = np.diff(first, axis=0)
+        runs = count.ravel()
+        ranks = (np.repeat(first[:-1].ravel() - np.cumsum(runs) + runs, runs)
+                 + np.arange(node.shape[0]))
+        order, ends = node[ranks], np.cumsum(count.sum(axis=1)).tolist()
+        # Each internal node's stats and counts are its children's sums,
+        # one depth at a time, deepest first; bootstrap counts and class
+        # weights add exactly.  Counts add in 32 bits, where a sum of two
+        # counts >= 0 that overflows turns negative.
+        leaf = np.flatnonzero(~internal)
+        sums = np.empty((n, stats.shape[1]))
+        _rows(sums)[leaf] = _rows(np.ascontiguousarray(stats, np.float64))
+        counts = np.zeros((n, 2), dtype=np.int32)
+        counts[leaf, 0] = itb_count
+        if oob_count is not None:
+            counts[leaf, 1] = oob_count
+        kids = left[ranks]
+        for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
+            at, to = kids[lo:hi], order[lo:hi]
+            at1 = at + 1
+            for a in (sums, counts):
+                _rows(a)[to] = _rows(np.take(a, at, axis=0)
+                                     + np.take(a, at1, axis=0))
+        if (counts < 0).any():
+            raise ValueError("counts are negative or overflow 32 bits")
+        # The counts stay columns of one array.
+        cols["stats"], cols["itb_count"], cols["oob_count"] = (
+            sums, counts[:, 0], counts[:, 1])
         categorical = np.array([k is FeatureKind.CATEGORICAL
                                 for k in layout.kinds], dtype=bool)
-        cat = node[categorical[feature[node]]]
+        cat = node[categorical[cols["feature"][node]]]
         if masks.shape[0] != cat.shape[0]:
             raise ValueError(f"{masks.shape[0]} masks for {cat.shape[0]} "
                              "categorical splits")
+        need = (int(layout.n_bins.max()) + 7) // 8
+        if masks.ndim != 2 or masks.shape[1] != need:
+            raise ValueError(
+                f"masks are {masks.shape[-1]} bytes wide, narrower or wider "
+                f"than the {need} of the widest feature's bins")
         cols["mask_id"][cat] = np.arange(cat.shape[0])
-        return cls(task=task, n_classes=n_classes, masks=masks,
+        tree = cls(task=task, n_classes=n_classes, masks=masks,
                    feature_n_bins=layout.n_bins.copy(),
                    feature_missing_bin=layout.missing_bin.copy(), depth=depth,
-                   **cols, **stored)
+                   **cols)
+        tree._levels = order, ends
+        return tree
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous 2-d array as single items of a void type,
+    which numpy gathers and scatters whole, much faster than rows of
+    numbers."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))
+
+
+def _by_depth(depth: np.ndarray, internal: np.ndarray):
+    """``Tree.levels`` from each node's depth and whether it is internal."""
+    node = np.flatnonzero(internal)
+    at = depth[node]
+    return (node[np.argsort(at, kind="stable")],
+            np.cumsum(np.bincount(at)).tolist())
 
 
 # Tree fields with one entry per node; the rest describe the whole tree.
@@ -280,9 +379,12 @@ _PER_NODE = ("feature", "threshold", "missing_left", "mask_id", "left_child",
              "right_child", "parent", "depth", "gain", "itb_count",
              "oob_count", "stats")
 
-# The per-node fields that ``Tree.from_heap`` derives the others from.
-STORED = ("feature", "threshold", "missing_left", "gain", "itb_count",
-          "oob_count", "stats")
+# The fields ``Tree.from_heap`` derives the others from: the split of each
+# internal node, and the counts and stats of each leaf, whose sums give an
+# internal node's.  ``Tree.stored`` gives these, ``internal`` and ``masks``.
+SPLIT_FIELDS = ("feature", "threshold", "missing_left", "gain")
+LEAF_FIELDS = ("itb_count", "oob_count", "stats")
+STORED = ("internal",) + SPLIT_FIELDS + ("masks",) + LEAF_FIELDS
 
 
 def _resolve_criterion(config) -> str:
@@ -328,12 +430,32 @@ def features_per_node(config, n_features: int) -> int:
                n_features)
 
 
-def _oob_losses(forecast, slot, y, classification: bool) -> np.ndarray:
-    """Each node's oob loss: the losses of the forecasts ``forecast`` of
-    the nodes ``slot`` at labels ``y``, added node by node in pair order."""
-    loss = (-np.log(forecast[slot, y]) if classification
-            else (forecast[slot] - y) ** 2)
-    return np.bincount(slot, loss, minlength=forecast.shape[0])
+def _oob_losses(forecast, up, start, leaf, y) -> np.ndarray:
+    """Each node's oob loss, nodes in level order (level d holds nodes
+    ``start[d]`` up to ``start[d + 1]``): the losses of its ``forecast`` at
+    the labels ``y`` of the (oob row, tree) pairs whose leaf ``leaf`` lies
+    below it, added in pair order as ``accumulate_oob_losses`` adds them.
+    One step per level, deepest first, moves the pairs at that level to
+    their parents, ``up``."""
+    depth = np.searchsorted(start, leaf, side="right") - 1
+    out = np.empty(start[-1])
+    at = leaf.astype(np.intp)
+    for d in range(len(start) - 2, -1, -1):
+        pairs = np.flatnonzero(depth >= d)
+        node = at[pairs]
+        if forecast.ndim == 2:
+            loss = np.log(forecast[node, y[pairs]])
+            np.negative(loss, out=loss)
+        else:
+            loss = forecast[node]
+            loss -= y[pairs]
+            loss *= loss
+        if d:
+            at[pairs] = up[node]
+        node -= start[d]
+        out[start[d]:start[d + 1]] = np.bincount(
+            node, loss, minlength=start[d + 1] - start[d])
+    return out
 
 
 def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
@@ -368,11 +490,12 @@ def grow_trees(binned: BinnedMatrix, labels,
     weights are constrained, matching a plain random forest.
 
     Every (oob row, tree) pair goes down to its leaf; with aggregation on,
-    one ``bincount`` per level adds up each node's oob loss, in the order of
-    ``accumulate_oob_losses``.  Returns the trees as one ``Tree``, tree by
-    tree, each tree's root, the leaf of each pair, tree by tree in oob index
-    order, and each node's oob loss or None.  Labels must be encoded class
-    ids when n_classes > 0, float targets otherwise.
+    each node's oob loss then adds up the losses of the forecast that its
+    stats in the finished table give (see ``_oob_losses``).  Returns the
+    trees as one ``Tree``, tree by tree, each tree's root, the leaf of each
+    pair, tree by tree in oob index order, and each node's oob loss or
+    None.  Labels must be encoded class ids when n_classes > 0, float
+    targets otherwise.
     """
     classification = n_classes > 0
     if classification != (config.task == "classification"):
@@ -422,22 +545,16 @@ def grow_trees(binned: BinnedMatrix, labels,
     del itb, oob
     oob_pair = np.arange(oob_rows.shape[0], dtype=index)
     leaf = np.empty_like(oob_pair)
-    y = labels[rows]
+    y, y_oob = labels[rows], labels[oob_rows] if use_oob else None
     all_features = np.broadcast_to(np.arange(d), (max(rows.shape[0], 1), d))
     owner = np.arange(n_trees)
-    levels, splits, losses, first = [], [], [], 0
+    # Per level: which nodes split, how many nodes each tree owns, and the
+    # leaves' stats and counts; per split, its fields and categorical mask.
+    levels, splits, first = [], [], 0
     while True:
         n, depth = stats.shape[0], len(levels)
         w_node = stats.sum(axis=1) if classification else stats[:, 0]
-        # Oob counts are kept, like oob losses, only with aggregation on.
-        levels.append((stats, itb_count.astype(np.int32),
-                       (oob_count * use_oob).astype(np.int32),
-                       np.bincount(owner, minlength=n_trees)))
         leaf[oob_pair] = first + oob_slot
-        if use_oob:
-            losses.append(_oob_losses(
-                node_forecast(stats, config.task, config.dirichlet),
-                oob_slot, labels[oob_rows], classification))
         open_ = w_node >= min_split_w
         if max_depth is not None and depth >= max_depth:
             open_[:] = False
@@ -452,6 +569,8 @@ def grow_trees(binned: BinnedMatrix, labels,
         open_ &= impurity(stats, criterion) > eps
         cand = np.flatnonzero(open_)
         if cand.size == 0:
+            levels.append(_level(stats, itb_count, oob_count * use_oob,
+                                 owner, np.zeros(n, dtype=bool), n_trees))
             break
         # Keep the rows of open nodes, numbered by their node's position
         # among the open ones.
@@ -476,12 +595,17 @@ def grow_trees(binned: BinnedMatrix, labels,
                                oob_slot)
         best = best_splits(hist, binned, criterion, constraints, n_classes)
         n_split = best.node.shape[0]
+        split = np.zeros(n, dtype=bool)
+        split[cand[best.node]] = True
+        levels.append(_level(stats, itb_count, oob_count * use_oob, owner,
+                             split, n_trees))
         if n_split == 0:
             break
-        # Only categorical splits keep their ``left`` rows, as masks.
+        # Only categorical splits keep their ``left`` rows, packed, as masks.
         cat = binned.is_categorical[best.feature]
-        splits.append((first + cand[best.node], best.feature, best.threshold,
-                       best.missing_left, best.gain, best.left[cat]))
+        splits.append((best.feature, best.threshold, best.missing_left,
+                       best.gain, np.packbits(best.left[cat], axis=1,
+                                              bitorder="little")))
 
         # Route every row to its child in one step.
         rank = np.full(cand.size, -1)
@@ -506,41 +630,58 @@ def grow_trees(binned: BinnedMatrix, labels,
         # next level's are built.
         del hist, best
 
-    # The stored columns, level by level across the trees, then tree by
-    # tree: each tree's nodes stay breadth first, the order ``from_heap``
-    # takes links from.  The levels go once joined, and columns are
-    # reordered one at a time, so that no column is held three times.
-    n_nodes = first + stats.shape[0]
-    cols = dict(feature=np.full(n_nodes, NO_NODE, dtype=np.int32),
-                threshold=np.full(n_nodes, -2, dtype=np.int32),
-                missing_left=np.zeros(n_nodes, dtype=bool),
-                gain=np.full(n_nodes, np.nan))
-    ids = np.zeros(0, dtype=np.int64)
-    masks = np.zeros((0, int(binned.n_bins.max())), dtype=bool)
-    if splits:
-        ids, *found, masks = (np.concatenate(part) for part in zip(*splits))
-        for name, col in zip(("feature", "threshold", "missing_left", "gain"),
-                             found):
-            cols[name][ids] = col
-        ids = ids[binned.is_categorical[found[0]]]
-    cols["stats"], cols["itb_count"], cols["oob_count"], owned = (
-        np.concatenate(part) for part in zip(*levels))
-    n_levels = len(levels)
-    del levels, splits, stats
-    if (cols["itb_count"] < 1).any():
-        raise RuntimeError("grown tree has a node without itb rows")
-    if use_oob and (cols["oob_count"] < 1).any():
-        raise RuntimeError("grown tree has a node without oob rows")
-
-    owner = np.repeat(np.tile(np.arange(n_trees), n_levels), owned)
+    # The stored rows of each kind, level by level across the trees, are
+    # taken tree by tree: each tree's nodes stay breadth first, the order
+    # ``from_heap`` takes links from.
+    split, owned, *leaf_cols = (np.concatenate(part) for part in zip(*levels))
+    n_nodes = split.shape[0]
+    del levels, stats
+    owner = np.repeat(np.tile(np.arange(n_trees), len(owned) // n_trees),
+                      owned)
     order = np.argsort(owner, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(n_nodes)
     per_tree = np.bincount(owner, minlength=n_trees)
     roots = np.cumsum(per_tree) - per_tree
-    for name in cols:
-        cols[name] = cols[name][order]
-    tree = Tree.from_heap(config.task, n_classes, binned, roots,
-                          masks[np.argsort(position[ids])], **cols)
-    return (tree, roots, position[leaf],
-            np.concatenate(losses)[order] if use_oob else None)
+    internal = split[order]
+    fields = [np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32),
+              np.zeros(0, dtype=bool), np.zeros(0),
+              np.zeros((0, (int(binned.n_bins.max()) + 7) // 8), np.uint8)]
+    if splits:
+        fields = [np.concatenate(part) for part in zip(*splits)]
+    del splits
+    # The rows of each kind are in level order, so a node's row counts the
+    # nodes of its kind before it.
+    row = (np.cumsum(split) - 1)[order[internal]]
+    is_cat = binned.is_categorical[fields[0]]
+    masks = fields.pop()[(np.cumsum(is_cat) - 1)[row[is_cat[row]]]]
+    stored = {name: col[row] for name, col in zip(SPLIT_FIELDS, fields)}
+    row = (np.cumsum(~split) - 1)[order[~internal]]
+    stored.update((name, col[row]) for name, col in zip(
+        ("itb_count", "oob_count", "stats"), leaf_cols))
+    if (stored["itb_count"] < 1).any():
+        raise RuntimeError("grown tree has a node without itb rows")
+    if use_oob and (stored["oob_count"] < 1).any():
+        raise RuntimeError("grown tree has a node without oob rows")
+    tree = Tree.from_heap(config.task, n_classes, binned, roots, internal,
+                          masks, **stored)
+    del stored, fields, leaf_cols, masks, row, split, owner, internal
+    oob_loss = None
+    if use_oob:
+        # The losses of the table's forecasts, taken level by level.
+        start = np.concatenate([[0], np.cumsum(
+            owned.reshape(-1, n_trees).sum(axis=1))])
+        forecast = node_forecast(tree.stats, config.task, config.dirichlet)
+        oob_loss = _oob_losses(np.take(forecast, position, axis=0),
+                               order[tree.parent[position]], start, leaf,
+                               y_oob)[order]
+    return tree, roots, position[leaf], oob_loss
+
+
+def _level(stats, itb_count, oob_count, owner, split, n_trees):
+    """What growth keeps of a level: which nodes split, how many nodes each
+    tree owns, and the counts and stats of the leaves."""
+    leaf = ~split
+    return (split, np.bincount(owner, minlength=n_trees),
+            itb_count[leaf].astype(np.int32), oob_count[leaf].astype(np.int32),
+            stats[leaf])

@@ -1,5 +1,6 @@
 """Importing the library loads numpy and the standard library only: no
-scipy, and no process-pool machinery until a fit asks for workers.  The
+scipy, no process-pool machinery until a fit asks for workers, and no
+json, hashlib or csv until a model or CSV file is read or written.  The
 package exports the documented names, and those the benchmark calls."""
 
 import json
@@ -24,15 +25,17 @@ EXPORTS = [
     "__version__"]
 
 PROBE = """
-import json, sys
+import sys
 def heavy():
     return sorted(m for m in sys.modules
                   if m == "scipy" or m.startswith("scipy.")
                   or m in ("multiprocessing", "concurrent.futures.process"))
 import aggforest
 after_package = heavy()
+model_file = sorted(m for m in ("csv", "hashlib", "json") if m in sys.modules)
 import aggforest.cli
-print(json.dumps([after_package, heavy()]))
+import json
+print(json.dumps([after_package, heavy(), model_file]))
 """
 
 
@@ -50,6 +53,12 @@ def test_import_aggforest_loads_no_scipy_or_pool(loaded_after_import):
 
 def test_import_aggforest_cli_loads_no_scipy_or_pool(loaded_after_import):
     assert loaded_after_import[1] == []
+
+
+def test_import_aggforest_leaves_model_file_modules_unloaded(
+        loaded_after_import):
+    # model_io imports these where a model or CSV file is read or written.
+    assert loaded_after_import[2] == []
 
 
 def test_package_exports_the_documented_names():

@@ -107,6 +107,71 @@ def test_aggregation_off_round_trip(tmp_path):
     assert np.array_equal(back.predict_proba(cols), forest.predict_proba(cols))
 
 
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_loaded_table_and_state_are_the_fitted_ones(tmp_path, task):
+    """Fit and load derive the table from the same stored rows through
+    ``Tree.from_heap``, so the internal nodes' sums, the forecasts and the
+    log weights, and with them the predictions, are the same bits."""
+    cols, y = (small_regression() if task == "regression"
+               else small_classification())
+    forest = fit(cols, y, KINDS2, TrainConfig(task=task, n_trees=3, seed=11))
+    path = tmp_path / "m.agf"
+    save_model(forest, str(path))
+    back = load_model(str(path))
+
+    for name in ("stats", "itb_count", "oob_count", "depth", "parent",
+                 "feature", "threshold", "gain"):
+        a, b = getattr(back.table, name), getattr(forest.table, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("forecasts", "oob_loss", "log_agg_weight"):
+        assert (getattr(back.state, name).tobytes()
+                == getattr(forest.state, name).tobytes()), name
+    if task == "regression":
+        assert np.array_equal(back.predict(cols), forest.predict(cols))
+    else:
+        assert np.array_equal(back.predict_proba(cols),
+                              forest.predict_proba(cols))
+
+
+def saved_header(raw):
+    (hlen,) = struct.unpack_from("<Q", raw, 52)
+    return json.loads(raw[60:60 + hlen].decode("utf-8"))
+
+
+@pytest.mark.parametrize("aggregation", [True, False])
+def test_manifest_holds_each_field_for_its_kind_of_node(tmp_path,
+                                                       aggregation):
+    rng = np.random.default_rng(13)
+    color = rng.choice(np.array(list("abcdef"), dtype=object), size=200)
+    x = rng.normal(size=200)
+    y = (np.isin(color, ["a", "b"]) ^ (x > 0.5)).astype(np.int64)
+    forest = fit([color, x], y, ["categorical", "continuous"],
+                 TrainConfig(n_trees=3, aggregation=aggregation, seed=13))
+    path = tmp_path / "m.agf"
+    save_model(forest, str(path))
+    shapes = {name: shape for name, _, shape
+              in saved_header(path.read_bytes())["arrays"]}
+
+    table = forest.table
+    n = table.n_nodes
+    n_internal = int((table.feature >= 0).sum())
+    assert 0 < n_internal < n - n_internal
+    assert shapes["internal"] == [(n + 7) // 8]
+    for name in ("feature", "threshold", "missing_left", "gain"):
+        assert shapes[name] == [n_internal], name
+    assert shapes["masks"] == [int((table.mask_id >= 0).sum()),
+                               (int(table.feature_n_bins.max()) + 7) // 8]
+    assert shapes["masks"][0] > 0
+    assert shapes["itb_count"] == [n - n_internal]
+    assert shapes["stats"] == [n - n_internal, 2]
+    if aggregation:
+        assert shapes["oob_count"] == [n - n_internal]
+        assert shapes["oob_loss"] == [n]
+    else:
+        assert shapes["oob_count"] is None and shapes["oob_loss"] is None
+
+
 # ---------------------------------------------------------------------------
 # file format corruption
 
@@ -201,16 +266,23 @@ def narrow_masks(meta, arrays):
     arrays["masks"] = arrays["masks"][:, :0].copy()
 
 
+def toggle_internal(arrays, nodes):
+    """Flip the internal bit of each of ``nodes``."""
+    for v in nodes:
+        arrays["internal"][v >> 3] ^= 1 << (v & 7)
+
+
 def one_more_internal_node(meta, arrays):
-    feature = arrays["feature"]
-    feature[np.flatnonzero(feature < 0)[0]] = 0
+    internal = np.unpackbits(arrays["internal"], bitorder="little")
+    toggle_internal(arrays, [np.flatnonzero(internal == 0)[0]])
 
 
 def child_before_parent(meta, arrays):
     # The root becomes a leaf and the last leaf a split, so the count of
     # internal nodes holds but the first split's left child is itself or
     # an earlier node.
-    arrays["feature"][[0, -1]] = [-1, 0]
+    n = arrays["feature"].shape[0] + arrays["itb_count"].shape[0]
+    toggle_internal(arrays, [0, n - 1])
 
 
 def overflowing_log_weight(meta, arrays):
@@ -262,6 +334,51 @@ def test_format_version_one_is_refused(tmp_path):
     struct.pack_into("<I", body, 8, 1)
     path.write_bytes(bytes(body))
     with pytest.raises(ModelFormatError, match="version 1,"):
+        load_model(str(path))
+
+
+def test_format_version_two_is_refused(tmp_path):
+    path, raw = saved_model_bytes(tmp_path)
+    body = bytearray(raw)
+    struct.pack_into("<I", body, 8, 2)
+    path.write_bytes(bytes(body))
+    with pytest.raises(ModelFormatError, match="version 2, expected 3"):
+        load_model(str(path))
+
+
+def resize_rows(name, rows):
+    """Drop the last row of an array (rows -1), or repeat it (rows 1)."""
+    def edit(meta, arrays):
+        a = arrays[name]
+        arrays[name] = a[:-1].copy() if rows < 0 else np.concatenate(
+            [a, a[-1:]])
+    return edit
+
+
+def set_last_leaves(name, value):
+    """Set the last two leaves of the last tree, which are siblings."""
+    def edit(meta, arrays):
+        arrays[name][-2:] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (resize_rows("threshold", 1), "threshold does not hold one row per "
+     "internal node"),
+    (resize_rows("missing_left", -1), "missing_left does not hold one row "
+     "per internal node"),
+    (resize_rows("stats", -1), "stats does not hold one row per leaf"),
+    (resize_rows("oob_count", 1), "oob_count does not hold one row per leaf"),
+    (set_last_leaves("stats", 1e308), "stats are not finite"),
+    (set_last_leaves("itb_count", 2 ** 31 - 1), "overflow 32 bits"),
+    (set_last_leaves("oob_count", 2 ** 31 - 1), "overflow 32 bits"),
+], ids=["threshold-row-more", "missing_left-row-less", "stats-row-less",
+        "oob_count-row-more", "stats-sum-overflows", "itb_count-sum-overflows",
+        "oob_count-sum-overflows"])
+def test_tampered_node_rows_are_refused(tmp_path, edit, message):
+    path, _ = saved_model_bytes(tmp_path)
+    rewrite_model(path, edit)
+    with pytest.raises(ModelFormatError, match=message):
         load_model(str(path))
 
 
@@ -358,8 +475,11 @@ def test_mutated_model_is_refused_or_predicts_finite(tmp_path_factory, data):
     path.write_bytes(raw)
 
     def edit(meta, arrays):
-        key = data.draw(st.sampled_from(sorted(
-            k for k, a in arrays.items() if a is not None and a.size)))
+        keys = sorted(k for k, a in arrays.items() if a is not None and a.size)
+        # The node bits, both kinds' rows and the masks are all drawn.
+        assert {"internal", "feature", "gain", "masks", "itb_count",
+                "oob_count", "stats", "oob_loss"} <= set(keys)
+        key = data.draw(st.sampled_from(keys))
         arr = arrays[key].reshape(-1)
         arr[data.draw(st.integers(0, arr.size - 1))] = data.draw(
             st.sampled_from(NASTY[arr.dtype.kind]))

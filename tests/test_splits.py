@@ -252,7 +252,7 @@ def assert_splits_equal(a, b):
 
 
 @pytest.mark.parametrize("n_classes,criterion", [
-    (2, "gini"), (3, "entropy"), (3, "gini"), (0, "variance")])
+    (2, "gini"), (3, "entropy"), (3, "gini"), (0, "variance"), (9, "gini")])
 @pytest.mark.parametrize("oob", [False, True])
 def test_best_splits_do_not_depend_on_block_cuts(monkeypatch, n_classes,
                                                  criterion, oob):
@@ -291,6 +291,17 @@ def test_best_splits_do_not_depend_on_block_cuts(monkeypatch, n_classes,
                       else "threshold")
                      for t, left in zip(want.threshold, want.missing_left))
     assert kinds == {"categorical", "missing left", "threshold"}
+
+
+@pytest.mark.parametrize("channels", [2, 3, 9])
+def test_channel_sum_equals_the_leading_axis_reduction(channels):
+    """Rows added in order give ``.sum(axis=0)`` bit for bit, so the scans
+    keep the gains, and the models, of the reduction they replace."""
+    rng = np.random.default_rng(channels)
+    rows = rng.random((channels, 7, 33)) * 10.0 ** rng.integers(
+        -8, 8, size=(channels, 7, 33))
+    for a in (rows, np.cumsum(rows, axis=2), rows.transpose(0, 2, 1)):
+        assert splits._channel_sum(a).tobytes() == a.sum(axis=0).tobytes()
 
 
 def test_scan_blocks_pad_at_most_the_slack(monkeypatch):
