@@ -153,18 +153,17 @@ def predict_aggregated(tree: Tree, state: AggregationState, x,
     return (f, visits) if count_visits else f
 
 
-def node_values(tree: Tree, state: AggregationState) -> np.ndarray:
-    """The prediction of every node's region, one top-down pass per depth.
+def descend(tree: Tree, state: AggregationState):
+    """Every node's ``acc`` and ``rem``, one top-down pass per depth.
 
     For an internal node p with child c, acc(c) = acc(p) + rem(p) mix(p)
-    forecast(p) and rem(c) = rem(p) (1 - mix(p)); a node's value is
-    acc + rem forecast, the upward fold of ``predict_aggregated`` expanded
-    from the root.  The internal nodes of every tree of a stack go down one
-    depth at a time (``Tree.levels``), so a stack of trees takes one pass.
-    Without aggregation arrays the value is the forecast.
+    forecast(p) and rem(c) = rem(p) (1 - mix(p)), from acc = 0 and rem = 1
+    at a root.  rem(c) is the weight the aggregate passes down to c's
+    subtree, the posterior mass of the prunings that keep c; acc(c) is the
+    weighted forecast of c's ancestors.  The internal nodes of every tree of
+    a stack go down one depth at a time (``Tree.levels``), so a stack of
+    trees takes one pass.  Needs aggregation arrays.
     """
-    if state.log_agg_weight is None:
-        return state.forecasts
     forecasts = state.forecasts.reshape(tree.n_nodes, -1)
     mix = mix_coefficients(state)
     own, keep = mix[:, None] * forecasts, 1.0 - mix
@@ -178,7 +177,20 @@ def node_values(tree: Tree, state: AggregationState) -> np.ndarray:
         r = rem[nodes]
         acc[kids] = (acc[nodes] + r[:, None] * own[nodes])[:, None]
         rem[kids] = (r * keep[nodes])[:, None]
-    values = acc + rem[:, None] * forecasts
+    return acc, rem
+
+
+def node_values(tree: Tree, state: AggregationState,
+                descended: tuple | None = None) -> np.ndarray:
+    """The prediction of every node's region: acc + rem forecast, the upward
+    fold of ``predict_aggregated`` expanded from the root, from ``descend``
+    (or its result, when the caller has it as ``descended``).  Without
+    aggregation arrays the value is the forecast.
+    """
+    if state.log_agg_weight is None:
+        return state.forecasts
+    acc, rem = descend(tree, state) if descended is None else descended
+    values = acc + rem[:, None] * state.forecasts.reshape(tree.n_nodes, -1)
     if tree.task == "classification":
         s = values.sum(axis=1)
         bad = np.abs(s - 1.0) > 1e-12

@@ -239,6 +239,9 @@ def _binary_or_ovr_auc(forest: Forest, columns, y: np.ndarray,
 
 
 def _cmd_bench_trees(args) -> int:
+    if not 0 < args.test_fraction < 1:
+        raise ValueError("--test-fraction must be in (0, 1), got "
+                         f"{args.test_fraction}")
     schema = DatasetSchema(target=args.target,
                            categorical=set(_split_list(args.categorical)))
     columns, names, kinds, y_raw = load_csv(args.data, schema)
@@ -247,6 +250,9 @@ def _cmd_bench_trees(args) -> int:
     rng = np.random.default_rng(args.seed)
     perm = rng.permutation(n)
     n_test = max(1, int(round(args.test_fraction * n)))
+    if n_test >= n:
+        raise ValueError(f"--test-fraction {args.test_fraction} leaves no "
+                         f"training row of {n}")
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     cols_train = [c[train_idx] for c in columns]
     cols_test = [c[test_idx] for c in columns]

@@ -56,6 +56,8 @@ def signal_grid(name: str, n: int):
     The half-offset keeps t strictly inside (0, 1), away from the endpoint
     behavior of doppler.  Returns (t, values).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     t = (np.arange(n) + 0.5) / n
     return t, donoho_signal(name, t)
 
@@ -63,8 +65,11 @@ def signal_grid(name: str, n: int):
 def add_noise(values, snr: float, seed: int = 0) -> np.ndarray:
     """Add white Gaussian noise scaled so sd(signal) / sd(noise) = snr."""
     values = np.asarray(values, dtype=np.float64)
-    if snr <= 0:
+    # NaN fails every comparison, so the check asks for the good case.
+    if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
+    if snr == float("inf"):
+        raise ValueError("snr must be finite, got inf")
     sd = float(values.std())
     if sd == 0.0:
         raise ValueError("signal is constant; snr is undefined")

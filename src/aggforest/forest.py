@@ -9,12 +9,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .aggregation import AggregationState, node_values, state_from_losses
+from .aggregation import (AggregationState, descend, node_values,
+                          state_from_losses)
 from .binning import (BinMapper, BinnedMatrix, check_max_bins, fit_bins,
                       transform)
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
-from .tree import STORED, Tree, features_per_node, grow_trees
+from .tree import (LEAF_FIELDS, SPLIT_FIELDS, STORED, Tree, features_per_node,
+                   grow_trees)
 
 TASKS = ("classification", "regression")
 MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
@@ -30,6 +32,11 @@ _BLOCK_PAIRS = 2 ** 16
 # memory grows with its entries; 2^18 is about the entries of one tree of
 # 50k rows sampling 4 features.
 _GROUP_ENTRIES = 2 ** 18
+
+# A subtree to which the aggregate passes less weight than this (rem in
+# ``aggregation.descend``) is cut from its tree.  Each cut moves its tree's
+# predictions by at most the weight it removes times the forecast range.
+CUT_WEIGHT = 1e-13
 
 
 def _is_int(value) -> bool:
@@ -240,8 +247,10 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
     """Grow the trees ``indices`` together.  Growth scores the oob rows as
     it routes them: it gives the leaf of every (oob row, tree) pair and,
     with aggregation on, every node's oob loss, from which the log weights
-    follow; nothing routes those rows again.  Returns the group's table,
-    its roots, its state and each tree's mean oob loss."""
+    follow; nothing routes those rows again.  With aggregation on, the
+    subtrees the aggregate weighs below CUT_WEIGHT are then cut (``_cut``).
+    Returns the group's table, its roots, its state and each tree's mean
+    oob loss, all of the cut trees."""
     source = RandomSource(config.seed)
     if class_id >= 0:
         labels, k = (y_enc == class_id).astype(np.int64), 2
@@ -261,13 +270,55 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
     tree, roots, leaf, oob_loss = grow_trees(
         binned, labels, map(draw, sources), config, sources, n_classes=k)
     state = state_from_losses(tree, oob_loss, temperature, config.dirichlet)
+    descended = None
+    if oob_loss is not None:
+        descended = descend(tree, state)
+        cut = _cut(tree, roots, state, leaf, descended[1], binned,
+                   config.dirichlet)
+        if cut is not None:
+            (tree, roots, state, leaf), descended = cut, None
     rows = np.concatenate(oob)
-    preds, y_oob = node_values(tree, state)[leaf], labels[rows]
+    preds, y_oob = node_values(tree, state, descended)[leaf], labels[rows]
     losses = (-np.log(preds[np.arange(rows.shape[0]), y_oob]) if k
               else (preds - y_oob) ** 2)
     ends = np.cumsum([r.shape[0] for r in oob])
     means = [float(part.mean()) for part in np.split(losses, ends[:-1])]
     return tree, roots, state, means
+
+
+def _cut(tree: Tree, roots: np.ndarray, state: AggregationState,
+         leaf: np.ndarray, rem: np.ndarray, layout, dirichlet: float):
+    """The trees without the subtrees that the aggregate weighs below
+    CUT_WEIGHT, or None when there are none.
+
+    A node with rem < CUT_WEIGHT under a parent with rem >= CUT_WEIGHT
+    becomes a leaf, and its descendants go.  The kept nodes, in their
+    order, are still breadth first, and they keep their stats, counts and
+    oob losses; the log weights follow from those.  Returns the cut table,
+    its roots, its state and the leaf of each (oob row, tree) pair, which
+    moves up to its nearest kept ancestor.
+    """
+    kept = (tree.parent < 0) | (rem[tree.parent] >= CUT_WEIGHT)
+    if kept.all():
+        return None
+    node = np.flatnonzero(kept)
+    internal = (tree.feature[node] >= 0) & (rem[node] >= CUT_WEIGHT)
+    inner, outer = node[internal], node[~internal]
+    mask_id = tree.mask_id[inner]
+    renumber = np.cumsum(kept) - 1
+    roots = renumber[roots]
+    cut = Tree.from_heap(
+        tree.task, tree.n_classes, layout, roots, internal,
+        tree.masks[mask_id[mask_id >= 0]],
+        **{name: getattr(tree, name)[inner] for name in SPLIT_FIELDS},
+        **{name: getattr(tree, name)[outer] for name in LEAF_FIELDS})
+    up = np.flatnonzero(~kept[leaf])
+    while up.size:
+        leaf[up] = tree.parent[leaf[up]]
+        up = up[~kept[leaf[up]]]
+    state = state_from_losses(cut, state.oob_loss[node], state.temperature,
+                              dirichlet)
+    return cut, roots, state, renumber[leaf]
 
 
 _POOL_PAYLOAD = None

@@ -1,8 +1,13 @@
-"""Shared helpers: split-search fixtures and the acceptance report."""
+"""Shared helpers: split-search fixtures, the linear pruning-bound check and
+the acceptance report."""
+
+import math
 
 import numpy as np
 from hypothesis import settings
 
+from aggforest import forest as forest_module
+from aggforest.aggregation import descend
 from aggforest.binning import BinnedMatrix, FeatureKind
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -53,6 +58,42 @@ def random_reg_table(rng, n_bins):
         v = rng.normal(size=3)
         table[0] = [3.0, v.sum(), (v * v).sum()]
     return table
+
+
+def bound_violation(table, state, roots, lhs) -> np.ndarray:
+    """Each tree's worst violation of the pruning-competitive bound, in one
+    pass per depth instead of an enumeration of the prunings.
+
+    The bound's right side, minimised over prunings, adds up over nodes:
+    best(v) = L_v / n at a leaf and min(L_v / n + a, a + best(l) + best(r))
+    at an internal node, with L_v the node's oob loss,
+    a = (log 2 / temperature) / (n + 1) and n the root's oob count.  The
+    worst violation is the tree's mean aggregated oob loss ``lhs`` minus
+    best(root); it is at most numerical noise when the bound holds.
+    """
+    n = np.repeat(table.oob_count[roots].astype(np.float64),
+                  np.diff(roots, append=table.n_nodes))
+    a = math.log(2.0) / state.temperature / (n + 1.0)
+    best = state.oob_loss / n
+    node, ends = table.levels
+    for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
+        v = node[lo:hi]
+        best[v] = np.minimum(best[v] + a[v], a[v] + best[table.left_child[v]]
+                             + best[table.right_child[v]])
+    return np.asarray(lhs) - best[roots]
+
+
+def cut_weight(uncut) -> float:
+    """The weight (rem) that an uncut forest's aggregate passes to the nodes
+    a cut at ``forest.CUT_WEIGHT`` turns into leaves, summed over the trees
+    and divided by their number.  Each cut moves its tree's predictions by
+    at most the weight it removes times the forecast range, so a forest
+    whose prediction is the mean over its trees moves by at most this
+    times the forecast range."""
+    table, eps = uncut.table, forest_module.CUT_WEIGHT
+    rem = descend(table, uncut.state)[1]
+    cut = ((table.parent < 0) | (rem[table.parent] >= eps)) & (rem < eps)
+    return float(rem[cut & (table.feature >= 0)].sum()) / uncut.roots.shape[0]
 
 
 def pytest_terminal_summary(terminalreporter):

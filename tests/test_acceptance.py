@@ -9,8 +9,9 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from conftest import layout, random_class_table
+from conftest import bound_violation, cut_weight, layout, random_class_table
 
+from aggforest import forest as forest_module
 from aggforest.aggregation import predict_aggregated
 from aggforest.cli import main
 from aggforest.datasets import add_noise, make_toy_classification, signal_grid
@@ -93,6 +94,45 @@ def test_aggregated_oob_loss_is_pruning_competitive():
                 worst = max(worst, max_bound_violation(
                     tree, state, binned.entries, labels, sample.oob_indices))
         assert worst <= 1e-9, f"worst violation {worst:.3e}"
+
+
+def test_pruning_bound_holds_on_every_cut_tree(monkeypatch):
+    """Full-size forests whose trees lose the subtrees that the aggregate
+    weighs below CUT_WEIGHT, in the benchmark's ``wide`` setting and in
+    its ``signals`` setting at temperature 10: the bound holds on every
+    tree, checked in linear time, and predictions move by at most the
+    removed weight times the forecast range (1 for probabilities), within
+    1e-12 of the largest prediction."""
+    with budget(60):
+        rng = np.random.default_rng(17)
+        n, d = 50_000, 20
+        X = rng.standard_normal((n, d))
+        y = (X @ rng.standard_normal(d) > 0).astype(np.int64)
+        y = np.where(rng.random(n) < 0.1, 1 - y, y)
+        t, clean = signal_grid("doppler", 2048)
+        noisy = add_noise(clean, 0.5, seed=7)
+        for cols, target, config, scale in (
+                (list(X.T), y, TrainConfig(n_trees=4, seed=7), 1.0),
+                ([t], noisy, TrainConfig(task="regression", n_trees=100,
+                                         temperature=10.0, seed=7),
+                 np.ptp(noisy))):
+            kinds = [CONT] * len(cols)
+            forest = fit(cols, target, kinds, config)
+            with monkeypatch.context() as m:
+                m.setattr(forest_module, "CUT_WEIGHT", 0.0)
+                uncut = fit(cols, target, kinds, config)
+            assert uncut.table.n_nodes > forest.table.n_nodes
+            for f in (forest, uncut):
+                worst = bound_violation(f.table, f.state, f.roots,
+                                        f.oob_loss_mean).max()
+                assert worst <= 1e-12, f"worst violation {worst:.3e}"
+            predict = ("predict" if config.task == "regression"
+                       else "predict_proba")
+            cut, full = (getattr(f, predict)(cols) for f in (forest, uncut))
+            drift = float(np.abs(cut - full).max())
+            assert drift <= (cut_weight(uncut) * scale
+                             + 1e-15 * np.abs(full).max())
+            assert drift <= 1e-12 * np.abs(full).max()
 
 
 def test_smoothed_forecast_regret_is_bounded():

@@ -57,6 +57,8 @@ def test_signal_grid_layout():
     assert 0 < t[0] and t[-1] < 1
     assert (np.diff(t) > 0).all()
     np.testing.assert_allclose(values, donoho_signal("doppler", t))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        signal_grid("doppler", 0)
 
 
 def test_add_noise_calibration():
@@ -72,7 +74,8 @@ def test_add_noise_calibration():
 
 
 def test_add_noise_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="snr"):
-        add_noise(np.array([1.0, 2.0]), 0.0)
+    for snr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="snr"):
+            add_noise(np.array([1.0, 2.0]), snr)
     with pytest.raises(ValueError, match="constant"):
         add_noise(np.array([2.0, 2.0]), 1.0)

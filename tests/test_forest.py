@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import bound_violation, cut_weight
 
 from aggforest import forest as forest_module
-from aggforest.aggregation import build_state, node_values, predict_aggregated
+from aggforest.aggregation import (build_state, descend, node_values,
+                                   predict_aggregated)
 from aggforest.datasets import add_noise, make_toy_classification, signal_grid
 from aggforest.forest import Forest, TrainConfig, fit
 from aggforest.model_io import load_model, save_model
@@ -543,3 +545,87 @@ def test_group_size_does_not_change_the_model(monkeypatch, tmp_path, task,
         save_model(forest, tmp_path / f"{entries}.agf")
         saved.append((tmp_path / f"{entries}.agf").read_bytes())
     assert saved[0] == saved[1]
+
+
+@pytest.mark.parametrize("task,n_classes,multiclass", [
+    ("regression", 0, "heuristic"),
+    ("classification", 3, "heuristic"),
+    ("classification", 3, "one_vs_rest"),
+    ("classification", 2, "heuristic"),
+])
+def test_cut_keeps_the_nodes_the_aggregate_weighs(monkeypatch, tmp_path, task,
+                                                  n_classes, multiclass):
+    """At temperature 10 the aggregate weighs some subtrees below
+    CUT_WEIGHT.  Each fitted tree is its tree grown alone less those
+    subtrees: the kept nodes carry the grown tree's stats, counts,
+    forecasts and oob losses bit for bit, and the oob loss mean is that of
+    the oob rows routed through the cut tree.  Group size does not change
+    the model, a loaded copy predicts equal, and the bound holds."""
+    X, y = mixed_data(300, 23, task, n_classes)
+    kinds = ["categorical", "continuous", "continuous"]
+    ovr = multiclass == "one_vs_rest"
+    config = TrainConfig(task=task, n_trees=4, multiclass=multiclass,
+                         max_features=2, temperature=10.0, seed=23)
+    eps, saved = forest_module.CUT_WEIGHT, []
+    for entries in (2 ** 40, 1200):     # one group per class, then of two
+        monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", entries)
+        forest = fit(X, y, kinds, config)
+        save_model(forest, tmp_path / f"{entries}.agf")
+        saved.append((tmp_path / f"{entries}.agf").read_bytes())
+    assert saved[0] == saved[1]
+    predict = forest.predict if task == "regression" else forest.predict_proba
+    assert np.array_equal(predict(X), getattr(
+        load_model(tmp_path / "1200.agf"), predict.__name__)(X))
+    assert (bound_violation(forest.table, forest.state, forest.roots,
+                            forest.oob_loss_mean) <= 1e-12).all()
+    # Uncut, a mean over trees moves by at most the weight the cut removes
+    # times the forecast range, which is at most 1 for probabilities.
+    with monkeypatch.context() as m:
+        m.setattr(forest_module, "CUT_WEIGHT", 0.0)
+        uncut = fit(X, y, kinds, config)
+    assert uncut.table.n_nodes > forest.table.n_nodes
+    if not ovr:
+        scale = np.ptp(y) if task == "regression" else 1.0
+        full = getattr(uncut, predict.__name__)(X)
+        drift = np.abs(full - predict(X)).max()
+        # Rounding adds a few ulps: the log weights are recomputed.
+        assert drift <= cut_weight(uncut) * scale + 1e-15 * np.abs(full).max()
+
+    binned = forest._binned(X)
+    y_enc = (np.unique(y, return_inverse=True)[1] if n_classes
+             else y.astype(np.float64))
+    for b in forest.trees:
+        source = RandomSource(23).child(*([b.class_id] if ovr else []),
+                                        b.index)
+        labels = (y_enc == b.class_id).astype(np.int64) if ovr else y_enc
+        sample = bootstrap(300, source.child(TAG_BOOTSTRAP))
+        tree = grow_tree(binned, labels, sample, config, source,
+                         n_classes=2 if ovr else n_classes)
+        state = build_state(tree, binned.entries, labels, sample.oob_indices,
+                            10.0, config.dirichlet)
+        rem = descend(tree, state)[1]
+        kept = np.flatnonzero((tree.parent < 0) | (rem[tree.parent] >= eps))
+        assert b.tree.n_nodes == kept.size
+        np.testing.assert_array_equal(
+            b.tree.feature, np.where(rem[kept] >= eps, tree.feature[kept], -1))
+        internal = b.tree.feature >= 0
+        for name in ("threshold", "missing_left"):
+            np.testing.assert_array_equal(getattr(b.tree, name)[internal],
+                                          getattr(tree, name)[kept][internal])
+        mid = tree.mask_id[kept][internal]
+        np.testing.assert_array_equal(b.tree.mask_id[internal] >= 0, mid >= 0)
+        np.testing.assert_array_equal(
+            b.tree.masks[b.tree.mask_id[internal][mid >= 0]],
+            tree.masks[mid[mid >= 0]])
+        for name in ("stats", "itb_count", "oob_count"):
+            assert (getattr(b.tree, name).tobytes()
+                    == getattr(tree, name)[kept].tobytes()), name
+        for name in ("forecasts", "oob_loss"):
+            assert (getattr(b.state, name).tobytes()
+                    == getattr(state, name)[kept].tobytes()), name
+        preds = node_values(b.tree, b.state)[b.tree.route(
+            binned.entries[sample.oob_indices])]
+        y_oob = labels[sample.oob_indices]
+        losses = (-np.log(preds[np.arange(y_oob.shape[0]), y_oob])
+                  if task == "classification" else (preds - y_oob) ** 2)
+        assert b.oob_loss_mean == float(losses.mean())

@@ -785,13 +785,56 @@ def test_verify_refuses_settings_it_cannot_run(capsys, argv, message):
     assert run_cli(["verify", "--trials", "2", "--max-leaves", "16"]) == 0
 
 
-@pytest.mark.parametrize("snr", ["0", "-1"])
+@pytest.mark.parametrize("snr", ["0", "-1", "nan"])
 def test_make_data_refuses_a_snr_that_is_not_positive(tmp_path, capsys, snr):
-    # --snr 0 used to write the clean signal and exit 0.
+    # --snr 0 used to write the clean signal and exit 0, --snr nan targets
+    # that were all nan.
     out = tmp_path / "sig.csv"
     assert run_cli(["make-data", "--kind", "doppler", "--n", "64",
                     "--snr", snr, "--out", out]) == 1
     assert f"snr must be positive, got {float(snr)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_make_data_refuses_an_infinite_snr(tmp_path, capsys):
+    out = tmp_path / "sig.csv"
+    assert run_cli(["make-data", "--kind", "doppler", "--n", "64",
+                    "--snr", "inf", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: snr must be finite, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["make-data", "--kind", "doppler", "--n", "0"],
+    ["bench-signals", "--signals", "doppler", "--n", "0", "--repeats", "1",
+     "--trees", "1"]], ids=["make-data", "bench-signals"])
+def test_signal_commands_refuse_an_empty_grid(tmp_path, capsys, argv):
+    # make-data wrote an empty dataset and exited 0; bench-signals died in
+    # numpy with "zero-size array to reduction operation maximum".
+    out = tmp_path / "out.csv"
+    assert run_cli([*argv, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: n must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction,message", [
+    ("nan", "--test-fraction must be in (0, 1), got nan"),
+    ("0", "--test-fraction must be in (0, 1), got 0.0"),
+    ("1", "--test-fraction must be in (0, 1), got 1.0"),
+    ("1.5", "--test-fraction must be in (0, 1), got 1.5"),
+    ("0.999", "--test-fraction 0.999 leaves no training row of 200")],
+    ids=["nan", "0", "1", "1.5", "0.999"])
+def test_bench_trees_refuses_a_split_without_both_sides(tmp_path, capsys,
+                                                        fraction, message):
+    # NaN failed with "cannot convert float NaN to integer", and a fraction
+    # that left no training row with "classification needs at least two
+    # classes".
+    data, out = tmp_path / "toy.csv", tmp_path / "bench.csv"
+    run_cli(["make-data", "--kind", "toy", "--n", "200", "--out", data])
+    capsys.readouterr()
+    assert run_cli(["bench-trees", "--data", data, "--target", "label",
+                    "--test-fraction", fraction, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

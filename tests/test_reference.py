@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import bound_violation
 
+from aggforest.aggregation import node_values
 from aggforest.reference import (
     MAX_ENUMERABLE_PRUNINGS,
     complete_tree,
     enumerate_prunings,
+    max_bound_violation,
     prior_total,
     pruning_complexity,
     pruning_count,
+    random_grown_instance,
     smoothed_forecast_regret,
     synthetic_tree,
 )
@@ -88,3 +92,29 @@ def test_synthetic_tree_structure():
         # Every bin routes somewhere and every leaf is reachable.
         cells = tree.route(np.arange(16, dtype=np.uint8).reshape(-1, 1))
         assert set(cells.tolist()) == set(np.flatnonzero(tree.is_leaf).tolist())
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_linear_bound_pass_matches_enumeration(task):
+    """conftest's ``bound_violation`` gives the worst violation that the
+    enumeration of every pruning gives."""
+    worst = []
+    for i in range(30):
+        tree, state, binned, labels, sample = random_grown_instance(
+            7000 + i, task=task, max_depth=3 + i % 2,
+            temperature=(None, 1.0, 10.0)[i % 3])
+        oob = sample.oob_indices
+        assert tree.oob_count[0] == oob.shape[0]
+        preds = node_values(tree, state)[tree.route(binned.entries[oob])]
+        y = labels[oob]
+        losses = (-np.log(preds[np.arange(oob.shape[0]), y])
+                  if task == "classification" else (preds - y) ** 2)
+        got = bound_violation(tree, state, np.zeros(1, dtype=np.int64),
+                              losses.mean())
+        want = max_bound_violation(tree, state, binned.entries, labels, oob)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(want, rel=1e-12, abs=1e-14)
+        worst.append(want)
+    # Some trees come close to the bound, so the pass is checked where it
+    # matters.
+    assert max(worst) > -0.05
