@@ -43,8 +43,8 @@ def accumulate_oob_losses(tree: Tree, forecasts: np.ndarray, entries: np.ndarray
     routing table, adding the loss of each visited node's forecast to that
     node's total: log loss for a classification tree, squared otherwise.
 
-    This is the reference behind ``build_state``: fitting scores the oob
-    rows as ``grow_trees`` routes them, level by level, and never calls it.
+    This is the reference behind ``build_state`` and ``oob_losses``:
+    fitting takes each pair's leaf from growth and never calls it.
     """
     classification = tree.task == "classification"
     r = tree.router
@@ -66,6 +66,40 @@ def accumulate_oob_losses(tree: Tree, forecasts: np.ndarray, entries: np.ndarray
         active, here = active[inner], here[inner]
         at[active] = r.step(here, codes[column[here] + oob_rows[active]])
     return L
+
+
+def pair_losses(values: np.ndarray, node: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
+    """The loss of each pair's node's value at the pair's label ``y``: log
+    loss at the class for class probabilities (one row per node), squared
+    error for regression values."""
+    if values.ndim == 2:
+        return -np.log(values[node, y])
+    return (values[node] - y) ** 2
+
+
+def oob_losses(tree: Tree, forecasts: np.ndarray, leaf: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """Each node's oob loss: the losses of its forecast at the labels ``y``
+    of the (oob row, tree) pairs whose leaf ``leaf`` lies below it.  The
+    leaves take their pairs in one ``bincount``, then the internal nodes of
+    each depth, deepest first (``Tree.levels``), in one more.  A node adds
+    its pairs in pair order, so this equals ``accumulate_oob_losses``
+    bitwise."""
+    out = np.bincount(leaf, pair_losses(forecasts, leaf, y),
+                      minlength=tree.n_nodes)
+    node, ends = tree.levels
+    rank = np.empty(tree.n_nodes, dtype=np.intp)
+    rank[node] = np.arange(node.shape[0])
+    depth, at = tree.depth[leaf], leaf.astype(np.intp)
+    for d in range(len(ends) - 1, -1, -1):
+        lo, hi = ends[d - 1] if d else 0, ends[d]
+        pairs = np.flatnonzero(depth > d)
+        at[pairs] = up = tree.parent[at[pairs]]
+        out[node[lo:hi]] = np.bincount(
+            rank[up] - lo, pair_losses(forecasts, up, y[pairs]),
+            minlength=hi - lo)
+    return out
 
 
 def compute_log_agg_weights(tree: Tree, oob_loss: np.ndarray,

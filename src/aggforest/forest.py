@@ -4,19 +4,19 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .aggregation import (AggregationState, descend, node_values,
-                          state_from_losses)
+from .aggregation import (AggregationState, descend, node_values, oob_losses,
+                          pair_losses, state_from_losses)
 from .binning import (BinMapper, BinnedMatrix, check_max_bins, fit_bins,
                       transform)
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
 from .tree import (LEAF_FIELDS, SPLIT_FIELDS, STORED, Tree, features_per_node,
-                   grow_trees)
+                   grow_trees, node_forecast)
 
 TASKS = ("classification", "regression")
 MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
@@ -242,15 +242,12 @@ def _group_plan(n_trees: int, size: int, n_jobs: int) -> list[range]:
 
 
 def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
-               temperature: float, n_classes: int, class_id: int,
-               indices: range):
-    """Grow the trees ``indices`` together.  Growth scores the oob rows as
-    it routes them: it gives the leaf of every (oob row, tree) pair and,
-    with aggregation on, every node's oob loss, from which the log weights
-    follow; nothing routes those rows again.  With aggregation on, the
-    subtrees the aggregate weighs below CUT_WEIGHT are then cut (``_cut``).
-    Returns the group's table, its roots, its state and each tree's mean
-    oob loss, all of the cut trees."""
+               n_classes: int, class_id: int, indices: range):
+    """Grow the trees ``indices`` together on their class's labels: 1 for
+    ``class_id`` and 0 otherwise under one-versus-rest.  Returns what
+    ``grow_trees`` decided (the trees' stored fields, their roots and the
+    leaf of every (oob row, tree) pair), each pair's label and each tree's
+    pair count: plain arrays, which ``fit`` joins into one table."""
     source = RandomSource(config.seed)
     if class_id >= 0:
         labels, k = (y_enc == class_id).astype(np.int64), 2
@@ -267,36 +264,23 @@ def _fit_group(binned: BinnedMatrix, y_enc: np.ndarray, config: TrainConfig,
 
     # Growth reads the samples one by one, so only their oob rows are held
     # while the trees grow.
-    tree, roots, leaf, oob_loss = grow_trees(
-        binned, labels, map(draw, sources), config, sources, n_classes=k)
-    state = state_from_losses(tree, oob_loss, temperature, config.dirichlet)
-    descended = None
-    if oob_loss is not None:
-        descended = descend(tree, state)
-        cut = _cut(tree, roots, state, leaf, descended[1], binned,
-                   config.dirichlet)
-        if cut is not None:
-            (tree, roots, state, leaf), descended = cut, None
-    rows = np.concatenate(oob)
-    preds, y_oob = node_values(tree, state, descended)[leaf], labels[rows]
-    losses = (-np.log(preds[np.arange(rows.shape[0]), y_oob]) if k
-              else (preds - y_oob) ** 2)
-    ends = np.cumsum([r.shape[0] for r in oob])
-    means = [float(part.mean()) for part in np.split(losses, ends[:-1])]
-    return tree, roots, state, means
+    stored, roots, leaf = grow_trees(binned, labels, map(draw, sources),
+                                     config, sources, n_classes=k)
+    return (stored, roots, leaf, labels[np.concatenate(oob)],
+            [rows.shape[0] for rows in oob])
 
 
-def _cut(tree: Tree, roots: np.ndarray, state: AggregationState,
-         leaf: np.ndarray, rem: np.ndarray, layout, dirichlet: float):
+def _cut(tree: Tree, roots: np.ndarray, leaf: np.ndarray, rem: np.ndarray):
     """The trees without the subtrees that the aggregate weighs below
     CUT_WEIGHT, or None when there are none.
 
     A node with rem < CUT_WEIGHT under a parent with rem >= CUT_WEIGHT
     becomes a leaf, and its descendants go.  The kept nodes, in their
     order, are still breadth first, and they keep their stats, counts and
-    oob losses; the log weights follow from those.  Returns the cut table,
-    its roots, its state and the leaf of each (oob row, tree) pair, which
-    moves up to its nearest kept ancestor.
+    oob losses; the log weights follow from those.  Returns the kept nodes,
+    the cut trees' stored fields (as ``Tree.stored`` gives them) and roots,
+    and the leaf of each (oob row, tree) pair, which moves up to its
+    nearest kept ancestor.
     """
     kept = (tree.parent < 0) | (rem[tree.parent] >= CUT_WEIGHT)
     if kept.all():
@@ -305,20 +289,16 @@ def _cut(tree: Tree, roots: np.ndarray, state: AggregationState,
     internal = (tree.feature[node] >= 0) & (rem[node] >= CUT_WEIGHT)
     inner, outer = node[internal], node[~internal]
     mask_id = tree.mask_id[inner]
-    renumber = np.cumsum(kept) - 1
-    roots = renumber[roots]
-    cut = Tree.from_heap(
-        tree.task, tree.n_classes, layout, roots, internal,
-        tree.masks[mask_id[mask_id >= 0]],
+    stored = dict(
+        internal=internal, masks=tree.masks[mask_id[mask_id >= 0]],
         **{name: getattr(tree, name)[inner] for name in SPLIT_FIELDS},
         **{name: getattr(tree, name)[outer] for name in LEAF_FIELDS})
     up = np.flatnonzero(~kept[leaf])
     while up.size:
         leaf[up] = tree.parent[leaf[up]]
         up = up[~kept[leaf[up]]]
-    state = state_from_losses(cut, state.oob_loss[node], state.temperature,
-                              dirichlet)
-    return cut, roots, state, renumber[leaf]
+    renumber = np.cumsum(kept) - 1
+    return node, stored, renumber[roots], renumber[leaf]
 
 
 _POOL_PAYLOAD = None
@@ -346,11 +326,17 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     y = np.asarray(y)
     if y.ndim != 1:
         raise ValueError(f"y must be 1-d, got shape {y.shape}")
+    if y.shape[0] < 2:
+        raise ValueError(f"fitting needs at least 2 rows, got {y.shape[0]}")
     classes = None
     if config.task == "classification":
         if any(v is None or v != v for v in y.tolist()):
             raise ValueError("class labels must not be missing (NaN or None)")
-        classes, y_enc = np.unique(y, return_inverse=True)
+        try:
+            classes, y_enc = np.unique(y, return_inverse=True)
+        except TypeError:
+            raise ValueError("class labels must be mutually comparable "
+                             "(not strings and numbers mixed)") from None
         y_enc = y_enc.astype(np.int64)
         if classes.shape[0] < 2:
             raise ValueError("classification needs at least two classes")
@@ -373,9 +359,12 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     if binned.n_rows != y_enc.shape[0]:
         raise ValueError(
             f"got {binned.n_rows} rows of features but {y_enc.shape[0]} labels")
-    if feature_names is not None and len(feature_names) != binned.n_cols:
-        raise ValueError(f"got {len(feature_names)} feature names for "
-                         f"{binned.n_cols} feature columns")
+    if feature_names is not None:
+        if len(feature_names) != binned.n_cols:
+            raise ValueError(f"got {len(feature_names)} feature names for "
+                             f"{binned.n_cols} feature columns")
+        if len(set(feature_names)) != len(feature_names):
+            raise ValueError("feature names must not repeat")
 
     # Groups of consecutive trees of one class (under one-versus-rest).
     entries = binned.n_rows * features_per_node(config, binned.n_cols)
@@ -387,46 +376,56 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
               for trees in plan]
 
     if n_jobs == 1 or len(groups) == 1:
-        fitted = [_fit_group(binned, y_enc, config, temperature, n_classes, *g)
+        fitted = [_fit_group(binned, y_enc, config, n_classes, *g)
                   for g in groups]
     else:
         # Imported here, so that importing aggforest loads no pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = (binned, y_enc, config, temperature, n_classes)
+        payload = (binned, y_enc, config, n_classes)
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_pool_init,
                                  initargs=(payload,)) as pool:
             fitted = list(pool.map(_pool_task, groups))
 
-    # One table of all the groups: their stored fields joined, the links
-    # and sums taken from heap order again, as ``load_model`` takes them.
-    # Each node's state depends on its own subtree only, so the groups'
-    # states join as they are.
-    tables, roots, states, means = (list(part) for part in zip(*fitted))
+    # One table of every group's trees, from their stored fields joined, as
+    # ``load_model`` builds it, and their pairs numbered in it.
+    stored, roots, leaf, y_oob, n_oob = zip(*fitted)
     del fitted
-    offsets = np.cumsum([0] + [t.n_nodes for t in tables[:-1]])
-    roots = np.concatenate([r + o for r, o in zip(roots, offsets)])
-    if len(tables) == 1:
-        table = tables.pop()
-    else:
-        # Each group's table goes as soon as its stored fields are taken.
-        stored = []
-        while tables:
-            stored.append(tables.pop(0).stored())
-        table = Tree.from_heap(
-            config.task, 2 if one_vs_rest else n_classes, binned, roots,
-            **{name: np.concatenate([s[name] for s in stored])
-               for name in STORED})
-        del stored
-    state = replace(states[0], **{
-        name: None if getattr(states[0], name) is None
-        else np.concatenate([getattr(s, name) for s in states])
-        for name in ("forecasts", "oob_loss", "log_agg_weight")})
+    offsets = np.cumsum([0] + [s["internal"].shape[0] for s in stored[:-1]])
+    roots, leaf = (np.concatenate([a + o for a, o in zip(part, offsets)])
+                   for part in (roots, leaf))
+    y_oob, n_oob = np.concatenate(y_oob), np.concatenate(n_oob)
+    k = 2 if one_vs_rest else n_classes
+    # Each group's field goes as soon as it is joined.
+    table = Tree.from_heap(config.task, k, binned, roots, **{
+        name: np.concatenate([s.pop(name) for s in stored]) for name in STORED})
+    # With aggregation on, every pair is scored once, and the subtrees the
+    # aggregate weighs below CUT_WEIGHT are cut (``_cut``).
+    oob_loss = descended = None
+    if config.aggregation:
+        oob_loss = oob_losses(table, node_forecast(
+            table.stats, config.task, config.dirichlet), leaf, y_oob)
+    state = state_from_losses(table, oob_loss, temperature, config.dirichlet)
+    if oob_loss is not None:
+        descended = descend(table, state)
+        cut = _cut(table, roots, leaf, descended[1])
+        if cut is not None:
+            # The uncut table, its state and acc go before the cut is built.
+            node, kept, roots, leaf = cut
+            del cut, table, state, descended
+            table = Tree.from_heap(config.task, k, binned, roots, **kept)
+            descended = None
+            state = state_from_losses(table, oob_loss[node], temperature,
+                                      config.dirichlet)
+    # Each tree's mean oob loss, over its pairs' values from one gather.
+    losses = pair_losses(node_values(table, state, descended), leaf, y_oob)
+    means = [float(part.mean())
+             for part in np.split(losses, np.cumsum(n_oob)[:-1])]
     forest = Forest(
         config=config, mapper=mapper, table=table, state=state, roots=roots,
         index=np.concatenate([list(r) for _, r in groups]),
         class_id=np.repeat([c for c, _ in groups], [len(r) for _, r in groups]),
-        oob_loss_mean=np.concatenate(means), classes_=classes,
+        oob_loss_mean=np.array(means), classes_=classes,
         feature_names=list(feature_names) if feature_names else None)
     if config.task == "regression":
         forest.y_min_ = float(y_enc.min())

@@ -368,6 +368,9 @@ def parse_csv(path: str, header: list[str], rows: list[list[str]],
     """``load_csv`` of the file ``path`` that ``read_csv`` has read."""
     if not rows:
         raise ValueError(f"{path} has a header but no data rows")
+    twice = [c for i, c in enumerate(header) if c in header[:i]]
+    if twice:
+        raise ValueError(f"{path} names column {twice[0]!r} more than once")
 
     if schema.target is not None and schema.target not in header:
         raise ValueError(f"target column {schema.target!r} not in header")

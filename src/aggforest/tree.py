@@ -430,39 +430,12 @@ def features_per_node(config, n_features: int) -> int:
                n_features)
 
 
-def _oob_losses(forecast, up, start, leaf, y) -> np.ndarray:
-    """Each node's oob loss, nodes in level order (level d holds nodes
-    ``start[d]`` up to ``start[d + 1]``): the losses of its ``forecast`` at
-    the labels ``y`` of the (oob row, tree) pairs whose leaf ``leaf`` lies
-    below it, added in pair order as ``accumulate_oob_losses`` adds them.
-    One step per level, deepest first, moves the pairs at that level to
-    their parents, ``up``."""
-    depth = np.searchsorted(start, leaf, side="right") - 1
-    out = np.empty(start[-1])
-    at = leaf.astype(np.intp)
-    for d in range(len(start) - 2, -1, -1):
-        pairs = np.flatnonzero(depth >= d)
-        node = at[pairs]
-        if forecast.ndim == 2:
-            loss = np.log(forecast[node, y[pairs]])
-            np.negative(loss, out=loss)
-        else:
-            loss = forecast[node]
-            loss -= y[pairs]
-            loss *= loss
-        if d:
-            at[pairs] = up[node]
-        node -= start[d]
-        out[start[d]:start[d + 1]] = np.bincount(
-            node, loss, minlength=start[d + 1] - start[d])
-    return out
-
-
 def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
               source: RandomSource, *, n_classes: int = 0) -> Tree:
-    """Grow one tree: ``grow_trees`` on a group of one."""
-    return grow_trees(binned, labels, [sample], config, [source],
-                      n_classes=n_classes)[0]
+    """Grow one tree: the table of ``grow_trees`` on a group of one."""
+    stored, roots, _ = grow_trees(binned, labels, [sample], config, [source],
+                                  n_classes=n_classes)
+    return Tree.from_heap(config.task, n_classes, binned, roots, **stored)
 
 
 def grow_trees(binned: BinnedMatrix, labels,
@@ -489,12 +462,11 @@ def grow_trees(binned: BinnedMatrix, labels,
     holds at least one sample of either kind.  With aggregation off only itb
     weights are constrained, matching a plain random forest.
 
-    Every (oob row, tree) pair goes down to its leaf; with aggregation on,
-    each node's oob loss then adds up the losses of the forecast that its
-    stats in the finished table give (see ``_oob_losses``).  Returns the
-    trees as one ``Tree``, tree by tree, each tree's root, the leaf of each
-    pair, tree by tree in oob index order, and each node's oob loss or
-    None.  Labels must be encoded class ids when n_classes > 0, float
+    Every (oob row, tree) pair goes down to its leaf.  Returns only what
+    growth decided: the trees' fields as ``Tree.stored`` gives them, tree
+    by tree, each tree's first node, and the leaf of each pair, tree by
+    tree in oob index order; ``Tree.from_heap`` builds the table from the
+    first two.  Labels must be encoded class ids when n_classes > 0, float
     targets otherwise.
     """
     classification = n_classes > 0
@@ -545,7 +517,7 @@ def grow_trees(binned: BinnedMatrix, labels,
     del itb, oob
     oob_pair = np.arange(oob_rows.shape[0], dtype=index)
     leaf = np.empty_like(oob_pair)
-    y, y_oob = labels[rows], labels[oob_rows] if use_oob else None
+    y = labels[rows]
     all_features = np.broadcast_to(np.arange(d), (max(rows.shape[0], 1), d))
     owner = np.arange(n_trees)
     # Per level: which nodes split, how many nodes each tree owns, and the
@@ -639,7 +611,7 @@ def grow_trees(binned: BinnedMatrix, labels,
     owner = np.repeat(np.tile(np.arange(n_trees), len(owned) // n_trees),
                       owned)
     order = np.argsort(owner, kind="stable")
-    position = np.empty_like(order)
+    position = np.empty_like(order, dtype=index)
     position[order] = np.arange(n_nodes)
     per_tree = np.bincount(owner, minlength=n_trees)
     roots = np.cumsum(per_tree) - per_tree
@@ -657,25 +629,13 @@ def grow_trees(binned: BinnedMatrix, labels,
     masks = fields.pop()[(np.cumsum(is_cat) - 1)[row[is_cat[row]]]]
     stored = {name: col[row] for name, col in zip(SPLIT_FIELDS, fields)}
     row = (np.cumsum(~split) - 1)[order[~internal]]
-    stored.update((name, col[row]) for name, col in zip(
-        ("itb_count", "oob_count", "stats"), leaf_cols))
+    stored.update((name, col[row]) for name, col in zip(LEAF_FIELDS,
+                                                          leaf_cols))
     if (stored["itb_count"] < 1).any():
         raise RuntimeError("grown tree has a node without itb rows")
     if use_oob and (stored["oob_count"] < 1).any():
         raise RuntimeError("grown tree has a node without oob rows")
-    tree = Tree.from_heap(config.task, n_classes, binned, roots, internal,
-                          masks, **stored)
-    del stored, fields, leaf_cols, masks, row, split, owner, internal
-    oob_loss = None
-    if use_oob:
-        # The losses of the table's forecasts, taken level by level.
-        start = np.concatenate([[0], np.cumsum(
-            owned.reshape(-1, n_trees).sum(axis=1))])
-        forecast = node_forecast(tree.stats, config.task, config.dirichlet)
-        oob_loss = _oob_losses(np.take(forecast, position, axis=0),
-                               order[tree.parent[position]], start, leaf,
-                               y_oob)[order]
-    return tree, roots, position[leaf], oob_loss
+    return dict(stored, internal=internal, masks=masks), roots, position[leaf]
 
 
 def _level(stats, itb_count, oob_count, owner, split, n_trees):

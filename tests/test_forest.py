@@ -13,7 +13,7 @@ from aggforest.datasets import add_noise, make_toy_classification, signal_grid
 from aggforest.forest import Forest, TrainConfig, fit
 from aggforest.model_io import load_model, save_model
 from aggforest.sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
-from aggforest.tree import grow_tree
+from aggforest.tree import Tree, grow_tree
 
 KINDS2 = ["continuous", "continuous"]
 
@@ -67,6 +67,87 @@ def test_worker_count_does_not_change_the_model(monkeypatch, tmp_path):
     save_model(parallel, tmp_path / "parallel.agf")
     assert ((tmp_path / "serial.agf").read_bytes()
             == (tmp_path / "parallel.agf").read_bytes())
+
+
+@pytest.mark.parametrize("task,n_classes,multiclass,temperature", [
+    ("regression", 0, "heuristic", 10.0),
+    ("classification", 3, "one_vs_rest", None),
+], ids=["regression-cut", "one_vs_rest"])
+def test_worker_count_keeps_cut_and_one_vs_rest_models(
+        monkeypatch, tmp_path, task, n_classes, multiclass, temperature):
+    """Workers send back plain arrays, and the parent scores, weighs and
+    cuts the joined table: at temperature 10 the regression forest is cut,
+    and each one-versus-rest class has groups of its own."""
+    X, y = mixed_data(300, 23, task, n_classes)
+    kinds = ["categorical", "continuous", "continuous"]
+    config = TrainConfig(task=task, n_trees=4, multiclass=multiclass,
+                         max_features=2, temperature=temperature, seed=23)
+    monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", 1200)
+    saved = []
+    for n_jobs in (1, 2):
+        save_model(fit(X, y, kinds, config, n_jobs=n_jobs),
+                   tmp_path / f"{n_jobs}.agf")
+        saved.append((tmp_path / f"{n_jobs}.agf").read_bytes())
+    assert saved[0] == saved[1]
+    if temperature is not None:
+        monkeypatch.setattr(forest_module, "CUT_WEIGHT", 0.0)
+        assert (fit(X, y, kinds, config).table.n_nodes
+                > load_model(tmp_path / "2.agf").table.n_nodes)
+
+
+@pytest.mark.parametrize("aggregation,temperature,cut_weight,calls", [
+    (False, None, forest_module.CUT_WEIGHT, 1),
+    (True, 10.0, 0.0, 1),
+    (True, 10.0, forest_module.CUT_WEIGHT, 2),
+], ids=["off", "nothing-cut", "cut"])
+def test_a_fit_builds_one_table_and_one_more_when_it_cuts(
+        monkeypatch, aggregation, temperature, cut_weight, calls):
+    """Fitting joins every group's trees into one table, and builds a
+    second only for the cut."""
+    X, y = mixed_data(300, 23, "regression")
+    config = TrainConfig(task="regression", n_trees=4, max_features=2,
+                         aggregation=aggregation, temperature=temperature,
+                         seed=23)
+    monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", 1200)
+    monkeypatch.setattr(forest_module, "CUT_WEIGHT", cut_weight)
+    sizes, plans, from_heap = [], record_group_sizes(monkeypatch), Tree.from_heap
+
+    def counting(*args, **kwargs):
+        table = from_heap(*args, **kwargs)
+        sizes.append(table.n_nodes)
+        return table
+
+    monkeypatch.setattr(Tree, "from_heap", counting)
+    forest = fit(X, y, ["categorical", "continuous", "continuous"], config)
+    assert plans == [[2, 2]]
+    assert len(sizes) == calls and sizes[-1] == forest.table.n_nodes
+    # The cut table holds fewer nodes than the joined one.
+    assert sorted(set(sizes), reverse=True) == sizes
+
+
+@pytest.mark.parametrize("n,aggregation", [(0, True), (1, True), (1, False)])
+def test_fewer_than_two_rows_are_refused(n, aggregation):
+    # No rows used to fail inside numpy ("zero-size array to reduction
+    # operation maximum"), one row with RuntimeError from the bootstrap.
+    with pytest.raises(ValueError, match=f"at least 2 rows, got {n}"):
+        fit([np.arange(n, dtype=float)], np.ones(n), ["continuous"],
+            TrainConfig(task="regression", n_trees=2,
+                        aggregation=aggregation))
+
+
+def test_class_labels_of_mixed_types_are_refused():
+    # np.unique used to raise a bare TypeError.
+    X, _ = make_toy_classification(200, seed=6)
+    with pytest.raises(ValueError, match="must be mutually comparable"):
+        fit(X, np.array([1, "a"] * 100, dtype=object), KINDS2,
+            TrainConfig(n_trees=2))
+
+
+def test_repeated_feature_names_are_refused():
+    # The command line would read one CSV column for both features.
+    X, y = make_toy_classification(100, seed=6)
+    with pytest.raises(ValueError, match="feature names must not repeat"):
+        fit(X, y, KINDS2, TrainConfig(n_trees=2), feature_names=["a", "a"])
 
 
 @pytest.mark.parametrize("n_trees,size,n_jobs,sizes", [

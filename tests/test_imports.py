@@ -1,8 +1,11 @@
 """Importing the library loads numpy and the standard library only: no
 scipy, no process-pool machinery until a fit asks for workers, and no
 json, hashlib or csv until a model or CSV file is read or written.  The
-package exports the documented names, and those the benchmark calls."""
+package exports the documented names, and those the benchmark calls or
+imports."""
 
+import ast
+import importlib
 import json
 import os
 import pathlib
@@ -72,3 +75,21 @@ def test_package_exports_the_documented_names():
     assert called == {"TrainConfig", "fit", "load_model", "save_model",
                       "transform"}
     assert called <= set(EXPORTS)
+
+
+def test_benchmark_imports_from_the_modules_resolve():
+    """Every ``from aggforest.<module> import <name>`` in perfbench/*.py
+    names something its module holds, so moving one fails here and not only
+    in a benchmark run."""
+    found, missing = [], []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("aggforest.")):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    found.append((path.name, node.module, alias.name))
+                    if not hasattr(module, alias.name):
+                        missing.append(found[-1])
+    assert ("run.py", "aggforest.aggregation", "predict_aggregated") in found
+    assert missing == []

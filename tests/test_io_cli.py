@@ -576,6 +576,15 @@ def test_load_csv_schema_errors(tmp_path):
         load_csv(str(headonly), DatasetSchema())
 
 
+def test_load_csv_refuses_a_repeated_column(tmp_path):
+    # Both features used to read the first "a", and the second was dropped.
+    path = tmp_path / "d.csv"
+    write_lines(path, ["a,a,label", "1.0,2.0,0", "3.0,4.0,1"])
+    for schema in (DatasetSchema(target="label"), DatasetSchema(ignore={"a"})):
+        with pytest.raises(ValueError, match="names column 'a' more than once"):
+            load_csv(str(path), schema)
+
+
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(str(path), ["a", "b"], [["1", "x,with comma"], ["2", "plain"]])
@@ -754,6 +763,36 @@ def test_cli_reports_missing_file_as_error(tmp_path, capsys):
     assert run_cli(["train", "--data", tmp_path / "nope.csv",
                     "--target", "y", "--out", tmp_path / "m.agf"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_refuses_a_repeated_column(tmp_path, capsys):
+    data = tmp_path / "toy.csv"
+    twice = tmp_path / "twice.csv"
+    model = tmp_path / "model.agf"
+    run_cli(["make-data", "--kind", "toy", "--n", "120", "--out", data])
+    run_cli(["train", "--data", data, "--target", "label",
+             "--n-trees", "1", "--out", model])
+    write_lines(twice, ["x1,x1,x2,label"] + [f"{i},{-i},{i / 2},{i % 2}"
+                                             for i in range(40)])
+    capsys.readouterr()
+    for argv in (["train", "--data", twice, "--target", "label",
+                  "--out", tmp_path / "m.agf"],
+                 ["predict", "--model", model, "--data", twice,
+                  "--out", tmp_path / "p.csv"]):
+        assert run_cli(argv) == 1
+        assert "names column 'x1' more than once" in capsys.readouterr().err
+    assert not (tmp_path / "m.agf").exists()
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_train_refuses_a_one_row_regression_csv(tmp_path, capsys):
+    # The bootstrap's RuntimeError used to end in a traceback.
+    data = tmp_path / "one.csv"
+    write_lines(data, ["x,y", "0.5,1.5"])
+    assert run_cli(["train", "--data", data, "--target", "y",
+                    "--task", "regression", "--out", tmp_path / "m.agf"]) == 1
+    assert capsys.readouterr().err == (
+        "error: fitting needs at least 2 rows, got 1\n")
 
 
 def test_cli_usage_errors_exit_two(capsys):

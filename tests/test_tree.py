@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aggforest.aggregation import accumulate_oob_losses
+from aggforest.aggregation import accumulate_oob_losses, oob_losses
 from aggforest.binning import fit_bins, transform
 from aggforest.forest import TrainConfig, fit
 from aggforest.sampling import (
@@ -476,8 +476,14 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
         samples[starved] = starved_sample(len(y))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        table, roots, leaf, oob_loss = grow_trees(
+        stored, roots, leaf = grow_trees(
             binned, y, samples, config, sources, n_classes=n_classes)
+    table = Tree.from_heap(config.task, n_classes, binned, roots, **stored)
+    oob_loss = None
+    if config.aggregation:
+        oob_loss = oob_losses(
+            table, node_forecast(table.stats, config.task, config.dirichlet),
+            leaf, np.concatenate([y[s.oob_indices] for s in samples]))
     assert len(caught) == (starved is not None)
     assert roots.shape == (5,)
     group = [table.take(lo, hi) for lo, hi in
