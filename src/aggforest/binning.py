@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -134,6 +136,7 @@ class BinTable:
     than every threshold count.  NaN compares false, so the number of
     entries <= v in a row is the number of thresholds <= v: the bin code of
     a non-missing value v, ``np.searchsorted(thresholds, v, side="right")``.
+    Blocks of more than a few rows narrow that count through ``grid``.
     """
 
     continuous: np.ndarray   # (C,) feature index of each continuous column
@@ -171,6 +174,66 @@ class BinTable:
             kinds=kinds,
             missing_bin=missing_bin,
         )
+
+    @cached_property
+    def grid(self) -> Grid:
+        """The search grid, built on the first block that needs it, so that
+        loading a model and single-row calls never pay for it."""
+        return Grid.of(self.thresholds)
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A uniform grid of G cells over each row's threshold range, which
+    narrows the count of thresholds <= v to one cell.
+
+    Value v of row c falls in cell ``_cells(v)``, and each threshold in the
+    cell its own value gives.  The cell function is monotone, so every
+    threshold in an earlier cell is <= v and every one in a later cell is
+    above it.  The count is the number of thresholds in the cells before
+    v's cell g, plus those <= v in cell g, which a search of ``steps``
+    halvings finds: ``steps`` is the bit length of the largest count in one
+    cell.  G is 4 W, at most ``_GRID_CELLS``.
+    """
+
+    thresholds: np.ndarray   # the table's, NaN-padded further where a
+                             # search would leave its row: at least
+                             # n + 2**steps - 1 wide
+    low: np.ndarray          # (C,) lowest threshold of each, 0 for none
+    scale: np.ndarray        # (C,) cells per unit of value, finite and > 0
+    start: np.ndarray        # (C, G) offset in the flat thresholds of row c
+                             # plus the thresholds in the cells before g
+    steps: int               # halvings that search the fullest cell
+
+    @classmethod
+    def of(cls, thresholds: np.ndarray) -> Grid:
+        n_cont, width = thresholds.shape
+        held = ~np.isnan(thresholds)
+        count = held.sum(axis=1)
+        n_grid = min(4 * width, _GRID_CELLS)
+        rows = np.arange(n_cont)
+        low = np.where(count > 0, thresholds[:, 0], 0.0)
+        high = np.where(count > 0, thresholds[rows, count - 1], 0.0)
+        # A positive, finite scale keeps NaN out of the cells: one
+        # threshold gives an infinite scale, a span that overflows 0.
+        info = np.finfo(np.float64)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scale = np.clip(n_grid / (high - low), info.tiny, info.max)
+            cell = _cells(thresholds, low, scale, n_grid)
+        cell[~held] = n_grid
+        in_cell = np.bincount(
+            (cell + (rows * (n_grid + 1))[:, None]).ravel(),
+            minlength=n_cont * (n_grid + 1),
+        ).reshape(n_cont, n_grid + 1)[:, :n_grid]
+        steps = int(in_cell.max(initial=0)).bit_length()
+        pad = int(count.max(initial=0)) + (1 << steps) - 1 - width
+        if pad > 0:
+            thresholds = np.pad(thresholds, ((0, 0), (0, pad)),
+                                constant_values=np.nan)
+        start = (np.cumsum(in_cell, axis=1) - in_cell
+                 + (rows * thresholds.shape[1])[:, None])
+        return cls(thresholds=thresholds, low=low, scale=scale,
+                   start=start.astype(_offsets(thresholds.size)), steps=steps)
 
 
 @dataclass
@@ -211,7 +274,15 @@ def _columns(X) -> list[np.ndarray]:
     return cols
 
 
+def _refuse_complex(col: np.ndarray, j: int) -> None:
+    # Casting to float64 would only warn, and drop the imaginary part.
+    if col.dtype.kind == "c":
+        raise ValueError(f"feature {j}: continuous values must be real, "
+                         f"got {col.dtype}")
+
+
 def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
+    _refuse_complex(col, j)
     values = col.astype(np.float64, copy=False)
     missing = np.isnan(values)
     present = values[~missing]
@@ -228,8 +299,11 @@ def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
     # The missing bin, when present, takes one slot out of the max_bins budget.
     slots = max_bins - 1 if has_missing else max_bins
     if slots >= 2:
+        # A sorted copy is bitwise the same to np.quantile, and its
+        # partitions are cheap.
         quantiles = np.arange(1, slots) / slots
-        thresholds = np.quantile(present, quantiles, method="midpoint")
+        thresholds = np.quantile(np.sort(present), quantiles,
+                                 method="midpoint")
         thresholds = np.unique(thresholds)
     else:
         thresholds = np.empty(0, dtype=np.float64)
@@ -255,29 +329,30 @@ def _fit_categorical(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
         raise ValueError(f"feature {j}: every value is missing, cannot fit bins")
     has_missing = bool(missing.any())
 
-    # A NaN that is no missing marker (such as a float32 NaN) is one
-    # modality, placed last: a sort of objects cannot place it, and would
-    # leave equal values around it unmerged.
+    # One dict count merges equal values, the first seen of them (1, 1.0
+    # or True) standing for all; only its keys are sorted.  A NaN that is
+    # no missing marker (such as a float32 NaN) is one modality, placed
+    # last: no sort can place it, and no dict merges it.
+    counts = Counter(present[~nan].tolist())
     try:
-        uniques, counts = np.unique(present[~nan], return_counts=True)
+        uniques = sorted(counts)
     except TypeError:
         raise ValueError(
             f"feature {j}: categorical values must be mutually comparable "
             "(mixing strings and numbers is not supported)"
         ) from None
+    ranked = [(v, counts[v]) for v in uniques]
     if nan.any():
-        uniques = np.append(uniques, present[nan][:1])
-        counts = np.append(counts, np.count_nonzero(nan))
+        ranked.append((present[nan][0], int(np.count_nonzero(nan))))
 
-    # Most frequent first; np.unique returns values sorted, so a stable sort
-    # on descending count breaks frequency ties by value order.
-    order = np.argsort(-counts, kind="stable")
-    ranked = uniques[order]
+    # Most frequent first; a stable sort on descending count breaks
+    # frequency ties by value order.
+    ranked = [v for v, _ in sorted(ranked, key=itemgetter(1), reverse=True)]
 
     # When the modalities outnumber the slots, the sparsest share the last
     # plain bin, the overflow bin.
     slots = max_bins - 1 if has_missing else max_bins
-    n_plain = min(ranked.size, slots)
+    n_plain = min(len(ranked), slots)
     mapping = {v.item() if isinstance(v, np.generic) else v: min(b, n_plain - 1)
                for b, v in enumerate(ranked)}
     return FeatureBins(
@@ -285,7 +360,7 @@ def _fit_categorical(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
         n_bins=n_plain + int(has_missing),
         categories=mapping,
         has_missing=has_missing,
-        overflow_bin=n_plain - 1 if ranked.size > slots else -1,
+        overflow_bin=n_plain - 1 if len(ranked) > slots else -1,
     )
 
 
@@ -327,31 +402,56 @@ def fit_bins(X, kinds, max_bins: int = 256) -> BinMapper:
 
 # A block of rows holds about _BLOCK_VALUES continuous values; a block of at
 # most _COUNT_CELLS (value, table entry) pairs compares every pair instead.
+# A feature's grid has 4 cells per table entry, at most _GRID_CELLS.
 _BLOCK_VALUES = 1 << 16
 _COUNT_CELLS = 1 << 14
+_GRID_CELLS = 1 << 12
 
 
-def _count_le(thresholds: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """For every value of row c of ``values``, the number of entries <= it
-    in row c of ``thresholds``, whose entries are sorted with NaN last.
+def _offsets(size: int) -> type:
+    """The index dtype for arrays of ``size`` entries: 32-bit offsets
+    gather about twice as fast as 64-bit ones."""
+    return np.int32 if size < 1 << 31 else np.intp
 
-    A branch-free binary search (Khuong and Morin 2017) runs over every
-    value at once: each of the log2 W steps, halves W/2, ..., 1, is one
-    gather and one compare.
+
+def _cells(values: np.ndarray, low: np.ndarray, scale: np.ndarray,
+           n_grid: int) -> np.ndarray:
+    """The grid cell of every non-NaN value of row c: floor((v - low[c]) *
+    scale[c]) clipped to [0, n_grid).  Monotone in v."""
+    x = values - low[:, None]
+    x *= scale[:, None]
+    np.clip(x, 0, n_grid - 1, out=x)
+    return x.astype(np.int32)
+
+
+def _count_le(table: BinTable, values: np.ndarray) -> np.ndarray:
+    """For every value of row c of ``values``, none NaN, the number of
+    thresholds <= it in row c of ``table.thresholds``.
+
+    A tiny block compares every pair.  Otherwise each value starts at the
+    first threshold of its grid cell, and a branch-free binary search
+    (Khuong and Morin 2017) runs over every value at once: each of the
+    grid's ``steps`` halvings is one gather and one compare.
     """
-    n_cont, width = thresholds.shape
-    if values.size * width <= _COUNT_CELLS:
-        return (thresholds[:, None, :] <= values[:, :, None]).sum(axis=2)
-    flat = thresholds.reshape(-1)
-    # 32-bit offsets gather about twice as fast as 64-bit ones.
-    index = np.int32 if flat.size < 1 << 31 else np.intp
-    base = (np.arange(n_cont, dtype=index) * width)[:, None]
-    at = np.repeat(base, values.shape[1], axis=1)
-    half = index(width >> 1)
-    while half:
+    if values.size * table.thresholds.shape[1] <= _COUNT_CELLS:
+        return (table.thresholds[:, None, :] <= values[:, :, None]).sum(axis=2)
+    grid = table.grid
+    n_cont, width = grid.thresholds.shape
+    flat = grid.thresholds.reshape(-1)
+    start = grid.start.reshape(-1)
+    n_grid = grid.start.shape[1]
+    with np.errstate(over="ignore"):
+        cell = _cells(values, grid.low, grid.scale, n_grid)
+    cell = cell + (np.arange(n_cont, dtype=_offsets(start.size))
+                   * n_grid)[:, None]
+    at = start[cell]
+    half = start.dtype.type(1 << grid.steps >> 1)
+    while half > 1:
         at += (flat[at + (half - 1)] <= values) * half
         half >>= 1
-    return at - base
+    if half:
+        at += flat[at] <= values
+    return at - (np.arange(n_cont, dtype=at.dtype) * width)[:, None]
 
 
 def _bin_continuous(cols: list[np.ndarray], table: BinTable,
@@ -362,9 +462,12 @@ def _bin_continuous(cols: list[np.ndarray], table: BinTable,
         return
     step = max(1, _BLOCK_VALUES // table.continuous.size)
     for lo in range(0, out.shape[1], step):
-        values = np.array([cols[j][lo:lo + step] for j in table.continuous],
-                          dtype=np.float64)
-        codes = _count_le(table.thresholds, values)
+        # One dtype check per block finds a complex column.
+        values = np.array([cols[j][lo:lo + step] for j in table.continuous])
+        if values.dtype.kind == "c":
+            for j in table.continuous:
+                _refuse_complex(cols[j], j)
+        values = values.astype(np.float64, copy=False)
         missing = np.isnan(values)
         if missing.any():
             bad = missing.any(axis=1) & (table.missing < 0)
@@ -374,7 +477,12 @@ def _bin_continuous(cols: list[np.ndarray], table: BinTable,
                     "seen at transform time but none were present when bins "
                     "were fit"
                 )
-            codes = np.where(missing, table.missing[:, None], codes)
+            # The grid search takes no NaN; no threshold is at or below -inf.
+            np.copyto(values, -np.inf, where=missing)
+            codes = np.where(missing, table.missing[:, None],
+                             _count_le(table, values))
+        else:
+            codes = _count_le(table, values)
         out[table.continuous, lo:lo + step] = codes
 
 

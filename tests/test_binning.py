@@ -146,6 +146,49 @@ def test_nan_modality_is_found_at_transform():
 def test_categorical_mixed_types_error():
     with pytest.raises(ValueError, match="mutually comparable"):
         fit_bins([np.array([1, "a"], dtype=object)], ["categorical"], 8)
+    with pytest.raises(ValueError, match="feature 0: .* mutually comparable"):
+        fit_bins([np.array(["a", None, 2.5, "b"] * 10, dtype=object)],
+                 ["categorical"], 8)
+
+
+def test_equal_categories_keep_the_first_seen():
+    # 1, 1.0 and True are one category; the first in row order stands for
+    # it, whatever the order the others come in.
+    rng = np.random.default_rng(0)
+    rest = [True] * 40 + [1] * 40 + [2] * 30 + [2.0] * 30 + [False] * 10
+    col = np.array([1.0] + [rest[i] for i in rng.permutation(len(rest))],
+                   dtype=object)
+    fb = fit_bins([col], ["categorical"], 8).features[0]
+    first_two = next(v for v in col if v == 2)
+    assert fb.categories == {1: 0, 2: 1, 0: 2}
+    assert [type(k) for k in fb.categories] == [float, type(first_two), bool]
+    assert list(fb.categories)[1] is first_two
+
+
+@pytest.mark.parametrize("col", [
+    np.array(["b", "a", "c", "a", "b", "b", np.str_("c"), None] * 9,
+             dtype=object),
+    np.arange(60) % 7,
+    np.array([0.5, -0.0, 0.0, 2.5, np.nan, 0.5] * 9, dtype=np.float32),
+    np.array([3, np.int64(3), 1, np.float32("nan"), 2, 2, 1] * 9,
+             dtype=object),
+])
+def test_categorical_layout_matches_a_sort_of_every_value(col):
+    # np.unique sorts every value; the dict count sorts the distinct ones.
+    fb = fit_bins([col], ["categorical"], 4).features[0]
+    present = col[[not _is_missing_category(v) for v in col]]
+    nan = present != present
+    uniques, counts = np.unique(present[~nan], return_counts=True)
+    if nan.any():
+        uniques = np.append(uniques, present[nan][:1])
+        counts = np.append(counts, np.count_nonzero(nan))
+    ranked = [v.item() if isinstance(v, np.generic) else v
+              for v in uniques[np.argsort(-counts, kind="stable")]]
+    assert list(fb.categories.values()) == [min(b, 3 - fb.has_missing)
+                                            for b in range(len(ranked))]
+    for key, want in zip(fb.categories, ranked):
+        assert type(key) is type(want)
+        assert key == want or key != key and want != want
 
 
 def test_empty_string_counts_as_missing_category():
@@ -186,6 +229,26 @@ def test_max_bins_beyond_uint16_codes_is_refused():
         mapper.validate()
 
 
+def test_complex_continuous_values_are_refused():
+    # Casting to float64 used to warn and drop the imaginary part.
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 2))
+    y = np.arange(30) % 2
+    with pytest.raises(ValueError, match="feature 0: continuous values "
+                                         "must be real, got complex128"):
+        fit([X[:, 0] + 1j, X[:, 1]], y, ["continuous"] * 2,
+            TrainConfig(n_trees=2, seed=0))
+    with pytest.raises(ValueError, match="feature 1: .* must be real"):
+        fit_bins([X[:, 0], X[:, 1].astype(np.complex64)],
+                 ["continuous"] * 2, 8)
+    forest = fit([X[:, 0], X[:, 1]], y, ["continuous"] * 2,
+                 TrainConfig(n_trees=2, seed=0))
+    for block in ([np.array([1 + 1j]), np.array([0.5])],
+                  [np.full(5000, 0.5), np.full(5000, 1 + 0j)]):
+        with pytest.raises(ValueError, match="must be real"):
+            forest.predict_proba(block)
+
+
 def test_two_dim_array_and_column_list_agree():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))
@@ -206,8 +269,11 @@ def test_entry_dtype_tracks_bin_budget():
 def continuous_fit_columns(n=1000):
     """Continuous training columns of several shapes: one with missing
     values, one constant with missing values (no thresholds at a budget of
-    2), one of ints, one of float32 with infinities, and a categorical
-    column between them."""
+    2), one of ints, one of float32 with infinities, a categorical column
+    between them, and three that load the search grid unevenly: a
+    lognormal one, a heavily tied one, and one whose thresholds all fall
+    into one grid cell but its two extremes, the largest finite floats,
+    whose span overflows."""
     rng = np.random.default_rng(5)
     gauss = rng.normal(size=n)
     gauss[::11] = np.nan
@@ -216,9 +282,23 @@ def continuous_fit_columns(n=1000):
     wide = rng.standard_cauchy(size=n).astype(np.float32)
     wide[::13], wide[::17] = np.inf, -np.inf
     color = rng.choice(np.array(list("abc"), dtype=object), size=n)
-    cols = [gauss, constant, color, rng.integers(-5, 60, size=n), wide]
+    tied = np.round(rng.exponential(size=n), 1)
+    extremes = rng.normal(size=n)
+    extremes[rng.random(n) < 0.2] = np.finfo(np.float64).max
+    extremes[rng.random(n) < 0.2] = -np.finfo(np.float64).max
+    cols = [gauss, constant, color, rng.integers(-5, 60, size=n), wide,
+            rng.lognormal(0.0, 3.0, size=n), tied, extremes]
     return cols, ["continuous", "continuous", "categorical", "continuous",
-                  "continuous"]
+                  "continuous", "continuous", "continuous", "continuous"]
+
+
+def cell_counts(mapper):
+    """Thresholds per grid cell, one row per continuous feature."""
+    grid = mapper.table.grid
+    below = grid.start - (np.arange(grid.start.shape[0])
+                          * grid.thresholds.shape[1])[:, None]
+    count = np.count_nonzero(~np.isnan(mapper.table.thresholds), axis=1)
+    return np.diff(below, axis=1, append=count[:, None])
 
 
 def probe_columns(mapper, cols, rng):
@@ -243,8 +323,10 @@ def probe_columns(mapper, cols, rng):
             edge = np.array([0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
                              -info.smallest_subnormal, info.max, -info.max],
                             dtype=col.dtype)
-            v = np.concatenate([t, np.nextafter(t, t.dtype.type(np.inf)),
-                                np.nextafter(t, t.dtype.type(-np.inf)), edge])
+            with np.errstate(over="ignore"):    # past the largest float
+                v = np.concatenate([t, np.nextafter(t, t.dtype.type(np.inf)),
+                                    np.nextafter(t, t.dtype.type(-np.inf)),
+                                    edge])
         v = np.resize(rng.permutation(v), n)
         if fb.has_missing:
             v[rng.random(n) < 0.1] = np.nan
@@ -264,15 +346,7 @@ def searchsorted_codes(mapper, cols):
     return np.stack(out, axis=1)
 
 
-@pytest.mark.parametrize("max_bins", [2, 3, 256, 300])
-@pytest.mark.parametrize("block,count", [
-    (1 << 16, 1 << 14),       # the defaults
-    (7, 0),                   # search only, blocks of one row
-    (23, 1 << 30),            # compare every pair, blocks of 5 rows
-    (1 << 16, 0),             # search only, one block
-])
-def test_continuous_codes_match_searchsorted(monkeypatch, max_bins, block,
-                                             count):
+def check_codes_match_searchsorted(monkeypatch, max_bins, block, count):
     monkeypatch.setattr(binning, "_BLOCK_VALUES", block)
     monkeypatch.setattr(binning, "_COUNT_CELLS", count)
     fit_cols, kinds = continuous_fit_columns()
@@ -281,6 +355,11 @@ def test_continuous_codes_match_searchsorted(monkeypatch, max_bins, block,
         assert mapper.features[1].thresholds.size == 0
     if max_bins == 300:
         assert mapper.features[0].n_bins > 256
+    if max_bins >= 256 and binning._GRID_CELLS > 1:
+        # The last column's thresholds share a cell, but for its extremes.
+        thresholds = mapper.features[-1].thresholds
+        n = np.count_nonzero(np.abs(thresholds) < 1e300)
+        assert cell_counts(mapper)[-1].max() == n >= thresholds.size - 4
     cols = probe_columns(mapper, fit_cols, np.random.default_rng(max_bins))
     want = searchsorted_codes(mapper, cols)
     cont = np.array([fb.kind is FeatureKind.CONTINUOUS
@@ -297,6 +376,60 @@ def test_continuous_codes_match_searchsorted(monkeypatch, max_bins, block,
     for i in range(0, got.shape[0], 37):
         one = transform([c[i:i + 1] for c in cols], mapper).entries
         np.testing.assert_array_equal(one[0], got[i])
+
+
+@pytest.mark.parametrize("max_bins", [2, 3, 256, 300])
+@pytest.mark.parametrize("block,count", [
+    (1 << 16, 1 << 14),       # the defaults
+    (7, 0),                   # search only, blocks of one row
+    (23, 1 << 30),            # compare every pair, blocks of 5 rows
+    (1 << 16, 0),             # search only, one block
+])
+def test_continuous_codes_match_searchsorted(monkeypatch, max_bins, block,
+                                             count):
+    check_codes_match_searchsorted(monkeypatch, max_bins, block, count)
+
+
+@pytest.mark.parametrize("max_bins", [2, 3, 256, 300])
+@pytest.mark.parametrize("block,count", [(1 << 16, 1 << 14), (7, 0)])
+def test_one_cell_grid_codes_match_searchsorted(monkeypatch, max_bins, block,
+                                                count):
+    # A grid of one cell searches every row in full.
+    monkeypatch.setattr(binning, "_GRID_CELLS", 1)
+    check_codes_match_searchsorted(monkeypatch, max_bins, block, count)
+
+
+def test_grid_size_is_capped_at_the_largest_budget():
+    # 19999 thresholds (W = 32768) take 4096 cells of 4 bytes, 16 KB, not
+    # 4 W of them.
+    rng = np.random.default_rng(7)
+    fit_cols = [rng.normal(size=20_000), rng.lognormal(0.0, 2.0, 20_000)]
+    mapper = fit_bins(fit_cols, ["continuous"] * 2, binning.MAX_BINS)
+    assert all(fb.n_bins == 20_000 for fb in mapper.features)
+    cols = probe_columns(mapper, fit_cols, rng)
+    np.testing.assert_array_equal(transform(cols, mapper).entries,
+                                  searchsorted_codes(mapper, cols))
+    start = mapper.table.grid.start
+    assert start.shape == (2, binning._GRID_CELLS) == (2, 4096)
+    assert start.nbytes == 2 * 16 * 1024
+
+
+@pytest.mark.parametrize("max_bins", [2, 3, 256, 300, binning.MAX_BINS])
+def test_thresholds_equal_quantiles_of_the_unsorted_column(max_bins):
+    # The thresholds come from a sorted copy; they must be bitwise those
+    # of np.quantile on the column as given.
+    rng = np.random.default_rng(max_bins)
+    with_inf = rng.standard_cauchy(size=3000)
+    with_inf[::7], with_inf[::11] = np.inf, -np.inf
+    for col in (rng.normal(size=3000), rng.integers(-40, 900, size=3000),
+                rng.lognormal(size=3000).astype(np.float32), with_inf):
+        present = col.astype(np.float64)
+        finite = present[np.isfinite(present)]
+        present = np.clip(present, finite.min(), finite.max())
+        q = np.arange(1, max_bins) / max_bins
+        want = np.unique(np.quantile(present, q, method="midpoint"))
+        got = binning._fit_continuous(col, 0, max_bins).thresholds
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("block,count", [(1 << 16, 1 << 14), (3, 0),
