@@ -267,9 +267,13 @@ def _columns(X) -> list[np.ndarray]:
     cols = [np.asarray(c) for c in X]
     if not cols:
         raise ValueError("no feature columns given")
+    for j, c in enumerate(cols):
+        if c.ndim != 1:
+            raise ValueError(f"column {j} is not a 1-d array (shape {c.shape}); "
+                             f"give one row as columns of length 1")
     n = cols[0].shape[0]
     for j, c in enumerate(cols):
-        if c.ndim != 1 or c.shape[0] != n:
+        if c.shape[0] != n:
             raise ValueError(f"column {j} is not a 1-d array of length {n}")
     return cols
 
@@ -302,8 +306,18 @@ def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
         # A sorted copy is bitwise the same to np.quantile, and its
         # partitions are cheap.
         quantiles = np.arange(1, slots) / slots
-        thresholds = np.quantile(np.sort(present), quantiles,
-                                 method="midpoint")
+        ordered = np.sort(present)
+        # The midpoint of order statistics a < b of opposite signs is
+        # b - (b - a) / 2, -inf once b - a overflows; a / 2 + b / 2 stays
+        # finite and strictly between them.
+        with np.errstate(over="ignore"):
+            thresholds = np.quantile(ordered, quantiles, method="midpoint")
+        over = np.flatnonzero(~np.isfinite(thresholds))
+        if over.size:
+            k = (ordered.size - 1) * quantiles[over]
+            a = ordered[np.floor(k).astype(np.intp)]
+            b = ordered[np.ceil(k).astype(np.intp)]
+            thresholds[over] = a * 0.5 + b * 0.5
         thresholds = np.unique(thresholds)
     else:
         thresholds = np.empty(0, dtype=np.float64)

@@ -77,15 +77,22 @@ def _le(arr: np.ndarray) -> np.ndarray:
 _KEY_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
-def _encode_categories(cats: dict) -> tuple[str, list]:
+def _encode_categories(cats: dict, feature: str) -> tuple[str, list]:
+    """The key type name and [key, bin] pairs of a feature's categories.
+    Load casts every key to the one type, so all keys must have it."""
     if not cats:
         return "str", []
-    kind = type(next(iter(cats)))
+    kinds = {type(v) for v in cats}
+    if len(kinds) > 1:
+        names = ", ".join(sorted(k.__name__ for k in kinds))
+        raise ModelFormatError(f"feature {feature}: categorical values of "
+                               f"mixed types ({names}) cannot be serialized")
+    (kind,) = kinds
     for name, t in _KEY_TYPES.items():
         if kind is t:
             return name, [[v, b] for v, b in cats.items()]
-    raise ModelFormatError(
-        f"categorical values of type {kind.__name__} cannot be serialized")
+    raise ModelFormatError(f"feature {feature}: categorical values of type "
+                           f"{kind.__name__} cannot be serialized")
 
 
 def save_model(forest: Forest, path: str) -> None:
@@ -119,8 +126,10 @@ def save_model(forest: Forest, path: str) -> None:
         meta["arrays"].append([name, arr.dtype.str, list(arr.shape)])
         blobs.append(arr.tobytes())
 
-    for fb in forest.mapper.features:
-        key_type, cats = _encode_categories(fb.categories or {})
+    for j, fb in enumerate(forest.mapper.features):
+        name = (repr(forest.feature_names[j]) if forest.feature_names
+                else str(j))
+        key_type, cats = _encode_categories(fb.categories or {}, name)
         meta["features"].append({
             "kind": fb.kind.value,
             "n_bins": fb.n_bins,
@@ -219,6 +228,9 @@ def _forest_from(meta: dict, body) -> Forest:
         kind = FeatureKind(fm["kind"])
         key_type = _KEY_TYPES[fm["key_type"]]
         cats = {key_type(v): b for v, b in fm["categories"]}
+        if len(cats) != len(fm["categories"]):
+            raise ModelFormatError(
+                f"feature {i}: categories collide as {fm['key_type']} keys")
         features.append(FeatureBins(
             kind=kind,
             n_bins=fm["n_bins"],

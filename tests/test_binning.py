@@ -15,6 +15,7 @@ from aggforest.binning import (
     transform,
 )
 from aggforest.forest import TrainConfig, fit
+from aggforest.model_io import load_model, save_model
 
 
 def test_median_threshold_frozen():
@@ -430,6 +431,52 @@ def test_thresholds_equal_quantiles_of_the_unsorted_column(max_bins):
         want = np.unique(np.quantile(present, q, method="midpoint"))
         got = binning._fit_continuous(col, 0, max_bins).thresholds
         assert got.tobytes() == want.tobytes()
+
+
+def test_overflowing_midpoint_gets_a_finite_threshold(tmp_path):
+    # np.quantile's midpoint of -max and max overflows to -inf, which a
+    # saved model could not load.
+    big = np.finfo(np.float64).max
+    col = np.array([-big, big] * 10)
+    y = np.arange(20) % 2
+    forest = fit([col], y, ["continuous"], TrainConfig(max_bins=2, seed=0))
+    (threshold,) = forest.mapper.features[0].thresholds
+    assert -big < threshold < big
+    path = str(tmp_path / "m.agf")
+    save_model(forest, path)
+    loaded = load_model(path)
+    probe = [np.array([-big, -1.0, 0.0, 1.0, big, np.inf, -np.inf])]
+    assert np.array_equal(loaded.predict_proba(probe),
+                          forest.predict_proba(probe))
+    assert np.array_equal(loaded.predict_proba([col]),
+                          forest.predict_proba([col]))
+    # Only the overflowing midpoint changes; the others are np.quantile's.
+    col = np.concatenate([np.linspace(-big, -big / 2, 5),
+                          np.linspace(big / 2, big, 5)])
+    got = binning._fit_continuous(col, 0, 3).thresholds
+    with np.errstate(over="ignore"):
+        want = np.quantile(col, [1 / 3, 2 / 3], method="midpoint")
+    assert got.tolist() == want.tolist()
+    got = binning._fit_continuous(col, 0, 2).thresholds
+    assert np.isfinite(got).all() and col[4] < got[0] < col[5]
+
+
+def test_scalar_columns_are_refused():
+    # One row is a list of columns of length 1, not a list of scalars.
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(30, 3))
+    y = np.arange(30) % 2
+    with pytest.raises(ValueError, match=r"column 0 is not a 1-d array "
+                                         r"\(shape \(\)\)"):
+        fit([1.0, 2.0, 3.0], y, ["continuous"] * 3, TrainConfig(seed=0))
+    forest = fit([X[:, j] for j in range(3)], y, ["continuous"] * 3,
+                 TrainConfig(n_trees=2, seed=0))
+    with pytest.raises(ValueError, match="column 0 is not a 1-d array"):
+        forest.predict_proba([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="column 2 is not a 1-d array"):
+        forest.predict([X[:1, 0], X[:1, 1], 3.0])
+    one = forest.predict_proba([X[:1, j] for j in range(3)])
+    assert np.array_equal(one, forest.predict_proba(X[:1]))
 
 
 @pytest.mark.parametrize("block,count", [(1 << 16, 1 << 14), (3, 0),

@@ -504,6 +504,33 @@ def test_stacked_prediction_equals_per_tree_fold(monkeypatch, task, n_classes,
             assert np.array_equal(one[0], got[i])
 
 
+@pytest.mark.parametrize("task,n_classes,multiclass,aggregation", [
+    ("classification", 3, "heuristic", True),
+    ("classification", 3, "one_vs_rest", True),
+    ("regression", 0, "heuristic", True),
+    ("classification", 2, "heuristic", False),
+])
+def test_single_row_calls_equal_their_batch_rows(task, n_classes, multiclass,
+                                                 aggregation):
+    """One row of 25 trees is walked to its leaves in Python (75 pairs under
+    one-vs-rest take numpy steps first), while a block of 150 rows takes
+    numpy steps: both predict the row bitwise alike."""
+    X, y = mixed_data(300, 21, task, n_classes)
+    forest = fit(X, y, ["categorical", "continuous", "continuous"],
+                 TrainConfig(task=task, n_trees=25, multiclass=multiclass,
+                             aggregation=aggregation, max_features=2,
+                             seed=21))
+    Xq, _ = mixed_data(150, 22, task, n_classes)
+    calls = [forest.predict]
+    if task == "classification":
+        calls.append(forest.predict_proba)
+    for call in calls:
+        batch = call(Xq)
+        for i in range(150):
+            one = call([c[i:i + 1] for c in Xq])
+            assert one.shape[:1] == (1,) and np.array_equal(one[0], batch[i])
+
+
 @pytest.mark.parametrize("task,n_classes,multiclass", [
     ("regression", 0, "heuristic"),
     ("classification", 3, "heuristic"),

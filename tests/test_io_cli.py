@@ -441,6 +441,41 @@ def test_invalid_model_state_is_rejected(tmp_path, categorical, edit, message):
         load_model(str(path))
 
 
+def test_categories_of_mixed_types_are_refused_by_save(tmp_path):
+    # Load casts every key to one type: bool(2) and bool(3) are True, so
+    # this model used to load as {True: 2} and refuse 2 as unseen.
+    col = np.array([True, 2, 2, True, 3, 3] * 5, dtype=object)
+    y = np.arange(30) % 2
+    forest = fit([col, np.arange(30.0)], y, ["categorical", "continuous"],
+                 TrainConfig(n_trees=2, seed=0),
+                 feature_names=["flag", "x"])
+    assert forest.mapper.features[0].categories == {True: 0, 2: 1, 3: 2}
+    path = tmp_path / "m.agf"
+    with pytest.raises(ModelFormatError, match=r"feature 'flag': categorical "
+                                               r"values of mixed types "
+                                               r"\(bool, int\)"):
+        save_model(forest, str(path))
+    assert not path.exists()
+
+
+def test_colliding_category_keys_are_refused_by_load(tmp_path):
+    col = np.array([1, 2, 3] * 20)
+    y = (col == 2).astype(np.int64)
+    forest = fit([col], y, ["categorical"], TrainConfig(n_trees=1, seed=0))
+    path = tmp_path / "m.agf"
+    save_model(forest, str(path))
+    assert load_model(str(path)).mapper.features[0].categories == {
+        1: 0, 2: 1, 3: 2}
+
+    def as_bool(meta, arrays):
+        meta["features"][0]["key_type"] = "bool"
+
+    rewrite_model(path, as_bool)
+    with pytest.raises(ModelFormatError, match="feature 0: categories "
+                                               "collide as bool keys"):
+        load_model(str(path))
+
+
 @functools.lru_cache(maxsize=None)
 def saved_mixed_forest(task):
     """A saved two-tree forest over a categorical and two continuous

@@ -1,11 +1,13 @@
 """Tree growth: structure invariants, routing, and stopping rules."""
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
+from aggforest import tree as tree_module
 from aggforest.aggregation import accumulate_oob_losses, oob_losses
 from aggforest.binning import fit_bins, transform
 from aggforest.forest import TrainConfig, fit
@@ -218,6 +220,65 @@ def test_routing_bits_match_the_split_rule():
             assert got[i, t] == v, (i, t)
         path = tree.path(x)
         assert path[-1] == got[i, 0] and tree.feature[path[-1]] < 0
+
+
+@functools.lru_cache(maxsize=None)
+def routing_case(name):
+    """A stacked table, an order of its roots and binned rows to route:
+    every kind of split; single-leaf trees (the first tree among them)
+    alternating with deeper ones; or uint16 codes."""
+    if name == "split kinds":
+        (table, roots), binned = every_split_kind()
+        return table, roots, binned.entries
+    rng = np.random.default_rng(4)
+    if name == "single leaves":
+        X = rng.normal(size=(20, 2))
+        y = np.zeros(20, dtype=np.int64)
+        y[:2] = 1
+        cols, config = [X[:, 0], X[:, 1]], TrainConfig(n_trees=8, seed=4)
+    else:
+        X = rng.normal(size=(2000, 3))
+        y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(np.int64)
+        cols = [X[:, j] for j in range(3)]
+        config = TrainConfig(n_trees=6, max_bins=300, seed=4)
+    forest = fit(cols, y, ["continuous"] * len(cols), config)
+    table, roots = forest.table, forest.roots
+    entries = forest._binned(cols).entries
+    if name == "single leaves":
+        leafy = table.feature[roots] < 0
+        assert leafy[0] and 0 < leafy.sum() < roots.size
+        key = np.empty(roots.size)
+        key[leafy] = 2 * np.arange(leafy.sum())
+        key[~leafy] = 2 * np.arange((~leafy).sum()) + 1
+        roots = roots[np.argsort(key)]
+    else:
+        assert entries.dtype == np.uint16
+    return table, roots, entries
+
+
+@pytest.mark.parametrize("pairs", [1, 64, 65, 2 ** 16])
+@pytest.mark.parametrize("stacked", [False, True],
+                         ids=["roots-none", "stacked"])
+@pytest.mark.parametrize("case", ["split kinds", "single leaves", "uint16"])
+def test_leaves_do_not_depend_on_the_walk_cutoff(monkeypatch, case, stacked,
+                                                 pairs):
+    # At the default cutoff 1 and 64 pairs are walked in Python from the
+    # root, 65 and 2^16 (a full prediction block) take numpy steps first;
+    # cutoff 0 takes numpy steps only and 2^17 walks every pair.
+    table, roots, entries = routing_case(case)
+    t = 1
+    if stacked:
+        t = max(d for d in range(1, roots.size + 1) if pairs % d == 0)
+    rows = np.random.default_rng(pairs).integers(0, entries.shape[0],
+                                                 pairs // t)
+    args = (entries[rows], roots[:t]) if stacked else (entries[rows],)
+    want = table.route(*args)
+    assert want.shape == ((pairs // t, t) if stacked else (pairs,))
+    assert (table.feature[want] < 0).all()
+    for cutoff in (0, 2 ** 17):
+        monkeypatch.setattr(tree_module, "_WALK_PAIRS", cutoff)
+        got = table.route(*args)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_leaf_minimums_and_oob_presence():
