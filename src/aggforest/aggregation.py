@@ -126,11 +126,18 @@ def compute_log_agg_weights(tree: Tree, oob_loss: np.ndarray,
 def state_from_losses(tree: Tree, oob_loss: np.ndarray | None,
                       temperature: float, dirichlet: float) -> AggregationState:
     """The state that a tree's stats and its nodes' oob losses give: the
-    forecasts and, unless ``oob_loss`` is None, the log weights."""
-    return AggregationState(
-        temperature, node_forecast(tree.stats, tree.task, dirichlet), oob_loss,
-        None if oob_loss is None
-        else compute_log_agg_weights(tree, oob_loss, temperature))
+    forecasts and, unless ``oob_loss`` is None, the log weights.  Fit and
+    load both refuse here, with a ValueError, what is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = AggregationState(
+            temperature, node_forecast(tree.stats, tree.task, dirichlet),
+            oob_loss, None if oob_loss is None
+            else compute_log_agg_weights(tree, oob_loss, temperature))
+    if not all(np.isfinite(a).all() for a in (
+            state.forecasts, state.log_agg_weight) if a is not None):
+        raise ValueError(f"temperature {temperature!r} and the stats and oob "
+                         "losses give forecasts or log weights not finite")
+    return state
 
 
 def build_state(tree: Tree, entries: np.ndarray, labels, oob_rows,

@@ -40,6 +40,24 @@ def _is_missing_category(value) -> bool:
     return False
 
 
+# A model file stores each feature's categorical values as one of these.
+KEY_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
+
+
+def category_key_type(keys, feature) -> str:
+    """The name in ``KEY_TYPES`` of the one type of a feature's categorical
+    values ("str" for none); ValueError, naming the feature, otherwise."""
+    kinds = {type(v) for v in keys} or {str}
+    for name, t in KEY_TYPES.items():
+        if kinds == {t}:
+            return name
+    names = ", ".join(sorted(k.__name__ for k in kinds))
+    raise ValueError(f"feature {feature}: categorical values of "
+                     + (f"mixed types ({names})" if len(kinds) > 1
+                        else f"type {names}")
+                     + " cannot be stored in a model file")
+
+
 @dataclass
 class FeatureBins:
     """Learned bin layout of a single feature.

@@ -11,8 +11,8 @@ import numpy as np
 
 from .aggregation import (AggregationState, descend, node_values, oob_losses,
                           pair_losses, state_from_losses)
-from .binning import (BinMapper, BinnedMatrix, check_max_bins, fit_bins,
-                      transform)
+from .binning import (BinMapper, BinnedMatrix, category_key_type,
+                      check_max_bins, fit_bins, transform)
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
 from .tree import (LEAF_FIELDS, SPLIT_FIELDS, STORED, Tree, features_per_node,
@@ -355,6 +355,9 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     temperature = _resolve_temperature(config, y_enc)
 
     mapper = fit_bins(X, kinds, config.max_bins)
+    # What fits must save: a model file stores one type of category per feature.
+    for j, fb in enumerate(mapper.features):
+        category_key_type(fb.categories, j)
     binned = transform(X, mapper)
     if binned.n_rows != y_enc.shape[0]:
         raise ValueError(

@@ -15,27 +15,27 @@ manifest order, every array little-endian and C-contiguous.  Everything
 about the encoding is deterministic, so two equal forests serialize to
 identical bytes.
 
-Format version 3 stores the forest as one node table, tree after tree, each
+Format version 4 stores the forest as one node table, tree after tree, each
 tree breadth first, with one array per field for the whole forest, each
 holding only the nodes its field means something at:
 
 - ``internal``: one bit per node, set at internal nodes, eight to a byte in
   little-endian bit order;
-- per internal node: ``feature``, ``threshold``, ``missing_left`` and
-  ``gain``, and per categorical split a row of ``masks``, the bins that go
-  left packed like ``internal``;
+- per internal node: ``feature``, ``threshold`` and ``missing_left``, and
+  per categorical split a row of ``masks``, the bins that go left packed
+  like ``internal``;
 - per leaf: ``itb_count``, ``stats`` and, with aggregation on,
   ``oob_count``; an internal node's are the sums of its children's;
 - per node, with aggregation on: ``oob_loss``, which does not add up;
 - per tree: ``roots``, ``index``, ``class_id`` and ``oob_loss_mean``;
-- each feature's thresholds.
+- per feature i: ``f<i>.thresholds``, empty for a categorical feature.
 
 Load rebuilds the rest through ``Tree.from_heap``, as fitting does: the
 child links from breadth-first order, then parents, depths, mask ids and
 the internal nodes' counts and stats, the forecasts from the stats, and the
 log weights from the oob losses and the temperature; the trees' bin layout
 is the mapper's.  Versions 1 and 2, which stored every field at every node,
-are refused.
+and version 3, which also stored each split's gain, are refused.
 """
 
 from __future__ import annotations
@@ -50,12 +50,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import state_from_losses
-from .binning import BinMapper, FeatureBins, FeatureKind
+from .binning import (KEY_TYPES, BinMapper, FeatureBins, FeatureKind,
+                      category_key_type)
 from .forest import Forest, TrainConfig
 from .tree import LEAF_FIELDS, SPLIT_FIELDS, STORED, Tree
 
 MAGIC = b"AGFOREST"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _PER_TREE = ("roots", "index", "class_id", "oob_loss_mean")
 
@@ -72,27 +73,6 @@ def _le(arr: np.ndarray) -> np.ndarray:
     if arr.dtype.byteorder == ">":
         return arr.astype(arr.dtype.newbyteorder("<"))
     return np.ascontiguousarray(arr)
-
-
-_KEY_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
-
-
-def _encode_categories(cats: dict, feature: str) -> tuple[str, list]:
-    """The key type name and [key, bin] pairs of a feature's categories.
-    Load casts every key to the one type, so all keys must have it."""
-    if not cats:
-        return "str", []
-    kinds = {type(v) for v in cats}
-    if len(kinds) > 1:
-        names = ", ".join(sorted(k.__name__ for k in kinds))
-        raise ModelFormatError(f"feature {feature}: categorical values of "
-                               f"mixed types ({names}) cannot be serialized")
-    (kind,) = kinds
-    for name, t in _KEY_TYPES.items():
-        if kind is t:
-            return name, [[v, b] for v, b in cats.items()]
-    raise ModelFormatError(f"feature {feature}: categorical values of type "
-                           f"{kind.__name__} cannot be serialized")
 
 
 def save_model(forest: Forest, path: str) -> None:
@@ -127,19 +107,22 @@ def save_model(forest: Forest, path: str) -> None:
         blobs.append(arr.tobytes())
 
     for j, fb in enumerate(forest.mapper.features):
-        name = (repr(forest.feature_names[j]) if forest.feature_names
-                else str(j))
-        key_type, cats = _encode_categories(fb.categories or {}, name)
+        cats = fb.categories or {}
+        # Load casts every key to the one type, so all keys must have it.
+        try:
+            key_type = category_key_type(cats, repr(forest.feature_names[j])
+                                         if forest.feature_names else j)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from None
         meta["features"].append({
             "kind": fb.kind.value,
             "n_bins": fb.n_bins,
             "has_missing": fb.has_missing,
             "overflow_bin": fb.overflow_bin,
             "key_type": key_type,
-            "categories": cats,
+            "categories": [[v, b] for v, b in cats.items()],
         })
-    for i, fb in enumerate(forest.mapper.features):
-        put(f"f{i}.thresholds",
+        put(f"f{j}.thresholds",
             fb.thresholds if fb.thresholds is not None else np.empty(0))
 
     stored = forest.table.stored()
@@ -226,8 +209,8 @@ def _forest_from(meta: dict, body) -> Forest:
     for i, fm in enumerate(meta["features"]):
         thresholds = arrays[f"f{i}.thresholds"]
         kind = FeatureKind(fm["kind"])
-        key_type = _KEY_TYPES[fm["key_type"]]
-        cats = {key_type(v): b for v, b in fm["categories"]}
+        cast = KEY_TYPES[fm["key_type"]]
+        cats = {cast(v): b for v, b in fm["categories"]}
         if len(cats) != len(fm["categories"]):
             raise ModelFormatError(
                 f"feature {i}: categories collide as {fm['key_type']} keys")
@@ -278,10 +261,6 @@ def _forest_from(meta: dict, body) -> Forest:
                    n_classes if one_vs_rest else 0, **per_tree)
             state = state_from_losses(table, arrays["oob_loss"], temperature,
                                       config.dirichlet)
-        if not all(np.isfinite(a).all() for a in (
-                state.forecasts, state.log_agg_weight) if a is not None):
-            raise ValueError("stats, oob losses and temperature give forecasts "
-                             "or log weights that are not finite")
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     return Forest(config=config, mapper=mapper, table=table, state=state,

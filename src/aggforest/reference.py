@@ -245,12 +245,12 @@ def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
     """A tree over one feature of ``n_bins`` bins, built breadth first.
 
     ``node(lo, hi, depth, arg)`` returns the stats of the node owning bins
-    [lo, hi) and either None (a leaf) or (threshold, gain, left arg, right
-    arg); the left child owns bins [lo, threshold].  Only the leaves' stats
+    [lo, hi) and either None (a leaf) or (threshold, left arg, right arg);
+    the left child owns bins [lo, threshold].  Only the leaves' stats
     are kept: an internal node's are its children's sums.
     """
     internal: list[bool] = []
-    cols: dict[str, list] = {"threshold": [], "gain": [], "stats": []}
+    cols: dict[str, list] = {"threshold": [], "stats": []}
     queue = [(0, n_bins, 0, root_arg)]
     for lo, hi, depth, arg in queue:    # the loop visits what it appends
         stats, split = node(lo, hi, depth, arg)
@@ -258,9 +258,8 @@ def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
         if split is None:
             cols["stats"].append(stats)
             continue
-        t, gain, left_arg, right_arg = split
+        t, left_arg, right_arg = split
         cols["threshold"].append(t)
-        cols["gain"].append(gain)
         queue += [(lo, t + 1, depth + 1, left_arg),
                   (t + 1, hi, depth + 1, right_arg)]
     k, leaves = sum(internal), len(cols["stats"])
@@ -274,7 +273,6 @@ def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
         feature=np.zeros(k, dtype=np.int32),
         threshold=np.asarray(cols["threshold"], dtype=np.int32),
         missing_left=np.zeros(k, dtype=bool),
-        gain=np.asarray(cols["gain"], dtype=np.float64),
         itb_count=np.ones(leaves, dtype=np.int32),
         oob_count=np.ones(leaves, dtype=np.int32),
         stats=np.vstack(cols["stats"]))
@@ -306,7 +304,7 @@ def synthetic_tree(rng: np.random.Generator, n_leaves: int,
         kl = int(rng.integers(1, quota))
         kr = quota - kl
         t = int(rng.integers(lo + kl - 1, hi - kr))
-        return stats, (t, float(rng.uniform(0.01, 1.0)), kl, kr)
+        return stats, (t, kl, kr)
 
     return _one_feature_tree(task, n_classes, n_bins, node, n_leaves)
 
@@ -323,7 +321,7 @@ def complete_tree(depth: int, task: str = "classification",
             stats = np.array([2.0, rng.normal(), 4.0])
         if level == depth:
             return stats, None
-        return stats, ((lo + hi - 1) // 2, 0.1, None, None)
+        return stats, ((lo + hi - 1) // 2, None, None)
 
     return _one_feature_tree(task, n_classes, max(2 ** depth, 2), node, None)
 

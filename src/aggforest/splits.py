@@ -51,10 +51,10 @@ class Split:
     """A binary split of a node's bins.
 
     Continuous: plain bins <= bin_threshold go left and missing values follow
-    missing_goes_left.  A threshold of -1 (legal only with
-    missing_goes_left=True) sends only the missing bin left.  Categorical:
-    left_mask[b] says whether bin b goes left; the missing bin, when the
-    feature has one, is covered by the mask like any other bin.
+    missing_goes_left.  A threshold of -1 (legal only with missing values
+    going left) sends only the missing bin left.  Categorical: left_mask[b]
+    says whether bin b goes left; the missing bin, when the feature has one,
+    is covered by the mask like any other bin.  A tree's splits have no gain.
     """
 
     feature: int
@@ -62,7 +62,7 @@ class Split:
     bin_threshold: int
     missing_goes_left: bool
     left_mask: np.ndarray | None
-    gain: float
+    gain: float | None = None
 
 
 def _stats_weights(table: np.ndarray, classification: bool) -> np.ndarray:
@@ -219,12 +219,6 @@ def _scan_order(table, order, oob_left, oob_total, criterion, cons, parent_impw,
     return pos, gain
 
 
-def _mask_from_bins(bins: np.ndarray, n_bins: int) -> np.ndarray:
-    mask = np.zeros(n_bins, dtype=bool)
-    mask[bins] = True
-    return mask
-
-
 def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
                     constraints: SplitConstraints, oob_counts=None,
                     n_classes: int = 0) -> Split | None:
@@ -277,7 +271,8 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
                                     w_total, classification)
                 if found is not None:
                     pos, gain = found
-                    mask = _mask_from_bins(order[:pos + 1], int(binned.n_bins[j]))
+                    mask = np.zeros(int(binned.n_bins[j]), dtype=bool)
+                    mask[order[:pos + 1]] = True
                     consider(Split(j, True, -2, False, mask, gain))
         else:
             missing_bin = int(binned.missing_bin[j])
@@ -507,15 +502,38 @@ def _scan_blocks(widths: np.ndarray, n_cont: int, channels: int):
         lo = hi
 
 
+def left_rows(threshold, missing_bin, missing_left, width: int) -> np.ndarray:
+    """Rows of ``width`` bytes, bin b at bit b % 8 of byte b // 8 (as masks
+    are packed), of the bins that go left at continuous splits: those up to
+    ``threshold``, and ``missing_bin`` (-1: none) where ``missing_left``."""
+    upto = np.clip(threshold, -1, 8 * width - 1) + 1
+    full = upto >> 3
+    rows = (np.arange(width) < full[:, None]) * np.uint8(255)
+    part = np.flatnonzero(full < width)
+    rows[part, full[part]] = (1 << (upto[part] & 7)) - 1
+    has = np.flatnonzero(missing_bin >= 0)
+    b = missing_bin[has]
+    byte, bit = rows[has, b >> 3], (1 << (b & 7)).astype(np.uint8)
+    rows[has, b >> 3] = np.where(missing_left[has], byte | bit, byte & ~bit)
+    return rows
+
+
+def goes_left(rows: np.ndarray, at, codes):
+    """1 where bin ``codes`` goes left at row ``at`` of ``rows`` (``left_rows``'
+    layout), else 0: the rule by which growth and ``Router.step`` route."""
+    byte = rows.reshape(-1)[at * rows.shape[1] + (codes >> 3)]
+    return (byte >> (codes & 7)) & 1
+
+
 @dataclass
 class NodeSplits:
     """The splits found among many nodes, one entry per node that splits.
 
-    ``node`` gives the node's position, ``left`` marks the bins that go
-    left (the categorical mask, or the bins up to the threshold plus the
-    missing bin when missing values go left), ``threshold`` is -2 for
-    categorical splits, and ``stats_left`` holds the left child's label
-    statistics, summed from the split feature's own table.
+    ``node`` gives the node's position, ``left`` packs the bins that go
+    left as ``left_rows`` does (the categorical mask, or the bins up to the
+    threshold plus the missing bin when missing values go left),
+    ``threshold`` is -2 for categorical splits, and ``stats_left`` holds the
+    left child's label statistics, summed from the split feature's own table.
     """
 
     node: np.ndarray
@@ -536,8 +554,8 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
     compete in the same order: gain, then the lowest feature, then the
     lowest threshold with missing values right before left, then the
     smallest categorical mask.  The arithmetic follows ``find_best_split``
-    step for step, so equal tables give equal gains to the last bit (both
-    add the channels in order, ``_channel_sum``, for any class count).
+    step for step: equal tables give equal gains to the last bit, below 8
+    classes (from 8 on, numpy sums one node's impurity terms pairwise).
     Pairs are scanned in blocks of one feature kind, widest first, and each
     block is padded to its first pair's width with cells of zero sums.  A
     block holds at most ``_BLOCK_CELLS`` padded cells and at most
@@ -565,7 +583,6 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
     feat = hist.features.reshape(n_pairs)
     is_cat = binned.is_categorical[feat]
     missing_bin = binned.missing_bin[feat]
-    any_missing = missing_bin.max() >= 0
     count = np.bincount(hist.pair, minlength=n_pairs + 1)[:n_pairs]
     start = np.cumsum(count) - count
     gain = np.full(n_pairs, -np.inf)
@@ -600,8 +617,6 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
                     classification)
                 threshold[pairs] = hist.bin[idx[rows, pos]]
                 stats_left[:, pairs] = cum[:, rows, pos]
-                if not any_missing:
-                    continue
                 last = idx[rows, cnt - 1]
                 miss = np.flatnonzero((missing_bin[pairs] >= 0)
                                       & (hist.bin[last] == missing_bin[pairs]))
@@ -663,14 +678,11 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
     node = np.flatnonzero(per_node.max(axis=1) > -np.inf)
     # The first maximum is the lowest feature.
     pair = node * m + np.argmax(per_node[node], axis=1)
-    left = np.arange(n_bins) <= threshold[pair, None]
-    if any_missing:
-        mb = missing_bin[pair]
-        has_mb = mb >= 0
-        left[has_mb, mb[has_mb]] = missing_left[pair[has_mb]]
+    left = left_rows(threshold[pair], missing_bin[pair], missing_left[pair],
+                     (n_bins + 7) // 8)
     if cat_left is not None:
         cat = is_cat[pair]
-        left[cat] = cat_left[pair[cat]]
+        left[cat] = np.packbits(cat_left[pair[cat]], axis=1, bitorder="little")
     return NodeSplits(node=node, feature=feat[pair], gain=gain[pair],
                       threshold=threshold[pair], missing_left=missing_left[pair],
                       left=left, stats_left=stats_left[:, pair].T)

@@ -22,7 +22,9 @@ from .splits import (
     Split,
     SplitConstraints,
     best_splits,
+    goes_left,
     impurity,
+    left_rows,
     level_histogram,
 )
 
@@ -44,10 +46,10 @@ class Router:
     """A tree's splits as packed sets of the bins that go left.
 
     Internal nodes are numbered 0..I-1 in node order.  A link is where a step
-    lands: an internal number, or ``~node`` for a leaf.  Bit b of row i of
-    ``bits``, little-endian within each byte, is set when bin b goes left at
-    internal node i, whatever the kind of split; bits at or past the split
-    feature's bin count mean nothing.
+    lands: an internal number, or ``~node`` for a leaf.  Row i of ``bits``
+    packs the bins that go left at internal node i, whatever the kind of
+    split, as growth routes by them (``splits.goes_left``); bits at or past
+    the split feature's bin count mean nothing.
     """
 
     feature: np.ndarray     # (I,) split feature of each internal node
@@ -64,18 +66,8 @@ class Router:
         child = link[np.stack([tree.left_child[node],
                                tree.right_child[node]], axis=1)].ravel()
         feature = tree.feature[node].astype(np.intp)
-        n_bins = tree.feature_n_bins[feature]
-        width = int(tree.feature_n_bins.max())
-        # Continuous: row k + 1 of the prefix table packs the bins <= k, and
-        # the missing bin, when the feature has one, follows missing_left.
-        prefix = np.packbits(np.tri(width + 1, width, -1, dtype=bool), axis=1,
-                             bitorder="little")
-        bits = prefix[np.clip(tree.threshold[node], -1, n_bins - 1) + 1]
-        has = np.flatnonzero(tree.feature_missing_bin[feature] >= 0)
-        b = tree.feature_missing_bin[feature[has]]
-        byte, bit = bits[has, b >> 3], (1 << (b & 7)).astype(np.uint8)
-        bits[has, b >> 3] = np.where(tree.missing_left[node[has]],
-                                     byte | bit, byte & ~bit)
+        bits = left_rows(tree.threshold[node], tree.feature_missing_bin[feature],
+                         tree.missing_left[node], tree.masks.shape[1])
         # Categorical: the packed mask, the missing bin included.
         cat = np.flatnonzero(tree.mask_id[node] >= 0)
         bits[cat] = tree.masks[tree.mask_id[node[cat]]]
@@ -84,8 +76,7 @@ class Router:
     def step(self, at, codes):
         """Where the internal links ``at`` send bin ``codes``: to the left
         child when a code's bit is set, else to the right child."""
-        byte = self.bits.reshape(-1)[at * self.bits.shape[1] + (codes >> 3)]
-        return self.child[2 * at + 1 - ((byte >> (codes & 7)) & 1)]
+        return self.child[2 * at + 1 - goes_left(self.bits, at, codes)]
 
     def walk(self, pairs, codes: np.ndarray, n: int) -> list[int]:
         """The leaf links that (internal link, row) ``pairs`` end at, each
@@ -120,10 +111,10 @@ class Tree:
 
     Routing reads none of these split fields at a step.  On its first route
     a tree builds its ``Router``: one packed bitset of the bins that go left
-    per internal node, for continuous and categorical splits alike.
-    ``route``, ``path`` and the out-of-bag pass all step through it.  The
-    table is derived state, never saved or compared, so change a tree's
-    arrays only before routing with it.
+    per internal node, for continuous and categorical splits alike, as
+    growth routed its rows.  ``route``, ``path`` and the out-of-bag
+    reference step through it.  The table is derived state, never saved or
+    compared, so change a tree's arrays only before routing with it.
     """
 
     task: str
@@ -137,7 +128,6 @@ class Tree:
     right_child: np.ndarray
     parent: np.ndarray
     depth: np.ndarray
-    gain: np.ndarray
     itb_count: np.ndarray
     oob_count: np.ndarray
     stats: np.ndarray
@@ -178,14 +168,8 @@ class Tree:
         if mid >= 0:
             mask = np.unpackbits(self.masks[mid], count=int(
                 self.feature_n_bins[j]), bitorder="little").astype(bool)
-        return Split(
-            feature=j,
-            is_categorical=mid >= 0,
-            bin_threshold=int(self.threshold[index]),
-            missing_goes_left=bool(self.missing_left[index]),
-            left_mask=mask,
-            gain=float(self.gain[index]),
-        )
+        return Split(j, mid >= 0, int(self.threshold[index]),
+                     bool(self.missing_left[index]), mask)
 
     @property
     def levels(self) -> tuple[np.ndarray, list[int]]:
@@ -270,7 +254,7 @@ class Tree:
     @classmethod
     def from_heap(cls, task: str, n_classes: int, layout, roots: np.ndarray,
                   internal: np.ndarray, masks: np.ndarray, *, feature,
-                  threshold, missing_left, gain, itb_count, stats,
+                  threshold, missing_left, itb_count, stats,
                   oob_count=None) -> Tree:
         """A stack of trees from what ``stored`` gives and each tree's first
         node; the other fields follow from these.
@@ -306,7 +290,7 @@ class Tree:
         if (left <= node).any():
             raise ValueError("a child sits at or before its parent")
         split = dict(feature=feature, threshold=threshold,
-                     missing_left=missing_left, gain=gain)
+                     missing_left=missing_left)
         per_leaf = dict(itb_count=itb_count, oob_count=oob_count, stats=stats)
         for fields, rows, kind in ((split, node.shape[0], "internal node"),
                                    (per_leaf, n - node.shape[0], "leaf")):
@@ -324,8 +308,7 @@ class Tree:
         cols["parent"][left], cols["parent"][left + 1] = node, node
         for name, fill, dtype in (("feature", NO_NODE, np.int32),
                                   ("threshold", -2, np.int32),
-                                  ("missing_left", False, bool),
-                                  ("gain", np.nan, np.float64)):
+                                  ("missing_left", False, bool)):
             cols[name] = np.full(n, fill, dtype=dtype)
             cols[name][node] = split[name]
         # Level d + 1 of a tree starts at the left child of its first
@@ -412,13 +395,13 @@ def _by_depth(depth: np.ndarray, internal: np.ndarray):
 
 # Tree fields with one entry per node; the rest describe the whole tree.
 _PER_NODE = ("feature", "threshold", "missing_left", "mask_id", "left_child",
-             "right_child", "parent", "depth", "gain", "itb_count",
-             "oob_count", "stats")
+             "right_child", "parent", "depth", "itb_count", "oob_count",
+             "stats")
 
 # The fields ``Tree.from_heap`` derives the others from: the split of each
 # internal node, and the counts and stats of each leaf, whose sums give an
 # internal node's.  ``Tree.stored`` gives these, ``internal`` and ``masks``.
-SPLIT_FIELDS = ("feature", "threshold", "missing_left", "gain")
+SPLIT_FIELDS = ("feature", "threshold", "missing_left")
 LEAF_FIELDS = ("itb_count", "oob_count", "stats")
 STORED = ("internal",) + SPLIT_FIELDS + ("masks",) + LEAF_FIELDS
 
@@ -486,7 +469,8 @@ def grow_trees(binned: BinnedMatrix, labels,
     tally builds their histograms over the bins their rows occupy
     (``level_histogram``), one batched search finds their splits
     (``best_splits``, which keeps ``find_best_split``'s semantics and
-    tie-breaks), and one routing step moves their rows to the children.
+    tie-breaks), and one routing step moves their rows to the children by
+    the bit test of ``Router.step`` on the splits' packed left bins.
     Each tree is the one it would be if grown alone.  Node ids are
     breadth-first within each tree, so children sit after their parent.  A
     tree's open nodes of one depth draw their feature subsets from one
@@ -609,22 +593,22 @@ def grow_trees(binned: BinnedMatrix, labels,
                              split, n_trees))
         if n_split == 0:
             break
-        # Only categorical splits keep their ``left`` rows, packed, as masks.
+        # Only categorical splits keep their ``left`` rows, as masks.
         cat = binned.is_categorical[best.feature]
         splits.append((best.feature, best.threshold, best.missing_left,
-                       best.gain, np.packbits(best.left[cat], axis=1,
-                                              bitorder="little")))
+                       best.left[cat]))
 
-        # Route every row to its child in one step.
+        # Route every row to its child in one step, by the routing rule.
         rank = np.full(cand.size, -1)
         rank[best.node] = np.arange(n_split)
         slot, oob_slot = rank[slot], rank[oob_slot]
         oob_keep = oob_slot >= 0
         oob_rows, oob_slot, oob_pair = (oob_rows[oob_keep], oob_slot[oob_keep],
                                         oob_pair[oob_keep])
-        slot = 2 * slot + ~best.left[slot, entries[rows, best.feature[slot]]]
-        oob_slot = 2 * oob_slot + ~best.left[
-            oob_slot, entries[oob_rows, best.feature[oob_slot]]]
+        slot = 2 * slot + 1 - goes_left(best.left, slot,
+                                        entries[rows, best.feature[slot]])
+        oob_slot = 2 * oob_slot + 1 - goes_left(
+            best.left, oob_slot, entries[oob_rows, best.feature[oob_slot]])
 
         parent_stats = stats[cand[best.node]]
         stats = np.empty((2 * n_split, stats.shape[1]))
@@ -652,8 +636,7 @@ def grow_trees(binned: BinnedMatrix, labels,
     per_tree = np.bincount(owner, minlength=n_trees)
     roots = np.cumsum(per_tree) - per_tree
     internal = split[order]
-    fields = [np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32),
-              np.zeros(0, dtype=bool), np.zeros(0),
+    fields = [np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, bool),
               np.zeros((0, (int(binned.n_bins.max()) + 7) // 8), np.uint8)]
     if splits:
         fields = [np.concatenate(part) for part in zip(*splits)]

@@ -400,6 +400,21 @@ def test_tiny_regression_targets_are_refused(tmp_path, scale):
     assert np.isfinite(load_model(tmp_path / "tiny.agf").predict([t])).all()
 
 
+def test_temperature_whose_log_weights_overflow_is_refused(tmp_path):
+    # -temperature * loss overflowed to -inf at node losses above about 1.8:
+    # every prediction was NaN, and load_model refused the saved model.
+    x = np.random.default_rng(0).normal(size=60)
+    with pytest.raises(ValueError, match=r"temperature 1e\+308 and the stats"):
+        fit([x], x > 0, ["continuous"],
+            TrainConfig(n_trees=2, temperature=1e308))
+    forest = fit([x], x > 0, ["continuous"],
+                 TrainConfig(n_trees=2, temperature=1e306))
+    assert np.isfinite(forest.predict_proba([x])).all()
+    save_model(forest, tmp_path / "hot.agf")
+    assert np.isfinite(load_model(tmp_path / "hot.agf").predict_proba([x])
+                       ).all()
+
+
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_targets_must_be_one_dimensional(task):
     # Regression used to fail inside numpy ("operands could not be

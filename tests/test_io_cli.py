@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import struct
 import tempfile
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aggforest import model_io
 from aggforest.binning import FeatureKind
 from aggforest.cli import main
 from aggforest.forest import Forest, TrainConfig, fit
@@ -24,6 +26,7 @@ from aggforest.model_io import (
     save_model,
     write_csv,
 )
+from aggforest.tree import STORED
 
 KINDS2 = [FeatureKind.CONTINUOUS, FeatureKind.CONTINUOUS]
 
@@ -120,7 +123,7 @@ def test_loaded_table_and_state_are_the_fitted_ones(tmp_path, task):
     back = load_model(str(path))
 
     for name in ("stats", "itb_count", "oob_count", "depth", "parent",
-                 "feature", "threshold", "gain"):
+                 "feature", "threshold"):
         a, b = getattr(back.table, name), getattr(forest.table, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
@@ -158,7 +161,7 @@ def test_manifest_holds_each_field_for_its_kind_of_node(tmp_path,
     n_internal = int((table.feature >= 0).sum())
     assert 0 < n_internal < n - n_internal
     assert shapes["internal"] == [(n + 7) // 8]
-    for name in ("feature", "threshold", "missing_left", "gain"):
+    for name in ("feature", "threshold", "missing_left"):
         assert shapes[name] == [n_internal], name
     assert shapes["masks"] == [int((table.mask_id >= 0).sum()),
                                (int(table.feature_n_bins.max()) + 7) // 8]
@@ -342,7 +345,18 @@ def test_format_version_two_is_refused(tmp_path):
     body = bytearray(raw)
     struct.pack_into("<I", body, 8, 2)
     path.write_bytes(bytes(body))
-    with pytest.raises(ModelFormatError, match="version 2, expected 3"):
+    with pytest.raises(ModelFormatError, match="version 2, expected 4"):
+        load_model(str(path))
+
+
+def test_format_version_three_is_refused(tmp_path):
+    # Version 3 also stored each split's gain, which nothing read.
+    path, raw = saved_model_bytes(tmp_path)
+    body = bytearray(raw)
+    struct.pack_into("<I", body, 8, 3)
+    path.write_bytes(bytes(body))
+    with pytest.raises(ModelFormatError, match="unsupported model format "
+                                               "version 3, expected 4"):
         load_model(str(path))
 
 
@@ -443,19 +457,48 @@ def test_invalid_model_state_is_rejected(tmp_path, categorical, edit, message):
 
 def test_categories_of_mixed_types_are_refused_by_save(tmp_path):
     # Load casts every key to one type: bool(2) and bool(3) are True, so
-    # this model used to load as {True: 2} and refuse 2 as unseen.
-    col = np.array([True, 2, 2, True, 3, 3] * 5, dtype=object)
+    # this model used to load as {True: 2} and refuse 2 as unseen.  Fit
+    # refuses such a column now, so the keys are mixed by hand.
+    col = np.array([1, 2, 2, 1, 3, 3] * 5, dtype=object)
     y = np.arange(30) % 2
     forest = fit([col, np.arange(30.0)], y, ["categorical", "continuous"],
                  TrainConfig(n_trees=2, seed=0),
                  feature_names=["flag", "x"])
-    assert forest.mapper.features[0].categories == {True: 0, 2: 1, 3: 2}
+    assert forest.mapper.features[0].categories == {1: 0, 2: 1, 3: 2}
+    forest.mapper.features[0].categories = {True: 0, 2: 1, 3: 2}
     path = tmp_path / "m.agf"
     with pytest.raises(ModelFormatError, match=r"feature 'flag': categorical "
                                                r"values of mixed types "
                                                r"\(bool, int\)"):
         save_model(forest, str(path))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("col,message", [
+    (np.array([b"a", b"b"] * 30), "of type bytes"),
+    (np.array([1, 2.5] * 30, dtype=object), r"of mixed types \(float, int\)"),
+    (np.array([True, 2, 3] * 20, dtype=object),
+     r"of mixed types \(bool, int\)"),
+], ids=["bytes", "int-float", "bool-int"])
+def test_fit_refuses_categories_that_save_cannot_store(col, message):
+    # These used to fit, and then save_model refused the forest.
+    with pytest.raises(ValueError, match="feature 0: categorical values "
+                                         + message):
+        fit([col], np.arange(60) % 2, ["categorical"], TrainConfig(n_trees=2))
+
+
+def test_format_doc_names_every_stored_array(tmp_path):
+    """The format section of the module docstring names exactly the arrays
+    that ``save_model`` writes, a feature's thresholds as f<i>.thresholds."""
+    doc = model_io.__doc__
+    section = doc[doc.index("Format version"):doc.index("Load rebuilds")]
+    named = set(re.findall(r"``([\w<>.]+)``", section))
+    path, _ = saved_model_bytes(tmp_path)
+    written = {re.sub(r"^f\d+\.", "f<i>.", name) for name, _, _
+               in saved_header(path.read_bytes())["arrays"]}
+    assert written == set(STORED) | {"oob_loss", "f<i>.thresholds"} | set(
+        model_io._PER_TREE)
+    assert named == written
 
 
 def test_colliding_category_keys_are_refused_by_load(tmp_path):
@@ -512,7 +555,7 @@ def test_mutated_model_is_refused_or_predicts_finite(tmp_path_factory, data):
     def edit(meta, arrays):
         keys = sorted(k for k, a in arrays.items() if a is not None and a.size)
         # The node bits, both kinds' rows and the masks are all drawn.
-        assert {"internal", "feature", "gain", "masks", "itb_count",
+        assert {"internal", "feature", "masks", "itb_count",
                 "oob_count", "stats", "oob_loss"} <= set(keys)
         key = data.draw(st.sampled_from(keys))
         arr = arrays[key].reshape(-1)

@@ -215,6 +215,19 @@ def random_level(seed, n_classes, oob):
     matrix: continuous columns without and with a missing bin, categorical
     ones likewise, and widths from 2 to 40 bins, so pairs hold from one
     cell to dozens."""
+    binned, features, in_bag, node, weights, labels, oob_rows, oob_node = (
+        random_level_rows(seed, n_classes, oob))
+    hist = level_histogram(binned, features, in_bag, node, weights,
+                           labels[in_bag], n_classes,
+                           oob_rows if oob else None, oob_node)
+    return hist, binned
+
+
+def random_level_rows(seed, n_classes, oob):
+    """What ``random_level`` tallies: its binned matrix, each node's
+    sampled features, the in-bag rows (ascending), their nodes and
+    weights, every row's label, and the oob rows and their nodes; ``oob``
+    seeds the draw with the rest."""
     n_bins = np.array([40, 9, 31, 6, 25, 2])
     binned = layout(["continuous", "continuous", "categorical", "categorical",
                      "continuous", "categorical"],
@@ -238,10 +251,7 @@ def random_level(seed, n_classes, oob):
     oob_node = rng.integers(0, n, size=oob_rows.shape[0])
     features = np.sort(np.argsort(rng.random((n, 6)), axis=1)[:, :m], axis=1)
     weights = rng.integers(1, 4, size=in_bag.shape[0]).astype(float)
-    hist = level_histogram(binned, features, in_bag, node, weights,
-                           labels[in_bag], n_classes,
-                           oob_rows if oob else None, oob_node)
-    return hist, binned
+    return binned, features, in_bag, node, weights, labels, oob_rows, oob_node
 
 
 def assert_splits_equal(a, b):
@@ -290,6 +300,65 @@ def test_best_splits_do_not_depend_on_block_cuts(monkeypatch, n_classes,
         kinds.update(("categorical" if t == -2 else "missing left" if left
                       else "threshold")
                      for t, left in zip(want.threshold, want.missing_left))
+    assert kinds == {"categorical", "missing left", "threshold"}
+
+
+@pytest.mark.parametrize("n_classes,criterion", [
+    (2, "gini"), (3, "entropy"), (3, "gini"), (0, "variance"), (9, "gini")])
+@pytest.mark.parametrize("oob", [False, True])
+def test_best_splits_are_find_best_split_node_by_node(n_classes, criterion,
+                                                      oob):
+    """Each node's split from ``best_splits`` is the one ``find_best_split``
+    picks on ``compute_histogram`` of the node's rows and the bin counts of
+    its oob rows: the same feature, threshold, missing side and left bins,
+    and the same gain, to the last bit below 8 classes.  From 8 classes on,
+    numpy sums one node's class terms of the parent impurity pairwise and a
+    level's in order, so those gains agree within 1e-9 relative."""
+    cons = SplitConstraints(min_leaf_weight=1.0, min_leaf_oob=int(oob))
+    kinds = set()
+    for seed in range(3):
+        binned, features, rows, node, weights, labels, oob_rows, oob_node = (
+            random_level_rows(seed, n_classes, oob))
+        hist = level_histogram(binned, features, rows, node, weights,
+                               labels[rows], n_classes,
+                               oob_rows if oob else None, oob_node)
+        best = best_splits(hist, binned, criterion, cons, n_classes)
+        left = np.unpackbits(best.left, axis=1, count=hist.n_bins,
+                             bitorder="little").view(bool)
+        at = {v: k for k, v in enumerate(best.node.tolist())}
+        for v, feats in enumerate(features):
+            mine = node == v
+            assert mine.any()
+            oob_counts = [np.bincount(binned.entries[oob_rows[oob_node == v], j],
+                                      minlength=int(binned.n_bins[j]))
+                          for j in feats] if oob else None
+            want = find_best_split(
+                compute_histogram(rows[mine], weights[mine], feats, binned,
+                                  labels, n_classes),
+                binned, criterion, cons, oob_counts=oob_counts,
+                n_classes=n_classes)
+            k = at.get(v)
+            if want is None:
+                assert k is None, f"node {v}"
+                continue
+            j = want.feature
+            assert (best.feature[k], best.threshold[k], best.missing_left[k]
+                    ) == (j, want.bin_threshold, want.missing_goes_left)
+            if n_classes < 8:
+                assert best.gain[k] == want.gain
+            else:
+                assert best.gain[k] == pytest.approx(want.gain, rel=1e-9)
+            if want.is_categorical:
+                expect = np.zeros(hist.n_bins, dtype=bool)
+                expect[:want.left_mask.shape[0]] = want.left_mask
+            else:
+                expect = np.arange(hist.n_bins) <= want.bin_threshold
+                if binned.missing_bin[j] >= 0:
+                    expect[binned.missing_bin[j]] = want.missing_goes_left
+            np.testing.assert_array_equal(left[k], expect)
+            kinds.add("categorical" if want.is_categorical else
+                      "missing left" if want.missing_goes_left else "threshold")
+        assert len(at) == best.node.shape[0] > 0
     assert kinds == {"categorical", "missing left", "threshold"}
 
 
