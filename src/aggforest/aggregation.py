@@ -160,10 +160,12 @@ def mix_coefficients(state: AggregationState) -> np.ndarray:
     """Per-node weight put on the node's own forecast during the up sweep.
 
     Always within [0, 1]: the recursive weight of a node is at least half its
-    own exponential weight.
+    own exponential weight.  Where the temperature times the loss overflows,
+    the node's own weight is 0, and so is its mix.
     """
-    mix = 0.5 * np.exp(-state.temperature * state.oob_loss - state.log_agg_weight)
-    return np.minimum(mix, 1.0)
+    with np.errstate(over="ignore"):
+        neg = -state.temperature * state.oob_loss
+    return np.minimum(0.5 * np.exp(neg - state.log_agg_weight), 1.0)
 
 
 def predict_aggregated(tree: Tree, state: AggregationState, x,

@@ -321,22 +321,8 @@ def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
     # The missing bin, when present, takes one slot out of the max_bins budget.
     slots = max_bins - 1 if has_missing else max_bins
     if slots >= 2:
-        # A sorted copy is bitwise the same to np.quantile, and its
-        # partitions are cheap.
-        quantiles = np.arange(1, slots) / slots
         ordered = np.sort(present)
-        # The midpoint of order statistics a < b of opposite signs is
-        # b - (b - a) / 2, -inf once b - a overflows; a / 2 + b / 2 stays
-        # finite and strictly between them.
-        with np.errstate(over="ignore"):
-            thresholds = np.quantile(ordered, quantiles, method="midpoint")
-        over = np.flatnonzero(~np.isfinite(thresholds))
-        if over.size:
-            k = (ordered.size - 1) * quantiles[over]
-            a = ordered[np.floor(k).astype(np.intp)]
-            b = ordered[np.ceil(k).astype(np.intp)]
-            thresholds[over] = a * 0.5 + b * 0.5
-        thresholds = np.unique(thresholds)
+        thresholds = np.unique(_midpoints(ordered, np.arange(1, slots) / slots))
     else:
         thresholds = np.empty(0, dtype=np.float64)
     n_bins = thresholds.size + 1 + int(has_missing)
@@ -346,6 +332,27 @@ def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
         thresholds=thresholds,
         has_missing=has_missing,
     )
+
+
+def _midpoints(ordered: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
+    """``np.quantile(ordered, quantiles, method="midpoint")`` of a sorted,
+    finite column, bit for bit, read straight from it, without the
+    partitions numpy runs over every quantile's index.
+
+    With k = (n - 1) q, a = ordered[floor k] and b = ordered[ceil k], the
+    rule is a + 0 where k is whole (which turns -0.0 into 0.0) and
+    b - (b - a) / 2 between.  The second is -inf once b - a overflows, for
+    a < b of opposite signs near the float limits; a / 2 + b / 2 then
+    stays finite and strictly between them.
+    """
+    k = (ordered.size - 1) * quantiles
+    lo, hi = np.floor(k), np.ceil(k)
+    a, b = ordered[lo.astype(np.intp)], ordered[hi.astype(np.intp)]
+    with np.errstate(over="ignore"):
+        out = np.where(lo == hi, a + 0.0, b - (b - a) * 0.5)
+    over = np.flatnonzero(~np.isfinite(out))
+    out[over] = a[over] * 0.5 + b[over] * 0.5
+    return out
 
 
 def _fit_categorical(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:

@@ -114,7 +114,8 @@ class Forest:
     each tree's first node (``roots``), its index within its sequence, so
     predicting with the first k trees equals training with n_trees=k
     outright, its positive class under one-versus-rest (``class_id``, -1
-    otherwise) and the mean oob loss of its prediction."""
+    otherwise), the mean oob loss of its prediction and its count of oob
+    rows (``n_oob``), over which that mean is taken."""
 
     config: TrainConfig
     mapper: BinMapper
@@ -124,6 +125,7 @@ class Forest:
     index: np.ndarray
     class_id: np.ndarray
     oob_loss_mean: np.ndarray
+    n_oob: np.ndarray
     classes_: np.ndarray | None = None
     y_min_: float = 0.0
     y_max_: float = 0.0
@@ -276,8 +278,8 @@ def _cut(tree: Tree, roots: np.ndarray, leaf: np.ndarray, rem: np.ndarray):
 
     A node with rem < CUT_WEIGHT under a parent with rem >= CUT_WEIGHT
     becomes a leaf, and its descendants go.  The kept nodes, in their
-    order, are still breadth first, and they keep their stats, counts and
-    oob losses; the log weights follow from those.  Returns the kept nodes,
+    order, are still breadth first, and they keep their stats and oob
+    losses; the log weights follow from those.  Returns the kept nodes,
     the cut trees' stored fields (as ``Tree.stored`` gives them) and roots,
     and the leaf of each (oob row, tree) pair, which moves up to its
     nearest kept ancestor.
@@ -428,7 +430,7 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
         config=config, mapper=mapper, table=table, state=state, roots=roots,
         index=np.concatenate([list(r) for _, r in groups]),
         class_id=np.repeat([c for c, _ in groups], [len(r) for _, r in groups]),
-        oob_loss_mean=np.array(means), classes_=classes,
+        oob_loss_mean=np.array(means), n_oob=n_oob, classes_=classes,
         feature_names=list(feature_names) if feature_names else None)
     if config.task == "regression":
         forest.y_min_ = float(y_enc.min())

@@ -15,7 +15,7 @@ manifest order, every array little-endian and C-contiguous.  Everything
 about the encoding is deterministic, so two equal forests serialize to
 identical bytes.
 
-Format version 4 stores the forest as one node table, tree after tree, each
+Format version 5 stores the forest as one node table, tree after tree, each
 tree breadth first, with one array per field for the whole forest, each
 holding only the nodes its field means something at:
 
@@ -24,18 +24,19 @@ holding only the nodes its field means something at:
 - per internal node: ``feature``, ``threshold`` and ``missing_left``, and
   per categorical split a row of ``masks``, the bins that go left packed
   like ``internal``;
-- per leaf: ``itb_count``, ``stats`` and, with aggregation on,
-  ``oob_count``; an internal node's are the sums of its children's;
+- per leaf: ``stats``; an internal node's are the sums of its children's;
 - per node, with aggregation on: ``oob_loss``, which does not add up;
-- per tree: ``roots``, ``index``, ``class_id`` and ``oob_loss_mean``;
+- per tree: ``roots``, ``index``, ``class_id``, ``oob_loss_mean`` and
+  ``n_oob``, the tree's count of out-of-bag rows;
 - per feature i: ``f<i>.thresholds``, empty for a categorical feature.
 
 Load rebuilds the rest through ``Tree.from_heap``, as fitting does: the
 child links from breadth-first order, then parents, depths, mask ids and
-the internal nodes' counts and stats, the forecasts from the stats, and the
-log weights from the oob losses and the temperature; the trees' bin layout
-is the mapper's.  Versions 1 and 2, which stored every field at every node,
-and version 3, which also stored each split's gain, are refused.
+the internal nodes' stats, the forecasts from the stats, and the log
+weights from the oob losses and the temperature; the trees' bin layout is
+the mapper's.  Versions 1 and 2, which stored every field at every node,
+version 3, which also stored each split's gain, and version 4, which also
+stored each leaf's in-bag and out-of-bag row counts, are refused.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ from .forest import Forest, TrainConfig
 from .tree import LEAF_FIELDS, SPLIT_FIELDS, STORED, Tree
 
 MAGIC = b"AGFOREST"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
-_PER_TREE = ("roots", "index", "class_id", "oob_loss_mean")
+_PER_TREE = ("roots", "index", "class_id", "oob_loss_mean", "n_oob")
 
 # Arrays that load scatters into new columns; it keeps copies of the others,
 # not views of the file's bytes.
@@ -127,8 +128,6 @@ def save_model(forest: Forest, path: str) -> None:
 
     stored = forest.table.stored()
     stored["internal"] = np.packbits(stored["internal"], bitorder="little")
-    if not forest.config.aggregation:
-        stored["oob_count"] = None
     for name in STORED:
         put(name, stored[name])
     put("oob_loss", forest.state.oob_loss)
@@ -240,11 +239,11 @@ def _forest_from(meta: dict, body) -> Forest:
                    and config.multiclass == "one_vs_rest")
     n_classes = 0 if classes is None else classes.shape[0]
     try:
-        if any((arrays[name] is None) == config.aggregation
-               for name in ("oob_count", "oob_loss")):
-            raise ValueError("oob_count and oob_loss are stored exactly when "
-                             "aggregation is on")
-        n = arrays["feature"].shape[0] + arrays["itb_count"].shape[0]
+        if (arrays["oob_loss"] is None) == config.aggregation:
+            raise ValueError("oob_loss is stored exactly when aggregation "
+                             "is on")
+        # A tree of I internal nodes has 2I + 1 nodes.
+        n = 2 * arrays["feature"].shape[0] + arrays["roots"].shape[0]
         if arrays["internal"].shape != ((n + 7) // 8,):
             raise ValueError(f"internal is not one bit per node of {n}")
         internal = np.unpackbits(arrays["internal"], count=n,
@@ -270,15 +269,13 @@ def _forest_from(meta: dict, body) -> Forest:
 
 
 def _check(table: Tree, oob_loss, config: TrainConfig, ovr_classes: int,
-           roots, index, class_id, oob_loss_mean) -> None:
-    """Refuse stored numbers that growth never gives: a node without in-bag
-    rows, or without oob rows when it holds an oob loss; stats or losses
-    that are not finite and >= 0, or stats of no weight; a tree's class
-    outside the ``ovr_classes`` classes under one-versus-rest, or not -1
+           roots, index, class_id, oob_loss_mean, n_oob) -> None:
+    """Refuse stored numbers that growth never gives: stats or losses that
+    are not finite and >= 0, or stats of no weight, which a node without
+    in-bag rows would hold; a tree without oob rows; a tree's class outside
+    the ``ovr_classes`` classes under one-versus-rest, or not -1
     otherwise."""
     n = table.n_nodes
-    if (table.itb_count < 1).any():
-        raise ValueError("itb_count is not >= 1 at every node")
     stats = table.stats
     width = table.n_classes if config.task == "classification" else 3
     if stats.shape != (n, width):
@@ -291,17 +288,16 @@ def _check(table: Tree, oob_loss, config: TrainConfig, ovr_classes: int,
     if not (good and np.isfinite(stats).all()):
         raise ValueError("stats are not finite and >= 0 with a positive "
                          "total at every node")
-    if oob_loss is not None:
-        if (table.oob_count < 1).any():
-            raise ValueError("oob_count is not >= 1 at every node of a "
-                             "forest with oob losses")
-        if oob_loss.shape != (n,) or not (
-                (oob_loss >= 0) & (oob_loss < math.inf)).all():
-            raise ValueError("oob_loss is not one finite value >= 0 per node")
+    if oob_loss is not None and (oob_loss.shape != (n,) or not (
+            (oob_loss >= 0) & (oob_loss < math.inf)).all()):
+        raise ValueError("oob_loss is not one finite value >= 0 per node")
     if any(a.shape != roots.shape for a in (index, class_id, oob_loss_mean)
            ) or not ((oob_loss_mean >= 0) & (oob_loss_mean < math.inf)).all():
         raise ValueError("index, class_id and oob_loss_mean are not one value "
                          "per tree, the last finite and >= 0")
+    if (n_oob.shape != roots.shape or n_oob.dtype.kind != "i"
+            or not (n_oob >= 1).all()):
+        raise ValueError("n_oob is not one integer >= 1 per tree")
     if not ((0 <= class_id) & (class_id < ovr_classes) if ovr_classes
             else class_id == -1).all():
         raise ValueError("class_id is not a class under one-versus-rest, "

@@ -262,7 +262,7 @@ def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
         cols["threshold"].append(t)
         queue += [(lo, t + 1, depth + 1, left_arg),
                   (t + 1, hi, depth + 1, right_arg)]
-    k, leaves = sum(internal), len(cols["stats"])
+    k = sum(internal)
     layout = BinnedMatrix(np.zeros((0, 1), dtype=np.uint8), np.array([n_bins]),
                           np.array([FeatureKind.CONTINUOUS], dtype=object),
                           np.array([-1]))
@@ -272,10 +272,7 @@ def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
         np.zeros((0, (n_bins + 7) // 8), dtype=np.uint8),
         feature=np.zeros(k, dtype=np.int32),
         threshold=np.asarray(cols["threshold"], dtype=np.int32),
-        missing_left=np.zeros(k, dtype=bool),
-        itb_count=np.ones(leaves, dtype=np.int32),
-        oob_count=np.ones(leaves, dtype=np.int32),
-        stats=np.vstack(cols["stats"]))
+        missing_left=np.zeros(k, dtype=bool), stats=np.vstack(cols["stats"]))
 
 
 def synthetic_tree(rng: np.random.Generator, n_leaves: int,

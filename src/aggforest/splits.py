@@ -126,18 +126,20 @@ def impurity(stats: np.ndarray, criterion: str):
     (weight, weighted sum, weighted sum of squares).  Entropy is in nats,
     with 0 log 0 taken as 0 (see ``xlogy``).  Stats of several nodes
     stacked along the first axis give one impurity per node as an array;
-    a single node's stats give a float.
+    a single node's stats give a float.  The classes are added in order,
+    whatever the layout, so a node's impurity is the same bits alone or
+    in a stack.
     """
     stats = np.asarray(stats, dtype=np.float64)
     if criterion in ("gini", "entropy"):
-        w = stats.sum(axis=-1)
+        w = _class_sum(stats)
         if (w <= 0).any():
             raise ValueError("impurity of an empty node is undefined")
         p = stats / w[..., None]
         if criterion == "gini":
-            out = 1.0 - (p * p).sum(axis=-1)
+            out = 1.0 - _class_sum(p * p)
         else:
-            out = -xlogy(p, p).sum(axis=-1)
+            out = -_class_sum(xlogy(p, p))
     elif criterion == "variance":
         w, s1, s2 = stats[..., 0], stats[..., 1], stats[..., 2]
         if (w <= 0).any():
@@ -163,6 +165,13 @@ def _channel_sum(rows: np.ndarray) -> np.ndarray:
     for r in rows[2:]:
         out += r
     return out
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, added in order as ``_channel_sum`` adds;
+    numpy's own sum adds a contiguous run of 8 or more pairwise."""
+    rows = np.moveaxis(a, -1, 0)
+    return _channel_sum(rows) if rows.shape[0] > 1 else rows[0]
 
 
 def _impw(stats: np.ndarray, w: np.ndarray, criterion: str) -> np.ndarray:
@@ -220,7 +229,7 @@ def _scan_order(table, order, oob_left, oob_total, criterion, cons, parent_impw,
 
 
 def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
-                    constraints: SplitConstraints, oob_counts=None,
+                    constraints: SplitConstraints, oob_hist=None,
                     n_classes: int = 0) -> Split | None:
     """Search every sampled feature for the best admissible split.
 
@@ -230,8 +239,9 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
     scanned along bins sorted by class proportion (one scan per class beyond
     binary) or by bin mean for regression.  Ties break toward the lowest
     feature id, then the lowest threshold or lexicographically smallest bin
-    mask.  Returns None when no split has positive gain and admissible
-    children.
+    mask.  ``oob_hist`` holds, per sampled feature, the bin counts of the
+    node's oob rows, which the oob floor of ``constraints`` reads.  Returns
+    None when no split has positive gain and admissible children.
     """
     classification = n_classes > 0
     node_stats = hist.tables[0].sum(axis=0)
@@ -252,7 +262,7 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
         nonempty = np.flatnonzero(w_bins > 0)
         if nonempty.size < 2:
             continue
-        oob_bins = oob_counts[idx] if check_oob else None
+        oob_bins = oob_hist[idx] if check_oob else None
         oob_total = int(oob_bins.sum()) if check_oob else 0
 
         if binned.kinds[j] is FeatureKind.CATEGORICAL:

@@ -106,8 +106,8 @@ class Tree:
     Categorical split masks live in the shared ``masks`` pool, indexed by
     ``mask_id``, each a row of ``np.packbits(left_bins, bitorder="little")``
     as wide as the widest feature needs; ``threshold`` is meaningful only
-    for continuous splits.  An internal node's stats and counts are the
-    sums of its children's.
+    for continuous splits.  An internal node's stats are the sums of its
+    children's.
 
     Routing reads none of these split fields at a step.  On its first route
     a tree builds its ``Router``: one packed bitset of the bins that go left
@@ -128,8 +128,6 @@ class Tree:
     right_child: np.ndarray
     parent: np.ndarray
     depth: np.ndarray
-    itb_count: np.ndarray
-    oob_count: np.ndarray
     stats: np.ndarray
     feature_n_bins: np.ndarray
     feature_missing_bin: np.ndarray
@@ -182,8 +180,7 @@ class Tree:
     def stored(self) -> dict[str, np.ndarray]:
         """What ``from_heap`` rebuilds the table from, besides the roots:
         which nodes are ``internal``, the split fields and masks of the
-        internal nodes and the counts and stats of the leaves, each in node
-        order."""
+        internal nodes and the stats of the leaves, each in node order."""
         internal = self.feature >= 0
         out = {name: getattr(self, name)[internal] for name in SPLIT_FIELDS}
         out.update((name, getattr(self, name)[~internal])
@@ -254,23 +251,22 @@ class Tree:
     @classmethod
     def from_heap(cls, task: str, n_classes: int, layout, roots: np.ndarray,
                   internal: np.ndarray, masks: np.ndarray, *, feature,
-                  threshold, missing_left, itb_count, stats,
-                  oob_count=None) -> Tree:
+                  threshold, missing_left, stats) -> Tree:
         """A stack of trees from what ``stored`` gives and each tree's first
         node; the other fields follow from these.
 
         A tree's nodes fill one block from its root, breadth first as
         ``grow_trees`` numbers them, so the k-th internal node of a tree has
         its children at 2k + 1 and 2k + 2 of its block.  The split fields
-        hold one row per internal node and the counts and stats one per leaf
-        (``oob_count`` None: zeros), in node order.  An internal node's
-        counts and stats are its children's sums, added one depth at a time,
-        deepest first.  Mask ids number the splits on the categorical
-        features of ``layout`` (a ``BinnedMatrix`` or a ``BinTable``) in node
-        order.  Raise ValueError unless every tree has 2I + 1 nodes for I
-        internal ones, each child after its parent, which keeps routing from
-        a root inside its tree, unless the fields hold a row per node of
-        their kind, and unless features and masks fit the layout.
+        hold one row per internal node and the stats one per leaf, in node
+        order.  An internal node's stats are its children's sums, added one
+        depth at a time, deepest first.  Mask ids number the splits on the
+        categorical features of ``layout`` (a ``BinnedMatrix`` or a
+        ``BinTable``) in node order.  Raise ValueError unless every tree has
+        2I + 1 nodes for I internal ones, each child after its parent, which
+        keeps routing from a root inside its tree, unless the fields hold a
+        row per node of their kind, and unless features and masks fit the
+        layout.
         """
         n = internal.shape[0]
         sizes = np.diff(roots, append=n)
@@ -291,11 +287,11 @@ class Tree:
             raise ValueError("a child sits at or before its parent")
         split = dict(feature=feature, threshold=threshold,
                      missing_left=missing_left)
-        per_leaf = dict(itb_count=itb_count, oob_count=oob_count, stats=stats)
         for fields, rows, kind in ((split, node.shape[0], "internal node"),
-                                   (per_leaf, n - node.shape[0], "leaf")):
+                                   (dict(stats=stats), n - node.shape[0],
+                                    "leaf")):
             for name, col in fields.items():
-                if col is not None and col.shape[:1] != (rows,):
+                if col.shape[:1] != (rows,):
                     raise ValueError(f"{name} does not hold one row per {kind}")
         if stats.ndim != 2:
             raise ValueError("stats are not one row of numbers per leaf")
@@ -335,29 +331,17 @@ class Tree:
         ranks = (np.repeat(first[:-1].ravel() - np.cumsum(runs) + runs, runs)
                  + np.arange(node.shape[0]))
         order, ends = node[ranks], np.cumsum(count.sum(axis=1)).tolist()
-        # Each internal node's stats and counts are its children's sums,
-        # one depth at a time, deepest first; bootstrap counts and class
-        # weights add exactly.  Counts add in 32 bits, where a sum of two
-        # counts >= 0 that overflows turns negative.
-        leaf = np.flatnonzero(~internal)
+        # Each internal node's stats are its children's sums, one depth at
+        # a time, deepest first; bootstrap counts and class weights add
+        # exactly.
         sums = np.empty((n, stats.shape[1]))
-        _rows(sums)[leaf] = _rows(np.ascontiguousarray(stats, np.float64))
-        counts = np.zeros((n, 2), dtype=np.int32)
-        counts[leaf, 0] = itb_count
-        if oob_count is not None:
-            counts[leaf, 1] = oob_count
+        _rows(sums)[~internal] = _rows(np.ascontiguousarray(stats, np.float64))
         kids = left[ranks]
         for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
             at, to = kids[lo:hi], order[lo:hi]
-            at1 = at + 1
-            for a in (sums, counts):
-                _rows(a)[to] = _rows(np.take(a, at, axis=0)
-                                     + np.take(a, at1, axis=0))
-        if (counts < 0).any():
-            raise ValueError("counts are negative or overflow 32 bits")
-        # The counts stay columns of one array.
-        cols["stats"], cols["itb_count"], cols["oob_count"] = (
-            sums, counts[:, 0], counts[:, 1])
+            _rows(sums)[to] = _rows(np.take(sums, at, axis=0)
+                                    + np.take(sums, at + 1, axis=0))
+        cols["stats"] = sums
         categorical = np.array([k is FeatureKind.CATEGORICAL
                                 for k in layout.kinds], dtype=bool)
         cat = node[categorical[cols["feature"][node]]]
@@ -395,14 +379,13 @@ def _by_depth(depth: np.ndarray, internal: np.ndarray):
 
 # Tree fields with one entry per node; the rest describe the whole tree.
 _PER_NODE = ("feature", "threshold", "missing_left", "mask_id", "left_child",
-             "right_child", "parent", "depth", "itb_count", "oob_count",
-             "stats")
+             "right_child", "parent", "depth", "stats")
 
 # The fields ``Tree.from_heap`` derives the others from: the split of each
-# internal node, and the counts and stats of each leaf, whose sums give an
-# internal node's.  ``Tree.stored`` gives these, ``internal`` and ``masks``.
+# internal node, and the stats of each leaf, whose sums give an internal
+# node's.  ``Tree.stored`` gives these, ``internal`` and ``masks``.
 SPLIT_FIELDS = ("feature", "threshold", "missing_left")
-LEAF_FIELDS = ("itb_count", "oob_count", "stats")
+LEAF_FIELDS = ("stats",)
 STORED = ("internal",) + SPLIT_FIELDS + ("masks",) + LEAF_FIELDS
 
 
@@ -479,8 +462,9 @@ def grow_trees(binned: BinnedMatrix, labels,
     ``config`` supplies task, criterion, sizes and the aggregation switch
     (see TrainConfig).  With aggregation on, minimum-size rules apply to the
     itb weight and the oob count of every node, which guarantees each node
-    holds at least one sample of either kind.  With aggregation off only itb
-    weights are constrained, matching a plain random forest.
+    holds at least one sample of either kind; growth checks both on every
+    level.  With aggregation off only itb weights are constrained, matching
+    a plain random forest.
 
     Every (oob row, tree) pair goes down to its leaf.  Returns only what
     growth decided: the trees' fields as ``Tree.stored`` gives them, tree
@@ -519,17 +503,18 @@ def grow_trees(binned: BinnedMatrix, labels,
     itb, weights, oob = zip(*[(s.itb_indices, s.weights[s.itb_indices],
                                s.oob_indices) for s in samples])
     n_trees = len(itb)
-    itb_count, oob_count = (np.array([r.shape[0] for r in part])
-                            for part in (itb, oob))
+    n_itb, oob_count = (np.array([r.shape[0] for r in part])
+                        for part in (itb, oob))
     # Row, pair and node ids take 32 bits when they fit (a tree has fewer
     # nodes than twice its in-bag rows).
-    index = (np.int32 if binned.n_rows + 2 * itb_count.sum() + oob_count.sum()
+    index = (np.int32 if binned.n_rows + 2 * n_itb.sum() + oob_count.sum()
              < 2 ** 31 else np.int64)
     slot, oob_slot = (np.repeat(np.arange(n_trees), count)
-                      for count in (itb_count, oob_count))
+                      for count in (n_itb, oob_count))
     # The current level, ordered by tree: the children of split i of the
     # last level sit at positions 2i (left) and 2i + 1 (right).  A level
-    # keeps its stats, its counts and how many of its nodes each tree owns.
+    # keeps its stats, its oob counts and how many of its nodes each tree
+    # owns.
     stats = np.array([_node_stats(r, w, labels, n_classes)
                       for r, w in zip(itb, weights)])
     rows, oob_rows = (np.concatenate(r, dtype=index) for r in (itb, oob))
@@ -541,11 +526,15 @@ def grow_trees(binned: BinnedMatrix, labels,
     all_features = np.broadcast_to(np.arange(d), (max(rows.shape[0], 1), d))
     owner = np.arange(n_trees)
     # Per level: which nodes split, how many nodes each tree owns, and the
-    # leaves' stats and counts; per split, its fields and categorical mask.
+    # leaves' stats; per split, its fields and categorical mask.
     levels, splits, first = [], [], 0
     while True:
         n, depth = stats.shape[0], len(levels)
         w_node = stats.sum(axis=1) if classification else stats[:, 0]
+        if not (w_node > 0).all():
+            raise RuntimeError("growth made a node without in-bag weight")
+        if use_oob and (oob_count < 1).any():
+            raise RuntimeError("growth made a node without out-of-bag rows")
         leaf[oob_pair] = first + oob_slot
         open_ = w_node >= min_split_w
         if max_depth is not None and depth >= max_depth:
@@ -561,8 +550,8 @@ def grow_trees(binned: BinnedMatrix, labels,
         open_ &= impurity(stats, criterion) > eps
         cand = np.flatnonzero(open_)
         if cand.size == 0:
-            levels.append(_level(stats, itb_count, oob_count * use_oob,
-                                 owner, np.zeros(n, dtype=bool), n_trees))
+            levels.append(_level(stats, owner, np.zeros(n, dtype=bool),
+                                 n_trees))
             break
         # Keep the rows of open nodes, numbered by their node's position
         # among the open ones.
@@ -589,8 +578,7 @@ def grow_trees(binned: BinnedMatrix, labels,
         n_split = best.node.shape[0]
         split = np.zeros(n, dtype=bool)
         split[cand[best.node]] = True
-        levels.append(_level(stats, itb_count, oob_count * use_oob, owner,
-                             split, n_trees))
+        levels.append(_level(stats, owner, split, n_trees))
         if n_split == 0:
             break
         # Only categorical splits keep their ``left`` rows, as masks.
@@ -614,7 +602,6 @@ def grow_trees(binned: BinnedMatrix, labels,
         stats = np.empty((2 * n_split, stats.shape[1]))
         stats[0::2] = best.stats_left
         stats[1::2] = parent_stats - best.stats_left
-        itb_count = np.bincount(slot + 2, minlength=2 * n_split + 2)[2:]
         oob_count = np.bincount(oob_slot, minlength=2 * n_split)
         owner = np.repeat(owner[cand[best.node]], 2)
         first += n
@@ -625,7 +612,7 @@ def grow_trees(binned: BinnedMatrix, labels,
     # The stored rows of each kind, level by level across the trees, are
     # taken tree by tree: each tree's nodes stay breadth first, the order
     # ``from_heap`` takes links from.
-    split, owned, *leaf_cols = (np.concatenate(part) for part in zip(*levels))
+    split, owned, leaf_stats = (np.concatenate(part) for part in zip(*levels))
     n_nodes = split.shape[0]
     del levels, stats
     owner = np.repeat(np.tile(np.arange(n_trees), len(owned) // n_trees),
@@ -647,20 +634,11 @@ def grow_trees(binned: BinnedMatrix, labels,
     is_cat = binned.is_categorical[fields[0]]
     masks = fields.pop()[(np.cumsum(is_cat) - 1)[row[is_cat[row]]]]
     stored = {name: col[row] for name, col in zip(SPLIT_FIELDS, fields)}
-    row = (np.cumsum(~split) - 1)[order[~internal]]
-    stored.update((name, col[row]) for name, col in zip(LEAF_FIELDS,
-                                                          leaf_cols))
-    if (stored["itb_count"] < 1).any():
-        raise RuntimeError("grown tree has a node without itb rows")
-    if use_oob and (stored["oob_count"] < 1).any():
-        raise RuntimeError("grown tree has a node without oob rows")
+    stored["stats"] = leaf_stats[(np.cumsum(~split) - 1)[order[~internal]]]
     return dict(stored, internal=internal, masks=masks), roots, position[leaf]
 
 
-def _level(stats, itb_count, oob_count, owner, split, n_trees):
+def _level(stats, owner, split, n_trees):
     """What growth keeps of a level: which nodes split, how many nodes each
-    tree owns, and the counts and stats of the leaves."""
-    leaf = ~split
-    return (split, np.bincount(owner, minlength=n_trees),
-            itb_count[leaf].astype(np.int32), oob_count[leaf].astype(np.int32),
-            stats[leaf])
+    tree owns, and the stats of the leaves."""
+    return split, np.bincount(owner, minlength=n_trees), stats[~split]

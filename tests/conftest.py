@@ -1,5 +1,5 @@
-"""Shared helpers: split-search fixtures, the linear pruning-bound check and
-the acceptance report."""
+"""Shared helpers: split-search fixtures, per-node row counts, the linear
+pruning-bound check and the acceptance report."""
 
 import math
 
@@ -60,18 +60,37 @@ def random_reg_table(rng, n_bins):
     return table
 
 
-def bound_violation(table, state, roots, lhs) -> np.ndarray:
+def node_counts(tree, entries, rows, roots=None) -> np.ndarray:
+    """How many of ``rows`` (row ids of the binned ``entries``) each node of
+    ``tree`` holds: the rows routed to their leaves by ``Tree.route``, then
+    summed up one depth at a time by ``Tree.levels``, deepest first.  Given
+    the ``roots`` of a stack of trees, ``rows`` holds one array per root."""
+    if roots is None:
+        roots, rows = np.zeros(1, dtype=np.int64), [rows]
+    counts = np.zeros(tree.n_nodes, dtype=np.int64)
+    for root, part in zip(roots, rows):
+        leaf = tree.route(entries[part], np.array([root]))[:, 0]
+        counts += np.bincount(leaf, minlength=tree.n_nodes)
+    node, ends = tree.levels
+    for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
+        v = node[lo:hi]
+        counts[v] = counts[tree.left_child[v]] + counts[tree.right_child[v]]
+    return counts
+
+
+def bound_violation(table, state, roots, n_oob, lhs) -> np.ndarray:
     """Each tree's worst violation of the pruning-competitive bound, in one
     pass per depth instead of an enumeration of the prunings.
 
     The bound's right side, minimised over prunings, adds up over nodes:
     best(v) = L_v / n at a leaf and min(L_v / n + a, a + best(l) + best(r))
     at an internal node, with L_v the node's oob loss,
-    a = (log 2 / temperature) / (n + 1) and n the root's oob count.  The
-    worst violation is the tree's mean aggregated oob loss ``lhs`` minus
-    best(root); it is at most numerical noise when the bound holds.
+    a = (log 2 / temperature) / (n + 1) and n the tree's oob row count
+    (``n_oob``, one per root).  The worst violation is the tree's mean
+    aggregated oob loss ``lhs`` minus best(root); it is at most numerical
+    noise when the bound holds.
     """
-    n = np.repeat(table.oob_count[roots].astype(np.float64),
+    n = np.repeat(np.asarray(n_oob, dtype=np.float64),
                   np.diff(roots, append=table.n_nodes))
     a = math.log(2.0) / state.temperature / (n + 1.0)
     best = state.oob_loss / n

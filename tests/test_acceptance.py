@@ -123,7 +123,7 @@ def test_pruning_bound_holds_on_every_cut_tree(monkeypatch):
                 uncut = fit(cols, target, kinds, config)
             assert uncut.table.n_nodes > forest.table.n_nodes
             for f in (forest, uncut):
-                worst = bound_violation(f.table, f.state, f.roots,
+                worst = bound_violation(f.table, f.state, f.roots, f.n_oob,
                                         f.oob_loss_mean).max()
                 assert worst <= 1e-12, f"worst violation {worst:.3e}"
             predict = ("predict" if config.task == "regression"

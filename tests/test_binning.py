@@ -1,6 +1,7 @@
 """Bin layout fitting and the raw-to-bin transform."""
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -431,6 +432,51 @@ def test_thresholds_equal_quantiles_of_the_unsorted_column(max_bins):
         want = np.unique(np.quantile(present, q, method="midpoint"))
         got = binning._fit_continuous(col, 0, max_bins).thresholds
         assert got.tobytes() == want.tobytes()
+
+
+BIG = np.finfo(np.float64).max
+EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, BIG, -BIG, BIG / 2, -0.75 * BIG,
+         np.inf, -np.inf]
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGES)),
+                min_size=1, max_size=300),
+       st.integers(2, 400))
+def test_midpoints_are_np_quantile_bit_for_bit(values, slots):
+    """The thresholds read from the sorted copy are np.quantile's midpoints
+    where those are finite, and a / 2 + b / 2 where b - (b - a) / 2
+    overflows: ties, clipped infinities, signed zeros and values near the
+    float limits included."""
+    col = np.asarray(values, dtype=np.float64)
+    finite = col[np.isfinite(col)]
+    if finite.size < col.size:
+        col = np.clip(col, *((finite.min(), finite.max()) if finite.size
+                             else (0.0, 0.0)))
+    ordered = np.sort(col)
+    q = np.arange(1, slots) / slots
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.quantile(ordered, q, method="midpoint")
+    over = ~np.isfinite(want)
+    k = (ordered.size - 1) * q[over]
+    want[over] = (ordered[np.floor(k).astype(np.intp)] * 0.5
+                  + ordered[np.ceil(k).astype(np.intp)] * 0.5)
+    got = binning._midpoints(ordered, q)
+    assert got.tobytes() == want.tobytes()
+    fitted = binning._fit_continuous(np.asarray(values), 0, slots).thresholds
+    assert fitted.tobytes() == np.unique(want).tobytes()
+
+
+def test_fit_at_the_largest_bin_budget_is_fast():
+    # np.quantile partitioned the column for each of 65,535 quantiles:
+    # 13.5 s for this fit on a 2-vCPU machine, where it now takes 0.25 s.
+    rng = np.random.default_rng(0)
+    cols = list(rng.normal(size=(2, 100_000)))
+    y = (cols[0] + cols[1] > 0).astype(np.int64)
+    start = time.perf_counter()
+    forest = fit(cols, y, ["continuous"] * 2,
+                 TrainConfig(n_trees=2, max_bins=binning.MAX_BINS, seed=0))
+    assert time.perf_counter() - start < 2.0
+    assert all(fb.n_bins == binning.MAX_BINS for fb in forest.mapper.features)
 
 
 def test_overflowing_midpoint_gets_a_finite_threshold(tmp_path):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bound_violation, cut_weight
+from conftest import bound_violation, cut_weight, node_counts
 
 from aggforest import forest as forest_module
 from aggforest.aggregation import (build_state, descend, node_values,
@@ -415,6 +415,23 @@ def test_temperature_whose_log_weights_overflow_is_refused(tmp_path):
                        ).all()
 
 
+def test_temperature_just_below_overflow_raises_no_warning(tmp_path):
+    # At 1e307, -temperature * loss overflows at internal nodes whose loss
+    # is above about 18; their own weight of 0 is right, and the mix used
+    # to warn "overflow encountered in multiply" on the way there.
+    x = np.random.default_rng(0).normal(size=60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forest = fit([x], x > 0, ["continuous"],
+                     TrainConfig(n_trees=2, temperature=1e307))
+        proba = forest.predict_proba([x])
+        save_model(forest, tmp_path / "hot.agf")
+        back = load_model(tmp_path / "hot.agf")
+        assert np.array_equal(back.predict_proba([x]), proba)
+    assert np.isfinite(proba).all()
+    assert (forest.state.oob_loss > np.finfo(float).max / 1e307).any()
+
+
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_targets_must_be_one_dimensional(task):
     # Regression used to fail inside numpy ("operands could not be
@@ -700,7 +717,7 @@ def test_cut_keeps_the_nodes_the_aggregate_weighs(monkeypatch, tmp_path, task,
     assert np.array_equal(predict(X), getattr(
         load_model(tmp_path / "1200.agf"), predict.__name__)(X))
     assert (bound_violation(forest.table, forest.state, forest.roots,
-                            forest.oob_loss_mean) <= 1e-12).all()
+                            forest.n_oob, forest.oob_loss_mean) <= 1e-12).all()
     # Uncut, a mean over trees moves by at most the weight the cut removes
     # times the forecast range, which is at most 1 for probabilities.
     with monkeypatch.context() as m:
@@ -717,7 +734,7 @@ def test_cut_keeps_the_nodes_the_aggregate_weighs(monkeypatch, tmp_path, task,
     binned = forest._binned(X)
     y_enc = (np.unique(y, return_inverse=True)[1] if n_classes
              else y.astype(np.float64))
-    for b in forest.trees:
+    for b, n_oob in zip(forest.trees, forest.n_oob):
         source = RandomSource(23).child(*([b.class_id] if ovr else []),
                                         b.index)
         labels = (y_enc == b.class_id).astype(np.int64) if ovr else y_enc
@@ -740,9 +757,11 @@ def test_cut_keeps_the_nodes_the_aggregate_weighs(monkeypatch, tmp_path, task,
         np.testing.assert_array_equal(
             b.tree.masks[b.tree.mask_id[internal][mid >= 0]],
             tree.masks[mid[mid >= 0]])
-        for name in ("stats", "itb_count", "oob_count"):
-            assert (getattr(b.tree, name).tobytes()
-                    == getattr(tree, name)[kept].tobytes()), name
+        assert b.tree.stats.tobytes() == tree.stats[kept].tobytes()
+        for rows in (sample.itb_indices, sample.oob_indices):
+            assert np.array_equal(node_counts(b.tree, binned.entries, rows),
+                                  node_counts(tree, binned.entries, rows)[kept])
+        assert n_oob == sample.n_oob
         for name in ("forecasts", "oob_loss"):
             assert (getattr(b.state, name).tobytes()
                     == getattr(state, name)[kept].tobytes()), name

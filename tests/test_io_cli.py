@@ -105,8 +105,10 @@ def test_aggregation_off_round_trip(tmp_path):
 
     assert back.config.aggregation is False
     for t in back.trees:
-        # Stored oob counts are 0 without aggregation, and load anyway.
-        assert t.state.oob_loss is None and not t.tree.oob_count.any()
+        assert t.state.oob_loss is None
+    # Each tree's oob row count is kept without aggregation too.
+    assert back.n_oob.tobytes() == forest.n_oob.tobytes()
+    assert (back.n_oob >= 1).all()
     assert np.array_equal(back.predict_proba(cols), forest.predict_proba(cols))
 
 
@@ -122,11 +124,11 @@ def test_loaded_table_and_state_are_the_fitted_ones(tmp_path, task):
     save_model(forest, str(path))
     back = load_model(str(path))
 
-    for name in ("stats", "itb_count", "oob_count", "depth", "parent",
-                 "feature", "threshold"):
+    for name in ("stats", "depth", "parent", "feature", "threshold"):
         a, b = getattr(back.table, name), getattr(forest.table, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+    assert back.n_oob.tobytes() == forest.n_oob.tobytes()
     for name in ("forecasts", "oob_loss", "log_agg_weight"):
         assert (getattr(back.state, name).tobytes()
                 == getattr(forest.state, name).tobytes()), name
@@ -166,13 +168,9 @@ def test_manifest_holds_each_field_for_its_kind_of_node(tmp_path,
     assert shapes["masks"] == [int((table.mask_id >= 0).sum()),
                                (int(table.feature_n_bins.max()) + 7) // 8]
     assert shapes["masks"][0] > 0
-    assert shapes["itb_count"] == [n - n_internal]
     assert shapes["stats"] == [n - n_internal, 2]
-    if aggregation:
-        assert shapes["oob_count"] == [n - n_internal]
-        assert shapes["oob_loss"] == [n]
-    else:
-        assert shapes["oob_count"] is None and shapes["oob_loss"] is None
+    assert shapes["n_oob"] == [3]
+    assert shapes["oob_loss"] == ([n] if aggregation else None)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +282,7 @@ def child_before_parent(meta, arrays):
     # The root becomes a leaf and the last leaf a split, so the count of
     # internal nodes holds but the first split's left child is itself or
     # an earlier node.
-    n = arrays["feature"].shape[0] + arrays["itb_count"].shape[0]
+    n = arrays["feature"].shape[0] + arrays["stats"].shape[0]
     toggle_internal(arrays, [0, n - 1])
 
 
@@ -345,7 +343,7 @@ def test_format_version_two_is_refused(tmp_path):
     body = bytearray(raw)
     struct.pack_into("<I", body, 8, 2)
     path.write_bytes(bytes(body))
-    with pytest.raises(ModelFormatError, match="version 2, expected 4"):
+    with pytest.raises(ModelFormatError, match="version 2, expected 5"):
         load_model(str(path))
 
 
@@ -356,7 +354,19 @@ def test_format_version_three_is_refused(tmp_path):
     struct.pack_into("<I", body, 8, 3)
     path.write_bytes(bytes(body))
     with pytest.raises(ModelFormatError, match="unsupported model format "
-                                               "version 3, expected 4"):
+                                               "version 3, expected 5"):
+        load_model(str(path))
+
+
+def test_format_version_four_is_refused(tmp_path):
+    # Version 4 also stored each leaf's in-bag and out-of-bag row counts,
+    # which nothing read.
+    path, raw = saved_model_bytes(tmp_path)
+    body = bytearray(raw)
+    struct.pack_into("<I", body, 8, 4)
+    path.write_bytes(bytes(body))
+    with pytest.raises(ModelFormatError, match="unsupported model format "
+                                               "version 4, expected 5"):
         load_model(str(path))
 
 
@@ -382,13 +392,10 @@ def set_last_leaves(name, value):
     (resize_rows("missing_left", -1), "missing_left does not hold one row "
      "per internal node"),
     (resize_rows("stats", -1), "stats does not hold one row per leaf"),
-    (resize_rows("oob_count", 1), "oob_count does not hold one row per leaf"),
+    (resize_rows("n_oob", 1), "n_oob is not one integer >= 1 per tree"),
     (set_last_leaves("stats", 1e308), "stats are not finite"),
-    (set_last_leaves("itb_count", 2 ** 31 - 1), "overflow 32 bits"),
-    (set_last_leaves("oob_count", 2 ** 31 - 1), "overflow 32 bits"),
 ], ids=["threshold-row-more", "missing_left-row-less", "stats-row-less",
-        "oob_count-row-more", "stats-sum-overflows", "itb_count-sum-overflows",
-        "oob_count-sum-overflows"])
+        "n_oob-row-more", "stats-sum-overflows"])
 def test_tampered_node_rows_are_refused(tmp_path, edit, message):
     path, _ = saved_model_bytes(tmp_path)
     rewrite_model(path, edit)
@@ -414,8 +421,9 @@ def test_tampered_node_rows_are_refused(tmp_path, edit, message):
     (False, set_feature_field("n_bins", 3), "thresholds for 3 plain bins"),
     (False, set_feature_field("has_missing", True), "thresholds for"),
     (True, narrow_masks, "narrower"),
-    (False, set_entry("itb_count", 1, 0), "itb_count"),
-    (False, set_entry("oob_count", 1, 0), "oob_count"),
+    # Two sibling leaves without in-bag rows leave their parent none.
+    (False, set_last_leaves("stats", 0.0), "positive total"),
+    (False, set_entry("n_oob", 0, 0), "n_oob"),
     (False, prepend_thresholds, "119 thresholds for 60 plain bins"),
     (False, set_entry("f0.thresholds", 0, 1e9), "strictly increasing"),
     (False, set_entry("f0.thresholds", 1, np.nan), "not finite"),
@@ -555,8 +563,8 @@ def test_mutated_model_is_refused_or_predicts_finite(tmp_path_factory, data):
     def edit(meta, arrays):
         keys = sorted(k for k, a in arrays.items() if a is not None and a.size)
         # The node bits, both kinds' rows and the masks are all drawn.
-        assert {"internal", "feature", "masks", "itb_count",
-                "oob_count", "stats", "oob_loss"} <= set(keys)
+        assert {"internal", "feature", "masks", "stats", "oob_loss",
+                "n_oob"} <= set(keys)
         key = data.draw(st.sampled_from(keys))
         arr = arrays[key].reshape(-1)
         arr[data.draw(st.integers(0, arr.size - 1))] = data.draw(

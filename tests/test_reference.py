@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import bound_violation
+from conftest import bound_violation, node_counts
 
 from aggforest.aggregation import node_values
 from aggforest.reference import (
@@ -104,13 +104,13 @@ def test_linear_bound_pass_matches_enumeration(task):
             7000 + i, task=task, max_depth=3 + i % 2,
             temperature=(None, 1.0, 10.0)[i % 3])
         oob = sample.oob_indices
-        assert tree.oob_count[0] == oob.shape[0]
+        assert node_counts(tree, binned.entries, oob)[0] == oob.shape[0]
         preds = node_values(tree, state)[tree.route(binned.entries[oob])]
         y = labels[oob]
         losses = (-np.log(preds[np.arange(oob.shape[0]), y])
                   if task == "classification" else (preds - y) ** 2)
         got = bound_violation(tree, state, np.zeros(1, dtype=np.int64),
-                              losses.mean())
+                              [oob.shape[0]], losses.mean())
         want = max_bound_violation(tree, state, binned.entries, labels, oob)
         assert got.shape == (1,)
         assert got[0] == pytest.approx(want, rel=1e-12, abs=1e-14)

@@ -304,16 +304,16 @@ def test_best_splits_do_not_depend_on_block_cuts(monkeypatch, n_classes,
 
 
 @pytest.mark.parametrize("n_classes,criterion", [
-    (2, "gini"), (3, "entropy"), (3, "gini"), (0, "variance"), (9, "gini")])
+    (2, "gini"), (3, "entropy"), (3, "gini"), (0, "variance"), (9, "gini"),
+    (9, "entropy")])
 @pytest.mark.parametrize("oob", [False, True])
 def test_best_splits_are_find_best_split_node_by_node(n_classes, criterion,
                                                       oob):
     """Each node's split from ``best_splits`` is the one ``find_best_split``
     picks on ``compute_histogram`` of the node's rows and the bin counts of
     its oob rows: the same feature, threshold, missing side and left bins,
-    and the same gain, to the last bit below 8 classes.  From 8 classes on,
-    numpy sums one node's class terms of the parent impurity pairwise and a
-    level's in order, so those gains agree within 1e-9 relative."""
+    and the same gain, to the last bit at any class count: ``impurity``
+    adds a node's classes in one order, alone or in a stack."""
     cons = SplitConstraints(min_leaf_weight=1.0, min_leaf_oob=int(oob))
     kinds = set()
     for seed in range(3):
@@ -329,13 +329,13 @@ def test_best_splits_are_find_best_split_node_by_node(n_classes, criterion,
         for v, feats in enumerate(features):
             mine = node == v
             assert mine.any()
-            oob_counts = [np.bincount(binned.entries[oob_rows[oob_node == v], j],
-                                      minlength=int(binned.n_bins[j]))
-                          for j in feats] if oob else None
+            oob_hist = [np.bincount(binned.entries[oob_rows[oob_node == v], j],
+                                    minlength=int(binned.n_bins[j]))
+                        for j in feats] if oob else None
             want = find_best_split(
                 compute_histogram(rows[mine], weights[mine], feats, binned,
                                   labels, n_classes),
-                binned, criterion, cons, oob_counts=oob_counts,
+                binned, criterion, cons, oob_hist=oob_hist,
                 n_classes=n_classes)
             k = at.get(v)
             if want is None:
@@ -344,10 +344,7 @@ def test_best_splits_are_find_best_split_node_by_node(n_classes, criterion,
             j = want.feature
             assert (best.feature[k], best.threshold[k], best.missing_left[k]
                     ) == (j, want.bin_threshold, want.missing_goes_left)
-            if n_classes < 8:
-                assert best.gain[k] == want.gain
-            else:
-                assert best.gain[k] == pytest.approx(want.gain, rel=1e-9)
+            assert best.gain[k] == want.gain
             if want.is_categorical:
                 expect = np.zeros(hist.n_bins, dtype=bool)
                 expect[:want.left_mask.shape[0]] = want.left_mask
@@ -545,7 +542,7 @@ def test_min_leaf_oob_constraint_filters():
         cons = SplitConstraints(min_leaf_weight=1e-9, min_leaf_oob=1)
         binned = layout(["continuous"], [n_bins])
         split = find_best_split(one_feature_hist(table), binned, "gini",
-                                cons, oob_counts=[oob], n_classes=2)
+                                cons, oob_hist=[oob], n_classes=2)
         want = exhaustive_continuous_gain(table, "gini", cons, oob_bins=oob)
         if split is None:
             assert want == -np.inf

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import node_counts
 
 from aggforest import tree as tree_module
 from aggforest.aggregation import accumulate_oob_losses, oob_losses
@@ -67,10 +68,11 @@ def test_children_after_parent_and_depth_chain():
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_internal_stats_and_counts_are_those_of_their_rows(task):
-    """An internal node's stats and counts, its children's sums, are those
-    its own rows give: exactly for classification, whose stats add integer
-    bootstrap weights, and for regression within 1e-12 of the sums of the
-    rows' absolute values."""
+    """An internal node's stats, its children's sums, are those its own rows
+    give: exactly for classification, whose stats add integer bootstrap
+    weights, and for regression within 1e-12 of the sums of the rows'
+    absolute values.  Its row counts, routed and summed up by
+    ``node_counts``, are those of the rows' paths."""
     tree, binned, y, sample = grown(task=task, seed=4)
     assert (tree.feature >= 0).sum() > 5
     want = np.zeros_like(tree.stats)
@@ -89,8 +91,10 @@ def test_internal_stats_and_counts_are_those_of_their_rows(task):
         itb[path] += 1
     for r in sample.oob_indices:
         oob[tree.path(binned.entries[r])] += 1
-    np.testing.assert_array_equal(tree.itb_count, itb)
-    np.testing.assert_array_equal(tree.oob_count, oob)
+    np.testing.assert_array_equal(
+        node_counts(tree, binned.entries, sample.itb_indices), itb)
+    np.testing.assert_array_equal(
+        node_counts(tree, binned.entries, sample.oob_indices), oob)
     if task == "classification":
         np.testing.assert_array_equal(tree.stats, want)
     else:
@@ -99,7 +103,9 @@ def test_internal_stats_and_counts_are_those_of_their_rows(task):
 
 def test_stats_and_counts_partition_at_every_split():
     for task in ("classification", "regression"):
-        tree, _, _, sample = grown(task=task, seed=1)
+        tree, binned, _, sample = grown(task=task, seed=1)
+        itb_count, oob_count = (node_counts(tree, binned.entries, rows) for rows
+                                in (sample.itb_indices, sample.oob_indices))
         for v in range(tree.n_nodes):
             if tree.feature[v] < 0:
                 continue
@@ -107,12 +113,12 @@ def test_stats_and_counts_partition_at_every_split():
             np.testing.assert_allclose(tree.stats[v],
                                        tree.stats[l] + tree.stats[r],
                                        rtol=1e-9, atol=1e-9)
-            assert tree.itb_count[v] == tree.itb_count[l] + tree.itb_count[r]
-            assert tree.oob_count[v] == tree.oob_count[l] + tree.oob_count[r]
+            assert itb_count[v] == itb_count[l] + itb_count[r]
+            assert oob_count[v] == oob_count[l] + oob_count[r]
             assert tree.itb_weight[v] == pytest.approx(
                 tree.itb_weight[l] + tree.itb_weight[r])
-        assert tree.itb_count[0] == sample.n_itb
-        assert tree.oob_count[0] == sample.n_oob
+        assert itb_count[0] == sample.n_itb
+        assert oob_count[0] == sample.n_oob
         assert tree.itb_weight[0] == pytest.approx(sample.weights.sum())
 
 
@@ -120,11 +126,12 @@ def test_routing_agrees_with_growth_bookkeeping():
     tree, binned, _, sample = grown(seed=2)
     leaves = tree.route(binned.entries)
     assert (tree.feature[leaves] < 0).all()
+    oob_count = node_counts(tree, binned.entries, sample.oob_indices)
     for v in np.flatnonzero(tree.is_leaf):
         sel = leaves == v
         assert sample.weights[sel].sum() == pytest.approx(tree.itb_weight[v])
         assert int(np.isin(sample.oob_indices, np.flatnonzero(sel)).sum()) \
-            == tree.oob_count[v]
+            == oob_count[v]
 
 
 def test_path_is_a_root_to_leaf_chain():
@@ -306,20 +313,43 @@ def test_leaves_do_not_depend_on_the_walk_cutoff(monkeypatch, case, stacked,
 
 
 def test_leaf_minimums_and_oob_presence():
-    tree, _, _, _ = grown(seed=4, min_samples_leaf=3)
+    tree, binned, _, sample = grown(seed=4, min_samples_leaf=3)
+    oob_count = node_counts(tree, binned.entries, sample.oob_indices)
     assert (tree.itb_weight[tree.is_leaf] >= 3).all()
-    assert (tree.oob_count[tree.is_leaf] >= 3).all()
+    assert (oob_count[tree.is_leaf] >= 3).all()
     # Aggregation mode guarantees every node sees both itb and oob rows.
-    assert (tree.itb_weight > 0).all() and (tree.oob_count > 0).all()
+    assert (tree.itb_weight > 0).all() and (oob_count > 0).all()
 
 
 def test_aggregation_off_ignores_oob_constraints():
-    tree_on, _, _, _ = grown(seed=5, aggregation=True)
+    tree_on, binned, _, sample = grown(seed=5, aggregation=True)
     tree_off, _, _, _ = grown(seed=5, aggregation=False)
-    assert (tree_off.oob_count == 0).all()
     assert tree_off.n_nodes > 1
-    # With the oob floor active every node retains held-out rows.
-    assert (tree_on.oob_count > 0).all()
+    # Without the oob floor some leaves hold no held-out rows; with it
+    # every node retains some.
+    assert (node_counts(tree_off, binned.entries, sample.oob_indices)
+            == 0).any()
+    assert (node_counts(tree_on, binned.entries, sample.oob_indices)
+            > 0).all()
+
+
+@pytest.mark.parametrize("empty", ["itb", "oob"])
+def test_growth_refuses_a_node_without_rows_of_either_kind(empty):
+    """Growth checks, on every level, that each node holds in-bag weight
+    and, with aggregation on, an out-of-bag row; a root given none of one
+    kind fails the check."""
+    rng = np.random.default_rng(12)
+    X = rng.uniform(0, 1, size=(30, 2))
+    binned = transform(X, fit_bins(X, ["continuous"] * 2, 16))
+    weights = np.ones(30) if empty == "oob" else np.zeros(30)
+    sample = BootstrapSample(
+        weights=weights, itb_indices=np.flatnonzero(weights),
+        oob_indices=np.flatnonzero(weights == 0))
+    with pytest.raises(RuntimeError, match="without (in-bag weight|"
+                                           "out-of-bag rows)"):
+        grow_tree(binned, rng.integers(0, 2, size=30), sample,
+                  TrainConfig(max_features=2), RandomSource(12).child(0),
+                  n_classes=2)
 
 
 def test_max_depth_per_level_cap():
@@ -380,7 +410,7 @@ def test_starved_oob_root_warns_and_stays_leaf():
         tree = grow_tree(binned, y, sample, TrainConfig(max_features=2),
                          source, n_classes=2)
     assert tree.n_nodes == 1
-    assert tree.oob_count[0] == 1
+    assert node_counts(tree, binned.entries, sample.oob_indices)[0] == 1
 
 
 def test_categorical_split_end_to_end():
@@ -469,9 +499,10 @@ def test_stored_splits_match_find_best_split(task, criterion, max_features,
         while v >= 0:
             at_node[v].append(i)
             v = tree.parent[v]
+    oob_count = node_counts(tree, binned.entries, sample.oob_indices)
     is_open = (
         (tree.itb_weight >= config.min_samples_split)
-        & ((tree.oob_count >= config.min_samples_split) | (not aggregation))
+        & ((oob_count >= config.min_samples_split) | (not aggregation))
         & np.array([impurity(s, criterion) > 0 for s in tree.stats]))
     checked = 0
     for depth in range(tree.max_node_depth + 1):
@@ -487,11 +518,11 @@ def test_stored_splits_match_find_best_split(task, criterion, max_features,
             oob = rows[sample.weights[rows] == 0]
             hist = compute_histogram(itb, sample.weights[itb], feats, binned,
                                      y, n_classes)
-            oob_counts = [np.bincount(binned.entries[oob, j],
-                                      minlength=int(binned.n_bins[j]))
-                          for j in feats] if aggregation else None
+            oob_hist = [np.bincount(binned.entries[oob, j],
+                                    minlength=int(binned.n_bins[j]))
+                        for j in feats] if aggregation else None
             want = find_best_split(hist, binned, criterion, constraints,
-                                   oob_counts=oob_counts, n_classes=n_classes)
+                                   oob_hist=oob_hist, n_classes=n_classes)
             got = tree.split_of(int(v))
             if got is None:
                 assert want is None, f"node {v} left unsplit"
@@ -599,4 +630,8 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
         assert oob_loss.tobytes() == want.tobytes()
     else:
         assert oob_loss is None
-        assert all((t.oob_count == 0).all() for t in group)
+    # With aggregation on, every node of every tree holds an oob row.
+    oob_count = node_counts(table, binned.entries,
+                            [s.oob_indices for s in samples], roots)
+    assert (oob_count[roots] == [s.n_oob for s in samples]).all()
+    assert (oob_count > 0).all() == config.aggregation
