@@ -116,10 +116,10 @@ def compute_log_agg_weights(tree: Tree, oob_loss: np.ndarray,
     neg = -temperature * np.asarray(oob_loss, dtype=np.float64)
     out = neg.copy()
     node, ends = tree.levels
-    own, lc, rc = neg[node], tree.left_child[node], tree.right_child[node]
+    own, lc = neg[node], tree.left_child[node]
     for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
         out[node[lo:hi]] = np.logaddexp(
-            own[lo:hi], out[lc[lo:hi]] + out[rc[lo:hi]]) - LOG2
+            own[lo:hi], out[lc[lo:hi]] + out[lc[lo:hi] + 1]) - LOG2
     return out
 
 
@@ -210,13 +210,12 @@ def descend(tree: Tree, state: AggregationState):
     forecasts = state.forecasts.reshape(tree.n_nodes, -1)
     mix = mix_coefficients(state)
     own, keep = mix[:, None] * forecasts, 1.0 - mix
-    children = np.stack([tree.left_child, tree.right_child], axis=1)
     acc = np.zeros_like(forecasts)
     rem = np.ones(tree.n_nodes)
     node, ends = tree.levels
     for lo, hi in zip([0] + ends[:-1], ends):
         nodes = node[lo:hi]
-        kids = children[nodes]
+        kids = tree.left_child[nodes, None] + np.arange(2)
         r = rem[nodes]
         acc[kids] = (acc[nodes] + r[:, None] * own[nodes])[:, None]
         rem[kids] = (r * keep[nodes])[:, None]

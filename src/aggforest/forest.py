@@ -53,7 +53,6 @@ class TrainConfig:
     max_features: int | None = None     # None: floor(sqrt(d)), at least 1
     min_samples_leaf: int = 1
     min_samples_split: int = 2
-    impurity_threshold: float = 0.0
     max_depth: int | None = None
     temperature: float | None = None    # None: 1.0, or 1/(8 B^2) for regression
     dirichlet: float = 0.5
@@ -78,8 +77,6 @@ class TrainConfig:
             object.__setattr__(self, name, int(value))
         check_max_bins(self.max_bins)
         # NaN fails every comparison, so each check asks for the good case.
-        if not self.impurity_threshold >= 0:
-            raise ValueError("impurity_threshold must be >= 0")
         if self.temperature is not None and not 0 <= self.temperature < math.inf:
             raise ValueError("temperature must be finite and >= 0 when given")
         if not 0 < self.dirichlet < math.inf:
@@ -93,6 +90,12 @@ class TrainConfig:
         if self.multiclass not in MULTICLASS_STRATEGIES:
             raise ValueError(
                 f"multiclass must be one of {MULTICLASS_STRATEGIES}")
+
+    @property
+    def one_vs_rest(self) -> bool:
+        """Whether each class has trees of its own, grown against the rest."""
+        return (self.task == "classification"
+                and self.multiclass == "one_vs_rest")
 
 
 @dataclass
@@ -111,19 +114,16 @@ class FittedTree:
 class Forest:
     """A trained forest: every node of every tree in one stacked ``table``,
     tree by tree, and one ``state`` over those nodes.  Per-tree arrays give
-    each tree's first node (``roots``), its index within its sequence, so
-    predicting with the first k trees equals training with n_trees=k
-    outright, its positive class under one-versus-rest (``class_id``, -1
-    otherwise), the mean oob loss of its prediction and its count of oob
-    rows (``n_oob``), over which that mean is taken."""
+    each tree's first node (``roots``), the mean oob loss of its prediction
+    and its count of oob rows (``n_oob``), over which that mean is taken.
+    The trees come class by class under one-versus-rest, ``config.n_trees``
+    of each, else as one sequence; ``index`` and ``class_id`` follow."""
 
     config: TrainConfig
     mapper: BinMapper
     table: Tree
     state: AggregationState
     roots: np.ndarray
-    index: np.ndarray
-    class_id: np.ndarray
     oob_loss_mean: np.ndarray
     n_oob: np.ndarray
     classes_: np.ndarray | None = None
@@ -138,6 +138,19 @@ class Forest:
     @property
     def n_classes(self) -> int:
         return 0 if self.classes_ is None else self.classes_.shape[0]
+
+    @cached_property
+    def class_id(self) -> np.ndarray:
+        """Each tree's positive class under one-versus-rest, -1 otherwise."""
+        if self.config.one_vs_rest:
+            return np.repeat(np.arange(self.n_classes), self.config.n_trees)
+        return np.full(self.config.n_trees, -1)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Each tree's index within its sequence, so predicting with the
+        first k trees equals training with n_trees=k outright."""
+        return np.arange(self.class_id.shape[0]) % self.config.n_trees
 
     @cached_property
     def trees(self) -> list[FittedTree]:
@@ -375,9 +388,8 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     entries = binned.n_rows * features_per_node(config, binned.n_cols)
     plan = _group_plan(config.n_trees, max(1, _GROUP_ENTRIES // entries),
                        n_jobs)
-    one_vs_rest = (config.task == "classification"
-                   and config.multiclass == "one_vs_rest")
-    groups = [(c, trees) for c in (range(n_classes) if one_vs_rest else [-1])
+    groups = [(c, trees)
+              for c in (range(n_classes) if config.one_vs_rest else [-1])
               for trees in plan]
 
     if n_jobs == 1 or len(groups) == 1:
@@ -400,7 +412,7 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     roots, leaf = (np.concatenate([a + o for a, o in zip(part, offsets)])
                    for part in (roots, leaf))
     y_oob, n_oob = np.concatenate(y_oob), np.concatenate(n_oob)
-    k = 2 if one_vs_rest else n_classes
+    k = 2 if config.one_vs_rest else n_classes
     # Each group's field goes as soon as it is joined.
     table = Tree.from_heap(config.task, k, binned, roots, **{
         name: np.concatenate([s.pop(name) for s in stored]) for name in STORED})
@@ -428,8 +440,6 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
              for part in np.split(losses, np.cumsum(n_oob)[:-1])]
     forest = Forest(
         config=config, mapper=mapper, table=table, state=state, roots=roots,
-        index=np.concatenate([list(r) for _, r in groups]),
-        class_id=np.repeat([c for c, _ in groups], [len(r) for _, r in groups]),
         oob_loss_mean=np.array(means), n_oob=n_oob, classes_=classes,
         feature_names=list(feature_names) if feature_names else None)
     if config.task == "regression":

@@ -15,7 +15,7 @@ manifest order, every array little-endian and C-contiguous.  Everything
 about the encoding is deterministic, so two equal forests serialize to
 identical bytes.
 
-Format version 5 stores the forest as one node table, tree after tree, each
+Format version 6 stores the forest as one node table, tree after tree, each
 tree breadth first, with one array per field for the whole forest, each
 holding only the nodes its field means something at:
 
@@ -24,10 +24,12 @@ holding only the nodes its field means something at:
 - per internal node: ``feature``, ``threshold`` and ``missing_left``, and
   per categorical split a row of ``masks``, the bins that go left packed
   like ``internal``;
-- per leaf: ``stats``; an internal node's are the sums of its children's;
+- per leaf: ``stats``, its class weights, or for regression its weight and
+  weighted label sum; an internal node's are the sums of its children's;
 - per node, with aggregation on: ``oob_loss``, which does not add up;
-- per tree: ``roots``, ``index``, ``class_id``, ``oob_loss_mean`` and
-  ``n_oob``, the tree's count of out-of-bag rows;
+- per tree: ``roots``, ``oob_loss_mean`` and ``n_oob``, the tree's count of
+  out-of-bag rows; the config's n_trees trees, or that many per class
+  under one-versus-rest, whose index and class follow from their order;
 - per feature i: ``f<i>.thresholds``, empty for a categorical feature.
 
 Load rebuilds the rest through ``Tree.from_heap``, as fitting does: the
@@ -35,8 +37,10 @@ child links from breadth-first order, then parents, depths, mask ids and
 the internal nodes' stats, the forecasts from the stats, and the log
 weights from the oob losses and the temperature; the trees' bin layout is
 the mapper's.  Versions 1 and 2, which stored every field at every node,
-version 3, which also stored each split's gain, and version 4, which also
-stored each leaf's in-bag and out-of-bag row counts, are refused.
+version 3, which also stored each split's gain, version 4, which also
+stored each leaf's in-bag and out-of-bag row counts, and version 5, which
+also stored each regression leaf's sum w y^2 and each tree's index and
+class, are refused.
 """
 
 from __future__ import annotations
@@ -57,9 +61,9 @@ from .forest import Forest, TrainConfig
 from .tree import LEAF_FIELDS, SPLIT_FIELDS, STORED, Tree
 
 MAGIC = b"AGFOREST"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
-_PER_TREE = ("roots", "index", "class_id", "oob_loss_mean", "n_oob")
+_PER_TREE = ("roots", "oob_loss_mean", "n_oob")
 
 # Arrays that load scatters into new columns; it keeps copies of the others,
 # not views of the file's bytes.
@@ -235,8 +239,6 @@ def _forest_from(meta: dict, body) -> Forest:
     if not (type(temperature) in (int, float) and 0 <= temperature < math.inf):
         raise ModelFormatError(f"temperature {temperature!r} is not a finite "
                                "number >= 0")
-    one_vs_rest = (config.task == "classification"
-                   and config.multiclass == "one_vs_rest")
     n_classes = 0 if classes is None else classes.shape[0]
     try:
         if (arrays["oob_loss"] is None) == config.aggregation:
@@ -253,55 +255,55 @@ def _forest_from(meta: dict, body) -> Forest:
         # refuse what is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
             table = Tree.from_heap(
-                config.task, 2 if one_vs_rest else n_classes, mapper.table,
-                arrays["roots"], internal, arrays["masks"],
+                config.task, 2 if config.one_vs_rest else n_classes,
+                mapper.table, arrays["roots"], internal, arrays["masks"],
                 **{name: arrays[name] for name in SPLIT_FIELDS + LEAF_FIELDS})
-            _check(table, arrays["oob_loss"], config,
-                   n_classes if one_vs_rest else 0, **per_tree)
+            _check(table, arrays["oob_loss"], config, **per_tree)
             state = state_from_losses(table, arrays["oob_loss"], temperature,
                                       config.dirichlet)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    return Forest(config=config, mapper=mapper, table=table, state=state,
-                  classes_=classes,
-                  y_min_=meta["y_min"], y_max_=meta["y_max"],
-                  feature_names=meta["feature_names"], **per_tree)
+    forest = Forest(config=config, mapper=mapper, table=table, state=state,
+                    classes_=classes,
+                    y_min_=meta["y_min"], y_max_=meta["y_max"],
+                    feature_names=meta["feature_names"], **per_tree)
+    if forest.roots.shape != forest.index.shape:
+        raise ModelFormatError(
+            f"{forest.roots.shape[0]} trees stored, not the "
+            f"{forest.index.shape[0]} that n_trees={config.n_trees} gives"
+            + (f" for each of {n_classes} classes" if config.one_vs_rest
+               else ""))
+    return forest
 
 
-def _check(table: Tree, oob_loss, config: TrainConfig, ovr_classes: int,
-           roots, index, class_id, oob_loss_mean, n_oob) -> None:
+def _check(table: Tree, oob_loss, config: TrainConfig, roots, oob_loss_mean,
+           n_oob) -> None:
     """Refuse stored numbers that growth never gives: stats or losses that
     are not finite and >= 0, or stats of no weight, which a node without
-    in-bag rows would hold; a tree without oob rows; a tree's class outside
-    the ``ovr_classes`` classes under one-versus-rest, or not -1
-    otherwise."""
+    in-bag rows would hold; a tree without oob rows."""
     n = table.n_nodes
     stats = table.stats
-    width = table.n_classes if config.task == "classification" else 3
+    width = table.n_classes if config.task == "classification" else 2
     if stats.shape != (n, width):
         raise ValueError(f"stats do not have the shape {(n, width)}")
     # NaN fails every comparison, so each check asks for the good case.
     if config.task == "classification":
         good = (stats >= 0).all() and (stats @ np.ones(width) > 0).all()
     else:
-        good = (stats[:, 0] > 0).all() and (stats[:, 2] >= 0).all()
+        good = (stats[:, 0] > 0).all()
     if not (good and np.isfinite(stats).all()):
         raise ValueError("stats are not finite and >= 0 with a positive "
                          "total at every node")
     if oob_loss is not None and (oob_loss.shape != (n,) or not (
             (oob_loss >= 0) & (oob_loss < math.inf)).all()):
         raise ValueError("oob_loss is not one finite value >= 0 per node")
-    if any(a.shape != roots.shape for a in (index, class_id, oob_loss_mean)
-           ) or not ((oob_loss_mean >= 0) & (oob_loss_mean < math.inf)).all():
-        raise ValueError("index, class_id and oob_loss_mean are not one value "
-                         "per tree, the last finite and >= 0")
+    if oob_loss_mean.shape != roots.shape or not (
+            (oob_loss_mean >= 0) & (oob_loss_mean < math.inf)).all():
+        raise ValueError("oob_loss_mean is not one finite value >= 0 per "
+                         "tree")
     if (n_oob.shape != roots.shape or n_oob.dtype.kind != "i"
             or not (n_oob >= 1).all()):
         raise ValueError("n_oob is not one integer >= 1 per tree")
-    if not ((0 <= class_id) & (class_id < ovr_classes) if ovr_classes
-            else class_id == -1).all():
-        raise ValueError("class_id is not a class under one-versus-rest, "
-                         "-1 otherwise")
 
 
 @dataclass

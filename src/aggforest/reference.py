@@ -34,8 +34,8 @@ def pruning_count(tree: Tree, node: int = 0) -> int:
     """Number of prunings of the subtree rooted at ``node``."""
     if tree.feature[node] < 0:
         return 1
-    return 1 + (pruning_count(tree, int(tree.left_child[node]))
-                * pruning_count(tree, int(tree.right_child[node])))
+    left = int(tree.left_child[node])
+    return 1 + pruning_count(tree, left) * pruning_count(tree, left + 1)
 
 
 def enumerate_prunings(tree: Tree, node: int = 0) -> list[tuple[int, ...]]:
@@ -48,8 +48,9 @@ def enumerate_prunings(tree: Tree, node: int = 0) -> list[tuple[int, ...]]:
         raise ValueError("tree has too many prunings to enumerate")
     if tree.feature[node] < 0:
         return [(node,)]
-    lefts = enumerate_prunings(tree, int(tree.left_child[node]))
-    rights = enumerate_prunings(tree, int(tree.right_child[node]))
+    left = int(tree.left_child[node])
+    lefts = enumerate_prunings(tree, left)
+    rights = enumerate_prunings(tree, left + 1)
     out: list[tuple[int, ...]] = [(node,)]
     for a in lefts:
         for b in rights:
@@ -293,9 +294,7 @@ def synthetic_tree(rng: np.random.Generator, n_leaves: int,
             stats = rng.gamma(2.0, 2.0, size=n_classes) + 1e-3
         else:
             w = float(rng.uniform(1.0, 10.0))
-            mean = float(rng.normal(0.0, 2.0))
-            spread = float(rng.uniform(0.0, 4.0))
-            stats = np.array([w, w * mean, w * (mean * mean + spread)])
+            stats = np.array([w, w * float(rng.normal(0.0, 2.0))])
         if quota == 1:
             return stats, None
         kl = int(rng.integers(1, quota))
@@ -315,7 +314,7 @@ def complete_tree(depth: int, task: str = "classification",
         if task == "classification":
             stats = rng.gamma(2.0, 2.0, size=n_classes) + 1e-3
         else:
-            stats = np.array([2.0, rng.normal(), 4.0])
+            stats = np.array([2.0, rng.normal()])
         if level == depth:
             return stats, None
         return stats, ((lo + hi - 1) // 2, None, None)

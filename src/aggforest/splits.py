@@ -564,9 +564,9 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
     compete in the same order: gain, then the lowest feature, then the
     lowest threshold with missing values right before left, then the
     smallest categorical mask.  The arithmetic follows ``find_best_split``
-    step for step: equal tables give equal gains to the last bit, below 8
-    classes (from 8 on, numpy sums one node's impurity terms pairwise).
-    Pairs are scanned in blocks of one feature kind, widest first, and each
+    step for step: equal tables give equal gains to the last bit, at any
+    class count (``impurity`` adds a node's classes in one order).  Pairs
+    are scanned in blocks of one feature kind, widest first, and each
     block is padded to its first pair's width with cells of zero sums.  A
     block holds at most ``_BLOCK_CELLS`` padded cells and at most
     ``_BLOCK_SLACK`` cells of padding (see ``_scan_blocks``), so the work

@@ -17,8 +17,6 @@ from .sampling import (
     subsample_features,
 )
 from .splits import (
-    CLASSIFICATION_CRITERIA,
-    REGRESSION_CRITERIA,
     Split,
     SplitConstraints,
     best_splits,
@@ -63,8 +61,7 @@ class Router:
         node = np.flatnonzero(tree.feature >= 0)
         link = ~np.arange(tree.n_nodes)
         link[node] = np.arange(node.shape[0])
-        child = link[np.stack([tree.left_child[node],
-                               tree.right_child[node]], axis=1)].ravel()
+        child = link[tree.left_child[node, None] + np.arange(2)].ravel()
         feature = tree.feature[node].astype(np.intp)
         bits = left_rows(tree.threshold[node], tree.feature_missing_bin[feature],
                          tree.missing_left[node], tree.masks.shape[1])
@@ -102,12 +99,14 @@ class Tree:
     per-node arrays.
 
     Children always sit at larger indexes than their parent (a tree's root
-    first), so a single reverse pass visits children before parents.
-    Categorical split masks live in the shared ``masks`` pool, indexed by
-    ``mask_id``, each a row of ``np.packbits(left_bins, bitorder="little")``
-    as wide as the widest feature needs; ``threshold`` is meaningful only
-    for continuous splits.  An internal node's stats are the sums of its
-    children's.
+    first), so a single reverse pass visits children before parents; an
+    internal node's right child is ``left_child + 1``.  Categorical split
+    masks live in the shared ``masks`` pool, indexed by ``mask_id``, each a
+    row of ``np.packbits(left_bins, bitorder="little")`` as wide as the
+    widest feature needs; ``threshold`` is meaningful only for continuous
+    splits.  A node's ``stats`` are its in-bag class weights,
+    or for regression its weight and weighted label sum (w, sum w y); an
+    internal node's are the sums of its children's.
 
     Routing reads none of these split fields at a step.  On its first route
     a tree builds its ``Router``: one packed bitset of the bins that go left
@@ -125,7 +124,6 @@ class Tree:
     mask_id: np.ndarray
     masks: np.ndarray
     left_child: np.ndarray
-    right_child: np.ndarray
     parent: np.ndarray
     depth: np.ndarray
     stats: np.ndarray
@@ -242,8 +240,8 @@ class Tree:
         and mask ids numbered from its root, as if grown alone."""
         cols = {name: getattr(self, name)[lo:hi].copy() for name in _PER_NODE}
         first = int((self.mask_id[:lo] >= 0).sum())
-        for name, base in (("left_child", lo), ("right_child", lo),
-                           ("parent", lo), ("mask_id", first)):
+        for name, base in (("left_child", lo), ("parent", lo),
+                           ("mask_id", first)):
             cols[name][cols[name] >= 0] -= base
         count = int((cols["mask_id"] >= 0).sum())
         return replace(self, masks=self.masks[first:first + count], **cols)
@@ -299,8 +297,8 @@ class Tree:
                               & (feature < layout.n_bins.shape[0])).all():
             raise ValueError("feature index out of range")
         cols = {name: np.full(n, NO_NODE, dtype=np.int32)
-                for name in ("left_child", "right_child", "parent", "mask_id")}
-        cols["left_child"][node], cols["right_child"][node] = left, left + 1
+                for name in ("left_child", "parent", "mask_id")}
+        cols["left_child"][node] = left
         cols["parent"][left], cols["parent"][left + 1] = node, node
         for name, fill, dtype in (("feature", NO_NODE, np.int32),
                                   ("threshold", -2, np.int32),
@@ -379,7 +377,7 @@ def _by_depth(depth: np.ndarray, internal: np.ndarray):
 
 # Tree fields with one entry per node; the rest describe the whole tree.
 _PER_NODE = ("feature", "threshold", "missing_left", "mask_id", "left_child",
-             "right_child", "parent", "depth", "stats")
+             "parent", "depth", "stats")
 
 # The fields ``Tree.from_heap`` derives the others from: the split of each
 # internal node, and the stats of each leaf, whose sums give an internal
@@ -387,13 +385,6 @@ _PER_NODE = ("feature", "threshold", "missing_left", "mask_id", "left_child",
 SPLIT_FIELDS = ("feature", "threshold", "missing_left")
 LEAF_FIELDS = ("stats",)
 STORED = ("internal",) + SPLIT_FIELDS + ("masks",) + LEAF_FIELDS
-
-
-def _resolve_criterion(config) -> str:
-    criterion = getattr(config, "criterion", None)
-    if criterion is None:
-        return "gini" if config.task == "classification" else "variance"
-    return criterion
 
 
 def _node_stats(abs_rows, w_rows, labels, n_classes) -> np.ndarray:
@@ -476,10 +467,7 @@ def grow_trees(binned: BinnedMatrix, labels,
     classification = n_classes > 0
     if classification != (config.task == "classification"):
         raise ValueError("n_classes and config.task disagree")
-    criterion = _resolve_criterion(config)
-    allowed = CLASSIFICATION_CRITERIA if classification else REGRESSION_CRITERIA
-    if criterion not in allowed:
-        raise ValueError(f"criterion {criterion!r} is not valid for {config.task}")
+    criterion = config.criterion or ("gini" if classification else "variance")
     labels = np.asarray(labels, dtype=np.int64 if classification else np.float64)
 
     entries = binned.entries
@@ -487,7 +475,6 @@ def grow_trees(binned: BinnedMatrix, labels,
     use_oob = bool(config.aggregation)
     m = features_per_node(config, d)
     max_depth = config.max_depth
-    eps = config.impurity_threshold
     min_split_w = float(config.min_samples_split)
     min_split_oob = int(config.min_samples_split)
     constraints = SplitConstraints(
@@ -547,11 +534,11 @@ def grow_trees(binned: BinnedMatrix, labels,
                     f"than min_samples_split={min_split_oob}; the tree is a "
                     "single leaf", stacklevel=2)
             open_ &= ~starved
-        open_ &= impurity(stats, criterion) > eps
+        open_ &= impurity(stats, criterion) > 0
         cand = np.flatnonzero(open_)
         if cand.size == 0:
             levels.append(_level(stats, owner, np.zeros(n, dtype=bool),
-                                 n_trees))
+                                 n_trees, n_classes))
             break
         # Keep the rows of open nodes, numbered by their node's position
         # among the open ones.
@@ -578,7 +565,7 @@ def grow_trees(binned: BinnedMatrix, labels,
         n_split = best.node.shape[0]
         split = np.zeros(n, dtype=bool)
         split[cand[best.node]] = True
-        levels.append(_level(stats, owner, split, n_trees))
+        levels.append(_level(stats, owner, split, n_trees, n_classes))
         if n_split == 0:
             break
         # Only categorical splits keep their ``left`` rows, as masks.
@@ -638,7 +625,9 @@ def grow_trees(binned: BinnedMatrix, labels,
     return dict(stored, internal=internal, masks=masks), roots, position[leaf]
 
 
-def _level(stats, owner, split, n_trees):
+def _level(stats, owner, split, n_trees, n_classes):
     """What growth keeps of a level: which nodes split, how many nodes each
-    tree owns, and the stats of the leaves."""
-    return split, np.bincount(owner, minlength=n_trees), stats[~split]
+    tree owns, and the stats of the leaves.  A regression leaf keeps
+    (w, sum w y); its sum w y^2 served split search and the stop rule only."""
+    return (split, np.bincount(owner, minlength=n_trees),
+            stats[~split, :n_classes or 2])

@@ -74,7 +74,8 @@ def node_counts(tree, entries, rows, roots=None) -> np.ndarray:
     node, ends = tree.levels
     for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
         v = node[lo:hi]
-        counts[v] = counts[tree.left_child[v]] + counts[tree.right_child[v]]
+        left = tree.left_child[v]
+        counts[v] = counts[left] + counts[left + 1]
     return counts
 
 
@@ -97,8 +98,9 @@ def bound_violation(table, state, roots, n_oob, lhs) -> np.ndarray:
     node, ends = table.levels
     for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
         v = node[lo:hi]
-        best[v] = np.minimum(best[v] + a[v], a[v] + best[table.left_child[v]]
-                             + best[table.right_child[v]])
+        left = table.left_child[v]
+        best[v] = np.minimum(best[v] + a[v],
+                             a[v] + best[left] + best[left + 1])
     return np.asarray(lhs) - best[roots]
 
 

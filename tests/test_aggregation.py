@@ -100,7 +100,8 @@ def per_node_log_weights(tree, oob_loss, temperature):
     for v in range(tree.n_nodes - 1, -1, -1):
         if tree.feature[v] >= 0:
             a = neg[v]
-            b = out[tree.left_child[v]] + out[tree.right_child[v]]
+            left = tree.left_child[v]
+            b = out[left] + out[left + 1]
             m = a if a >= b else b
             out[v] = m + math.log1p(math.exp(-abs(a - b))) - math.log(2.0)
     return np.array(out)

@@ -327,11 +327,10 @@ def test_fit_input_validation():
 @pytest.mark.parametrize("name,value", [
     ("temperature", float("nan")), ("temperature", float("inf")),
     ("temperature", -float("inf")), ("dirichlet", float("nan")),
-    ("dirichlet", float("inf")), ("impurity_threshold", float("nan"))])
+    ("dirichlet", float("inf"))])
 def test_non_finite_settings_are_refused(name, value):
     # NaN passes every "< 0" check: a NaN temperature or dirichlet used to
-    # give NaN predictions and a model load_model refuses, and a NaN
-    # impurity_threshold grew single-leaf trees.
+    # give NaN predictions and a model load_model refuses.
     with pytest.raises(ValueError, match=name):
         TrainConfig(**{name: value})
 

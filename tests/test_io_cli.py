@@ -144,15 +144,20 @@ def saved_header(raw):
     return json.loads(raw[60:60 + hlen].decode("utf-8"))
 
 
-@pytest.mark.parametrize("aggregation", [True, False])
-def test_manifest_holds_each_field_for_its_kind_of_node(tmp_path,
+@pytest.mark.parametrize("task,aggregation", [
+    ("classification", True), ("classification", False),
+    ("regression", True)], ids=["True", "False", "regression"])
+def test_manifest_holds_each_field_for_its_kind_of_node(tmp_path, task,
                                                        aggregation):
     rng = np.random.default_rng(13)
     color = rng.choice(np.array(list("abcdef"), dtype=object), size=200)
     x = rng.normal(size=200)
     y = (np.isin(color, ["a", "b"]) ^ (x > 0.5)).astype(np.int64)
+    if task == "regression":
+        y = y + rng.normal(0, 0.1, size=200)
     forest = fit([color, x], y, ["categorical", "continuous"],
-                 TrainConfig(n_trees=3, aggregation=aggregation, seed=13))
+                 TrainConfig(task=task, n_trees=3, aggregation=aggregation,
+                             seed=13))
     path = tmp_path / "m.agf"
     save_model(forest, str(path))
     shapes = {name: shape for name, _, shape
@@ -168,8 +173,11 @@ def test_manifest_holds_each_field_for_its_kind_of_node(tmp_path,
     assert shapes["masks"] == [int((table.mask_id >= 0).sum()),
                                (int(table.feature_n_bins.max()) + 7) // 8]
     assert shapes["masks"][0] > 0
+    # Two classes' weights, or a regression leaf's w and sum w y.
     assert shapes["stats"] == [n - n_internal, 2]
-    assert shapes["n_oob"] == [3]
+    for name in ("roots", "oob_loss_mean", "n_oob"):
+        assert shapes[name] == [3], name
+    assert not {"index", "class_id"} & set(shapes)
     assert shapes["oob_loss"] == ([n] if aggregation else None)
 
 
@@ -343,7 +351,7 @@ def test_format_version_two_is_refused(tmp_path):
     body = bytearray(raw)
     struct.pack_into("<I", body, 8, 2)
     path.write_bytes(bytes(body))
-    with pytest.raises(ModelFormatError, match="version 2, expected 5"):
+    with pytest.raises(ModelFormatError, match="version 2, expected 6"):
         load_model(str(path))
 
 
@@ -354,7 +362,7 @@ def test_format_version_three_is_refused(tmp_path):
     struct.pack_into("<I", body, 8, 3)
     path.write_bytes(bytes(body))
     with pytest.raises(ModelFormatError, match="unsupported model format "
-                                               "version 3, expected 5"):
+                                               "version 3, expected 6"):
         load_model(str(path))
 
 
@@ -366,7 +374,48 @@ def test_format_version_four_is_refused(tmp_path):
     struct.pack_into("<I", body, 8, 4)
     path.write_bytes(bytes(body))
     with pytest.raises(ModelFormatError, match="unsupported model format "
-                                               "version 4, expected 5"):
+                                               "version 4, expected 6"):
+        load_model(str(path))
+
+
+def test_format_version_five_is_refused(tmp_path):
+    # Version 5 also stored each regression leaf's sum w y^2, which only
+    # growth reads, and each tree's index and class, which its place among
+    # the trees gives.
+    path, raw = saved_model_bytes(tmp_path)
+    body = bytearray(raw)
+    struct.pack_into("<I", body, 8, 5)
+    path.write_bytes(bytes(body))
+    with pytest.raises(ModelFormatError, match="unsupported model format "
+                                               "version 5, expected 6"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("multiclass,message", [
+    ("heuristic", "2 trees stored, not the 3 that n_trees=3 gives$"),
+    ("one_vs_rest", "6 trees stored, not the 9 that n_trees=3 gives for "
+     "each of 3 classes"),
+], ids=["heuristic", "one_vs_rest"])
+def test_tree_count_other_than_n_trees_per_class_is_refused(tmp_path,
+                                                            multiclass,
+                                                            message):
+    """Each tree's index and class follow from its place among n_trees
+    trees, n_trees per class under one-versus-rest, so a file that holds
+    another count of trees is refused, naming both counts."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(120, 2))
+    y = rng.integers(0, 3, size=120)
+    forest = fit([X[:, 0].copy(), X[:, 1].copy()], y, KINDS2,
+                 TrainConfig(n_trees=2, multiclass=multiclass, seed=4))
+    path = tmp_path / "m.agf"
+    save_model(forest, str(path))
+    load_model(str(path))
+
+    def three_trees(meta, arrays):
+        meta["config"]["n_trees"] = 3
+
+    rewrite_model(path, three_trees)
+    with pytest.raises(ModelFormatError, match=message):
         load_model(str(path))
 
 

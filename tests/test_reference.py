@@ -30,9 +30,9 @@ def test_pruning_counts_of_complete_trees():
 def test_enumeration_of_depth_two_tree():
     tree = complete_tree(2)
     root = 0
-    l, r = tree.left_child[0], tree.right_child[0]
-    ll, lr = tree.left_child[l], tree.right_child[l]
-    rl, rr = tree.left_child[r], tree.right_child[r]
+    l = tree.left_child[0]
+    ll, rl = tree.left_child[l], tree.left_child[l + 1]
+    r, lr, rr = l + 1, ll + 1, rl + 1
     got = {tuple(sorted(p)) for p in enumerate_prunings(tree)}
     want = {
         (root,),
@@ -50,9 +50,9 @@ def test_complexity_counts_only_non_terminal_leaves():
     # 2*4 - 1 nodes, all 4 pruning leaves are leaves of the full tree.
     assert pruning_complexity(tree, full) == 3
     assert pruning_complexity(tree, (0,)) == 1
-    l, r = tree.left_child[0], tree.right_child[0]
+    l = tree.left_child[0]
     # Two leaves, neither terminal: complexity 2*2 - 1 - 0.
-    assert pruning_complexity(tree, (int(l), int(r))) == 3
+    assert pruning_complexity(tree, (int(l), int(l) + 1)) == 3
 
 
 def test_prior_masses_sum_to_one_exactly():
@@ -88,7 +88,7 @@ def test_synthetic_tree_structure():
         assert tree.n_leaves == n_leaves
         for v in range(tree.n_nodes):
             if tree.feature[v] >= 0:
-                assert tree.left_child[v] > v and tree.right_child[v] > v
+                assert tree.left_child[v] > v
         # Every bin routes somewhere and every leaf is reachable.
         cells = tree.route(np.arange(16, dtype=np.uint8).reshape(-1, 1))
         assert set(cells.tolist()) == set(np.flatnonzero(tree.is_leaf).tolist())

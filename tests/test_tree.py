@@ -55,9 +55,10 @@ def test_children_after_parent_and_depth_chain():
     tree, _, _, _ = grown()
     assert tree.n_nodes > 3
     for v in range(tree.n_nodes):
-        l, r = tree.left_child[v], tree.right_child[v]
+        l = tree.left_child[v]
+        r = l + 1
         if tree.feature[v] < 0:
-            assert l < 0 and r < 0
+            assert l < 0
             continue
         assert l > v and r > v
         assert tree.parent[l] == v and tree.parent[r] == v
@@ -84,8 +85,7 @@ def test_internal_stats_and_counts_are_those_of_their_rows(task):
         if task == "classification":
             want[path, y[r]] += w
         else:
-            wy = w * y[r]
-            row = np.array([w, wy, wy * y[r]])
+            row = np.array([w, w * y[r]])
             want[path] += row
             scale[path] += np.abs(row)
         itb[path] += 1
@@ -109,7 +109,8 @@ def test_stats_and_counts_partition_at_every_split():
         for v in range(tree.n_nodes):
             if tree.feature[v] < 0:
                 continue
-            l, r = tree.left_child[v], tree.right_child[v]
+            l = tree.left_child[v]
+            r = l + 1
             np.testing.assert_allclose(tree.stats[v],
                                        tree.stats[l] + tree.stats[r],
                                        rtol=1e-9, atol=1e-9)
@@ -223,7 +224,7 @@ def test_routing_bits_match_the_split_rule():
             while (split := tree.split_of(int(v))) is not None:
                 left = split_goes_left(split, int(x[split.feature]),
                                        tree.feature_missing_bin[split.feature])
-                v = tree.left_child[v] if left else tree.right_child[v]
+                v = tree.left_child[v] + (not left)
             assert got[i, t] == v, (i, t)
         path = tree.path(x)
         assert path[-1] == got[i, 0] and tree.feature[path[-1]] < 0
@@ -359,9 +360,7 @@ def test_max_depth_per_level_cap():
     assert stump.n_nodes == 1
 
 
-def test_impurity_threshold_and_pure_labels_stop_growth():
-    tree, _, _, _ = grown(seed=7, impurity_threshold=1.0)
-    assert tree.n_nodes == 1           # gini never exceeds 1
+def test_pure_labels_stop_growth():
     rng = np.random.default_rng(8)
     X = rng.uniform(0, 1, size=(50, 2))
     y = np.zeros(50, dtype=np.int64)
@@ -472,11 +471,14 @@ def mixed_problem(seed, task, n=400):
          "multiclass-entropy"])
 @pytest.mark.parametrize("max_features", [2, 5])
 @pytest.mark.parametrize("aggregation", [True, False])
-def test_stored_splits_match_find_best_split(task, criterion, max_features,
-                                             aggregation):
+def test_stored_splits_match_find_best_split(monkeypatch, task, criterion,
+                                             max_features, aggregation):
     """Every node's stored split is what find_best_split picks from that
     node's own histogram, sampled features and oob bin counts, and every
-    leaf the stopping rules left open has no admissible split."""
+    leaf the stopping rules left open has no admissible split.  Growth's
+    impurity stop rule reads 0 exactly where the node's own rows do, except
+    at nodes whose in-bag labels are all one value, where both read 0 up to
+    rounding."""
     seed = 21 + max_features
     cols, kinds, y, n_classes = mixed_problem(seed, task)
     config = TrainConfig(
@@ -487,7 +489,19 @@ def test_stored_splits_match_find_best_split(task, criterion, max_features,
     binned = transform(cols, fit_bins(cols, kinds, config.max_bins))
     source = RandomSource(seed).child(0)
     sample = bootstrap(len(y), source.child(TAG_BOOTSTRAP))
+    readings = []
+
+    def reading(stats, criterion):
+        readings.append(impurity(stats, criterion))
+        return readings[-1]
+
+    # Growth reads the impurity of one level's nodes at a time, and numbers
+    # nodes level by level, so its readings laid end to end are per node.
+    monkeypatch.setattr(tree_module, "impurity", reading)
     tree = grow_tree(binned, y, sample, config, source, n_classes=n_classes)
+    monkeypatch.undo()
+    readings = np.concatenate(readings)
+    assert readings.shape == (tree.n_nodes,)
     assert binned.missing_bin[[0, 1, 3]].min() >= 0
     assert len({binned.kinds[j] for j in tree.feature[tree.feature >= 0]}) == 2
 
@@ -500,10 +514,30 @@ def test_stored_splits_match_find_best_split(task, criterion, max_features,
             at_node[v].append(i)
             v = tree.parent[v]
     oob_count = node_counts(tree, binned.entries, sample.oob_indices)
+
+    def rows_of(v):
+        rows = np.asarray(at_node[v])
+        return rows[sample.weights[rows] > 0], rows[sample.weights[rows] == 0]
+
+    def histogram(v, features):
+        itb, _ = rows_of(v)
+        return compute_histogram(itb, sample.weights[itb], features, binned,
+                                 y, n_classes)
+
+    # A regression node stores no sum of squares, so its impurity comes
+    # from its own rows.  Where those are all one label it is 0 but for
+    # rounding, on either side of 0 in growth's sums and in these, and only
+    # growth's reading tells which such nodes drew a feature subset.
+    own = np.array([impurity(histogram(v, [0]).tables[0].sum(axis=0),
+                             criterion) for v in range(tree.n_nodes)])
+    one_label = np.array([np.ptp(y[rows_of(v)[0]]) == 0
+                          for v in range(tree.n_nodes)])
+    assert ((own > 0) == (readings > 0))[~one_label].all()
+    assert one_label.any() and (own[one_label] < 1e-12).all()
     is_open = (
         (tree.itb_weight >= config.min_samples_split)
         & ((oob_count >= config.min_samples_split) | (not aggregation))
-        & np.array([impurity(s, criterion) > 0 for s in tree.stats]))
+        & (readings > 0))
     checked = 0
     for depth in range(tree.max_node_depth + 1):
         nodes = np.flatnonzero((tree.depth == depth) & is_open)
@@ -513,11 +547,8 @@ def test_stored_splits_match_find_best_split(task, criterion, max_features,
             binned.n_cols, max_features,
             source.child(TAG_FEATURES, depth), n_sets=nodes.size)
         for v, feats in zip(nodes, features):
-            rows = np.asarray(at_node[v])
-            itb = rows[sample.weights[rows] > 0]
-            oob = rows[sample.weights[rows] == 0]
-            hist = compute_histogram(itb, sample.weights[itb], feats, binned,
-                                     y, n_classes)
+            _, oob = rows_of(v)
+            hist = histogram(v, feats)
             oob_hist = [np.bincount(binned.entries[oob, j],
                                     minlength=int(binned.n_bins[j]))
                         for j in feats] if aggregation else None
