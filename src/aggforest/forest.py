@@ -117,7 +117,10 @@ class Forest:
     each tree's first node (``roots``), the mean oob loss of its prediction
     and its count of oob rows (``n_oob``), over which that mean is taken.
     The trees come class by class under one-versus-rest, ``config.n_trees``
-    of each, else as one sequence; ``index`` and ``class_id`` follow."""
+    of each, else as one sequence; ``index`` and ``class_id`` follow.
+    Prediction derives every node's value (``_values``) and, over a small
+    binned space, every row of codes' prediction (``_lookup``) on its first
+    call; neither is saved."""
 
     config: TrainConfig
     mapper: BinMapper
@@ -185,17 +188,23 @@ class Forest:
             values = ovr
         return np.ascontiguousarray(values.reshape(n, -1).T)
 
-    def _mean_values(self, X, max_trees: int | None) -> np.ndarray:
-        """Sum over the selected trees of every row's leaf values, divided
+    @cached_property
+    def _lookup(self) -> np.ndarray | None:
+        """``_route_mean`` over every tree of every possible row of bin
+        codes, indexed by the codes' mixed-radix number, when routing them
+        all takes one block (at most ``_BLOCK_PAIRS`` pairs); else None.
+        Built on the first predict and never saved."""
+        n_bins = [int(b) for b in self.mapper.table.n_bins]
+        codes = math.prod(n_bins)    # Python ints: no wrap at 2^64 codes
+        if codes * self.roots.shape[0] > _BLOCK_PAIRS:
+            return None
+        every = np.array(np.unravel_index(np.arange(codes), n_bins)).T
+        return self._route_mean(every, self.roots)
+
+    def _route_mean(self, entries: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """Sum over the trees ``roots`` of every row's leaf values, divided
         by the number of trees; one column per prediction column."""
-        roots = self.roots
-        if max_trees is not None:
-            if not _is_int(max_trees) or max_trees < 1:
-                raise ValueError(
-                    f"max_trees must be an integer >= 1, got {max_trees!r}")
-            roots = roots[self.index < max_trees]
         values = self._values
-        entries = self._binned(X).entries
         out = np.empty((entries.shape[0], values.shape[0]))
         step = max(1, _BLOCK_PAIRS // roots.shape[0])
         for lo in range(0, entries.shape[0], step):
@@ -204,6 +213,22 @@ class Forest:
             # not depend on the rows it shares a block with.
             out[lo:lo + step] = values[:, leaf].cumsum(axis=-1)[..., -1].T
         return out / roots.shape[0]
+
+    def _mean_values(self, X, max_trees: int | None) -> np.ndarray:
+        """``_route_mean`` of the rows of X over the selected trees.  Over
+        every tree, a small binned space reads it from ``_lookup``: bitwise
+        the routed values, since a row's value depends only on its codes."""
+        roots = self.roots
+        if max_trees is not None:
+            if not _is_int(max_trees) or max_trees < 1:
+                raise ValueError(
+                    f"max_trees must be an integer >= 1, got {max_trees!r}")
+            roots = roots[self.index < max_trees]
+        entries = self._binned(X).entries
+        if max_trees is None and self._lookup is not None:
+            return self._lookup[np.ravel_multi_index(
+                entries.T, self.mapper.table.n_bins)]
+        return self._route_mean(entries, roots)
 
     def predict_proba(self, X, max_trees: int | None = None) -> np.ndarray:
         """Class probabilities, columns ordered like ``classes_``."""

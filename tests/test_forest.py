@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from conftest import bound_violation, cut_weight, node_counts
 
 from aggforest import forest as forest_module
@@ -770,3 +772,172 @@ def test_cut_keeps_the_nodes_the_aggregate_weighs(monkeypatch, tmp_path, task,
         losses = (-np.log(preds[np.arange(y_oob.shape[0]), y_oob])
                   if task == "classification" else (preds - y_oob) ** 2)
         assert b.oob_loss_mean == float(losses.mean())
+
+
+# ---------------------------------------------------------------------------
+# The lookup table of a small binned space
+
+
+def count_routes(monkeypatch) -> list:
+    """Record the (rows, trees) of every ``Tree.route`` call from now on."""
+    calls, route = [], Tree.route
+
+    def counting(self, entries, roots=None):
+        calls.append((entries.shape[0], 1 if roots is None else roots.shape[0]))
+        return route(self, entries, roots)
+
+    monkeypatch.setattr(Tree, "route", counting)
+    return calls
+
+
+def drawn_columns(rng, n, pools, kinds, missing, held_out):
+    """n rows of columns drawn from each feature's pool of values, with NaN
+    or None in a column with ``missing``.  Training rows hold every pool
+    value and, with ``missing``, a missing one; held-out continuous rows
+    also fall between and beyond the pool, and held-out categorical rows
+    with ``missing`` take unseen values."""
+    cols = []
+    for pool, kind, gap in zip(pools, kinds, missing):
+        if kind == "categorical":
+            pool = np.array([f"v{k}" for k in range(pool.shape[0])]
+                            + ["unseen"] * (gap and held_out), dtype=object)
+        absent = np.nan if kind == "continuous" else None
+        col = rng.choice(pool, size=n)
+        if held_out and kind == "continuous":
+            off = rng.random(n) < 0.5
+            col[off] = rng.uniform(pool[0] - 1, pool[-1] + 1, off.sum())
+        col[rng.random(n) < 0.1 * gap] = absent
+        if not held_out:
+            col[1:1 + pool.shape[0]] = pool
+            if gap:
+                col[0] = absent
+        cols.append(col)
+    return cols
+
+
+@given(st.data())
+def test_lookup_predicts_bitwise_as_routing(tmp_path_factory, data):
+    """Over every tree, a forest of at most _BLOCK_PAIRS (code, tree) pairs
+    reads its table, which predicts bitwise as routing (``max_trees`` of
+    every tree), for single rows and loaded models alike."""
+    d = data.draw(st.integers(1, 3))
+    kinds = data.draw(st.lists(st.sampled_from(["continuous", "categorical"]),
+                               min_size=d, max_size=d))
+    missing = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    # s values give at most 2s codes (midpoint thresholds fall on values and
+    # between them, missing bin included), so 24 trees (8 per class under
+    # one-vs-rest) stay in one block.
+    sizes = data.draw(st.lists(st.integers(1, {1: 300, 2: 25, 3: 6}[d]),
+                               min_size=d, max_size=d))
+    task, n_classes, multiclass = data.draw(st.sampled_from([
+        ("classification", 2, "heuristic"), ("classification", 3, "heuristic"),
+        ("classification", 3, "one_vs_rest"), ("regression", 0, "heuristic")]))
+    config = TrainConfig(
+        task=task, multiclass=multiclass, n_trees=data.draw(st.integers(1, 8)),
+        max_bins=data.draw(st.integers(2, 300)),
+        aggregation=data.draw(st.booleans()), seed=data.draw(st.integers(0, 9)))
+    rng = np.random.default_rng(config.seed)
+    pools = [np.sort(rng.normal(size=s)) for s in sizes]
+    n = max(40, 2 * max(sizes))
+    X = drawn_columns(rng, n, pools, kinds, missing, held_out=False)
+    y = rng.integers(0, max(n_classes, 2), size=n)
+    y[:n_classes] = np.arange(n_classes)
+    if task == "regression":
+        y = y + rng.normal(size=n)
+    forest = fit(X, y, kinds, config)
+    Xq = drawn_columns(rng, 50, pools, kinds, missing, held_out=True)
+    calls = [forest.predict, forest.predict_proba][:2 if n_classes else 1]
+    path = tmp_path_factory.mktemp("lookup") / "m.agf"
+    save_model(forest, path)
+    loaded = load_model(path)
+    for call in calls:
+        got = call(Xq)
+        assert forest._lookup is not None
+        assert np.array_equal(got, call(Xq, max_trees=config.n_trees))
+        for i in range(0, 50, 7):
+            one = call([c[i:i + 1] for c in Xq])
+            assert one.shape[:1] == (1,) and np.array_equal(one[0], got[i])
+        assert np.array_equal(getattr(loaded, call.__name__)(Xq), got)
+
+
+def signal_forest(n_trees=20) -> tuple[Forest, list]:
+    """A regression forest on one continuous feature of 256 bins."""
+    t, clean = signal_grid("doppler", 1024)
+    config = TrainConfig(task="regression", n_trees=n_trees, seed=24)
+    return fit([t], add_noise(clean, 0.5, seed=24), ["continuous"],
+               config), [t]
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_built_lookup_serves_every_call_but_max_trees(monkeypatch, task):
+    """Once the table exists, batch and single-row predict and
+    predict_proba route nothing; a max_trees call still routes."""
+    if task == "regression":
+        forest, X = signal_forest()
+    else:
+        X, y = make_toy_classification(600, seed=24)
+        X = list(X.T)
+        forest = fit(X, y, KINDS2, TrainConfig(max_bins=20, seed=24))
+    calls = count_routes(monkeypatch)
+    batch = forest.predict(X)
+    # The build routes every code through every tree in one call.
+    assert calls == [(int(np.prod(forest.mapper.table.n_bins)),
+                      forest.roots.shape[0])]
+    calls.clear()
+    predicts = [forest.predict, forest.predict_proba]
+    for call in predicts[:1 if task == "regression" else 2]:
+        call(X)
+        call([c[3:4] for c in X])
+    assert calls == []
+    np.testing.assert_array_equal(
+        forest.predict(X, max_trees=forest.config.n_trees), batch)
+    assert calls
+
+
+@pytest.mark.parametrize("margin,built", [(0, True), (1, False)])
+def test_lookup_guard_is_one_block_of_pairs(monkeypatch, margin, built):
+    """The table is built when its codes times the trees are at most
+    _BLOCK_PAIRS, else every call routes as before."""
+    forest, X = signal_forest(n_trees=3)
+    pairs = int(np.prod(forest.mapper.table.n_bins)) * 3
+    monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", pairs - margin)
+    calls = count_routes(monkeypatch)
+    forest.predict(X)
+    assert (forest._lookup is not None) == built
+    assert (len(calls) == 1) == built
+
+
+@pytest.mark.parametrize("n_features,n_bins", [(64, 2), (20, 256)])
+def test_codes_past_int64_route_as_before(monkeypatch, n_features, n_bins):
+    """2^64 codes (64 binary features) and 2^160 (20 features of 256 bins)
+    wrap numpy's int64 product to 0; the guard's Python product builds no
+    table, and predictions route as before."""
+    rng = np.random.default_rng(25)
+    n = max(n_bins, 200)
+    X = rng.integers(0, n_bins, size=(n, n_features)).astype(float)
+    X[:n_bins] = np.arange(n_bins)[:, None]
+    y = (X[:, 0] + rng.normal(0, n_bins / 4, n) > n_bins / 2).astype(int)
+    forest = fit(X, y, ["continuous"] * n_features,
+                 TrainConfig(n_trees=2, max_bins=n_bins, seed=25))
+    assert (forest.mapper.table.n_bins == n_bins).all()
+    assert np.prod(forest.mapper.table.n_bins) == 0
+    calls = count_routes(monkeypatch)
+    proba = forest.predict_proba(X)
+    assert forest._lookup is None and calls
+    assert np.array_equal(proba, forest.predict_proba(X, max_trees=2))
+
+
+def test_lookup_stays_out_of_the_file_and_the_load(tmp_path):
+    """The table is never saved, and a loaded forest builds it only on its
+    first predict."""
+    forest, X = signal_forest()
+    save_model(forest, tmp_path / "before.agf")
+    forest.predict(X)
+    assert forest._lookup is not None
+    save_model(forest, tmp_path / "after.agf")
+    assert ((tmp_path / "before.agf").read_bytes()
+            == (tmp_path / "after.agf").read_bytes())
+    loaded = load_model(tmp_path / "after.agf")
+    assert "_lookup" not in vars(loaded)
+    assert np.array_equal(loaded.predict(X), forest.predict(X))
+    assert loaded._lookup is not None
