@@ -99,8 +99,6 @@ class BinMapper:
 
     max_bins: int
     features: list[FeatureBins]
-    _table: BinTable | None = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     @property
     def n_features(self) -> int:
@@ -109,12 +107,10 @@ class BinMapper:
     def n_bins_per_feature(self) -> np.ndarray:
         return np.array([f.n_bins for f in self.features], dtype=np.int64)
 
-    @property
+    @cached_property
     def table(self) -> BinTable:
         """The search table, built on first use."""
-        if self._table is None:
-            self._table = BinTable.of(self)
-        return self._table
+        return BinTable.of(self)
 
     def validate(self) -> None:
         """Raise ValueError unless ``transform`` gives every value a code

@@ -15,8 +15,7 @@ from .binning import (BinMapper, BinnedMatrix, category_key_type,
                       check_max_bins, fit_bins, transform)
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import CLASSIFICATION_CRITERIA, REGRESSION_CRITERIA
-from .tree import (LEAF_FIELDS, SPLIT_FIELDS, STORED, Tree, features_per_node,
-                   grow_trees, node_forecast)
+from .tree import STORED, Tree, features_per_node, grow_trees, node_forecast
 
 TASKS = ("classification", "regression")
 MULTICLASS_STRATEGIES = ("heuristic", "one_vs_rest")
@@ -326,13 +325,8 @@ def _cut(tree: Tree, roots: np.ndarray, leaf: np.ndarray, rem: np.ndarray):
     if kept.all():
         return None
     node = np.flatnonzero(kept)
-    internal = (tree.feature[node] >= 0) & (rem[node] >= CUT_WEIGHT)
-    inner, outer = node[internal], node[~internal]
-    mask_id = tree.mask_id[inner]
-    stored = dict(
-        internal=internal, masks=tree.masks[mask_id[mask_id >= 0]],
-        **{name: getattr(tree, name)[inner] for name in SPLIT_FIELDS},
-        **{name: getattr(tree, name)[outer] for name in LEAF_FIELDS})
+    stored = tree.stored(node, (tree.feature[node] >= 0)
+                         & (rem[node] >= CUT_WEIGHT))
     up = np.flatnonzero(~kept[leaf])
     while up.size:
         leaf[up] = tree.parent[leaf[up]]

@@ -21,9 +21,9 @@ holding only the nodes its field means something at:
 
 - ``internal``: one bit per node, set at internal nodes, eight to a byte in
   little-endian bit order;
-- per internal node: ``feature``, ``threshold`` and ``missing_left``, and
-  per categorical split a row of ``masks``, the bins that go left packed
-  like ``internal``;
+- per internal node: ``feature``, ``threshold`` and ``missing_left``; a
+  threshold of -2 marks a categorical split, and per categorical split a
+  row of ``masks`` holds the bins that go left, packed like ``internal``;
 - per leaf: ``stats``, its class weights, or for regression its weight and
   weighted label sum; an internal node's are the sums of its children's;
 - per node, with aggregation on: ``oob_loss``, which does not add up;
@@ -33,14 +33,15 @@ holding only the nodes its field means something at:
 - per feature i: ``f<i>.thresholds``, empty for a categorical feature.
 
 Load rebuilds the rest through ``Tree.from_heap``, as fitting does: the
-child links from breadth-first order, then parents, depths, mask ids and
-the internal nodes' stats, the forecasts from the stats, and the log
-weights from the oob losses and the temperature; the trees' bin layout is
-the mapper's.  Versions 1 and 2, which stored every field at every node,
-version 3, which also stored each split's gain, version 4, which also
-stored each leaf's in-bag and out-of-bag row counts, and version 5, which
-also stored each regression leaf's sum w y^2 and each tree's index and
-class, are refused.
+child links from breadth-first order, then parents, depths and the
+internal nodes' stats, the forecasts from the stats, and the log weights
+from the oob losses and the temperature; the trees keep the split rows and
+masks as stored, and their bin layout is the mapper's.  Header values that
+fit never writes, such as y bounds out of order, are refused.  Versions 1
+and 2, which stored every field at every node, version 3, which also
+stored each split's gain, version 4, which also stored each leaf's in-bag
+and out-of-bag row counts, and version 5, which also stored each
+regression leaf's sum w y^2 and each tree's index and class, are refused.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ FORMAT_VERSION = 6
 
 _PER_TREE = ("roots", "oob_loss_mean", "n_oob")
 
-# Arrays that load scatters into new columns; it keeps copies of the others,
-# not views of the file's bytes.
+# Arrays that load scatters or casts into new ones; it keeps copies of the
+# others, not views of the file's bytes.
 _SCATTERED = ("internal",) + SPLIT_FIELDS + LEAF_FIELDS
 
 
@@ -230,15 +231,34 @@ def _forest_from(meta: dict, body) -> Forest:
         mapper.validate()
     except ValueError as exc:
         raise ModelFormatError(f"bin mapper: {exc}") from None
+    if meta["max_bins"] != config.max_bins:
+        raise ModelFormatError(f"max_bins {meta['max_bins']!r} is not the "
+                               f"config's {config.max_bins}")
+    names = meta["feature_names"]
+    distinct = type(names) is list and len(set(names)) == len(names)
+    if names is not None and not (distinct and len(names) == len(features)):
+        raise ModelFormatError(f"feature_names are not {len(features)} "
+                               "distinct names, one per feature")
 
     classes = None
     if meta["classes"] is not None:
         classes = np.array(meta["classes"]["values"],
                            dtype=np.dtype(meta["classes"]["dtype"]))
-    temperature = meta["temperature"]
+    ascending = classes is not None and classes.ndim == 1 and (
+        classes.shape[0] >= 2 and (classes[1:] > classes[:-1]).all())
+    if ascending != (config.task == "classification"):
+        raise ModelFormatError("classes are not two or more distinct values "
+                               "in ascending order, stored for "
+                               "classification only")
+    # NaN fails every comparison, so each check asks for the good case.
+    temperature, low, high = meta["temperature"], meta["y_min"], meta["y_max"]
     if not (type(temperature) in (int, float) and 0 <= temperature < math.inf):
         raise ModelFormatError(f"temperature {temperature!r} is not a finite "
                                "number >= 0")
+    if not (type(low) in (int, float) and type(high) in (int, float)
+            and -math.inf < low <= high < math.inf):
+        raise ModelFormatError(f"y_min {low!r} and y_max {high!r} are not "
+                               "finite numbers in order")
     n_classes = 0 if classes is None else classes.shape[0]
     try:
         if (arrays["oob_loss"] is None) == config.aggregation:

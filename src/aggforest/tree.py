@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +44,12 @@ _WALK_PAIRS = 64
 class Router:
     """A tree's splits as packed sets of the bins that go left.
 
-    Internal nodes are numbered 0..I-1 in node order.  A link is where a step
-    lands: an internal number, or ``~node`` for a leaf.  Row i of ``bits``
-    packs the bins that go left at internal node i, whatever the kind of
-    split, as growth routes by them (``splits.goes_left``); bits at or past
-    the split feature's bin count mean nothing.
+    Internal nodes are numbered 0..I-1 in node order, as their split rows
+    are.  A link is where a step lands: an internal number, or ``~node``
+    for a leaf.  Row i of ``bits`` packs the bins that go left at internal
+    node i, whatever the kind of split, as growth routes by them
+    (``splits.goes_left``); bits at or past the split feature's bin count
+    mean nothing.
     """
 
     feature: np.ndarray     # (I,) split feature of each internal node
@@ -63,11 +65,10 @@ class Router:
         link[node] = np.arange(node.shape[0])
         child = link[tree.left_child[node, None] + np.arange(2)].ravel()
         feature = tree.feature[node].astype(np.intp)
-        bits = left_rows(tree.threshold[node], tree.feature_missing_bin[feature],
-                         tree.missing_left[node], tree.masks.shape[1])
+        bits = left_rows(tree.threshold, tree.feature_missing_bin[feature],
+                         tree.missing_left, tree.masks.shape[1])
         # Categorical: the packed mask, the missing bin included.
-        cat = np.flatnonzero(tree.mask_id[node] >= 0)
-        bits[cat] = tree.masks[tree.mask_id[node[cat]]]
+        bits[tree.threshold == -2] = tree.masks
         return cls(feature, bits, child, node, link)
 
     def step(self, at, codes):
@@ -95,25 +96,28 @@ class Router:
 
 @dataclass
 class Tree:
-    """A grown tree, or a stack of trees one after another, as parallel
-    per-node arrays.
+    """A grown tree, or a stack of trees one after another: per-node arrays,
+    and the splits as a model file stores them.
 
     Children always sit at larger indexes than their parent (a tree's root
     first), so a single reverse pass visits children before parents; an
-    internal node's right child is ``left_child + 1``.  Categorical split
-    masks live in the shared ``masks`` pool, indexed by ``mask_id``, each a
-    row of ``np.packbits(left_bins, bitorder="little")`` as wide as the
-    widest feature needs; ``threshold`` is meaningful only for continuous
-    splits.  A node's ``stats`` are its in-bag class weights,
-    or for regression its weight and weighted label sum (w, sum w y); an
-    internal node's are the sums of its children's.
+    internal node's right child is ``left_child + 1``.  ``feature`` is the
+    split feature of each node, -1 at a leaf.  ``threshold`` and
+    ``missing_left`` hold one row per internal node, in node order.  A
+    threshold of -2 marks a categorical split, whose bins that go left are
+    the next row of ``masks``: ``np.packbits(left_bins, bitorder="little")``
+    as wide as the widest feature needs.  A node's ``stats`` are its in-bag
+    class weights, or for regression its weight and weighted label sum
+    (w, sum w y); an internal node's are the sums of its children's.
+    ``levels`` holds the internal nodes by depth, shallowest first and in
+    node order within a depth, and where each depth's run ends.
 
     Routing reads none of these split fields at a step.  On its first route
-    a tree builds its ``Router``: one packed bitset of the bins that go left
+    a tree builds its ``router``: one packed bitset of the bins that go left
     per internal node, for continuous and categorical splits alike, as
     growth routed its rows.  ``route``, ``path`` and the out-of-bag
-    reference step through it.  The table is derived state, never saved or
-    compared, so change a tree's arrays only before routing with it.
+    reference step through it.  The router is derived state, never saved
+    or compared, so change a tree's arrays only before routing with it.
     """
 
     task: str
@@ -121,7 +125,6 @@ class Tree:
     feature: np.ndarray
     threshold: np.ndarray
     missing_left: np.ndarray
-    mask_id: np.ndarray
     masks: np.ndarray
     left_child: np.ndarray
     parent: np.ndarray
@@ -129,10 +132,7 @@ class Tree:
     stats: np.ndarray
     feature_n_bins: np.ndarray
     feature_missing_bin: np.ndarray
-    _router: Router | None = field(default=None, init=False, repr=False,
-                                   compare=False)
-    _levels: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    levels: tuple[np.ndarray, list[int]] = field(repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -159,38 +159,47 @@ class Tree:
         j = int(self.feature[index])
         if j < 0:
             return None
-        mid = int(self.mask_id[index])
-        mask = None
-        if mid >= 0:
-            mask = np.unpackbits(self.masks[mid], count=int(
-                self.feature_n_bins[j]), bitorder="little").astype(bool)
-        return Split(j, mid >= 0, int(self.threshold[index]),
-                     bool(self.missing_left[index]), mask)
+        row = np.count_nonzero(self.feature[:index] >= 0)
+        threshold, mask = int(self.threshold[row]), None
+        if threshold == -2:
+            mask = np.unpackbits(
+                self.masks[np.count_nonzero(self.threshold[:row] == -2)],
+                count=int(self.feature_n_bins[j]),
+                bitorder="little").astype(bool)
+        return Split(j, mask is not None, threshold,
+                     bool(self.missing_left[row]), mask)
 
-    @property
-    def levels(self) -> tuple[np.ndarray, list[int]]:
-        """The internal nodes by depth, shallowest first and in node order
-        within a depth, and where each depth's run ends."""
-        if self._levels is None:
-            self._levels = _by_depth(self.depth, self.feature >= 0)
-        return self._levels
+    def stored(self, node=None, internal=None) -> dict[str, np.ndarray]:
+        """What ``from_heap`` builds a table from, besides the roots: of the
+        nodes ``node``, which are ``internal``, the split rows and masks of
+        those and the stats of the others, each in node order.  ``node`` is
+        every node by default, a slice, which keeps every split, or
+        ascending ids, of which a cut passes the ones that stay
+        ``internal``."""
+        split = self.feature >= 0
+        node = slice(0, self.n_nodes) if node is None else node
+        if internal is None:
+            internal = split[node]
+        if isinstance(node, slice):
+            # A run of nodes holds runs of rows and masks: two counts find
+            # them, where ranking every node took 30x as long per tree.
+            first = np.count_nonzero(split[:node.start])
+            rows = slice(first, first + np.count_nonzero(internal))
+            cat = np.count_nonzero(self.threshold[:first] == -2)
+            cat = slice(cat, cat + np.count_nonzero(self.threshold[rows] == -2))
+        else:
+            rows = (np.cumsum(split) - 1)[node][internal]
+            cat = (np.cumsum(self.threshold == -2)
+                   - 1)[rows[self.threshold[rows] == -2]]
+        return dict(internal=internal, feature=self.feature[node][internal],
+                    threshold=self.threshold[rows],
+                    missing_left=self.missing_left[rows],
+                    masks=self.masks[cat], stats=self.stats[node][~internal])
 
-    def stored(self) -> dict[str, np.ndarray]:
-        """What ``from_heap`` rebuilds the table from, besides the roots:
-        which nodes are ``internal``, the split fields and masks of the
-        internal nodes and the stats of the leaves, each in node order."""
-        internal = self.feature >= 0
-        out = {name: getattr(self, name)[internal] for name in SPLIT_FIELDS}
-        out.update((name, getattr(self, name)[~internal])
-                   for name in LEAF_FIELDS)
-        return dict(out, internal=internal, masks=self.masks)
-
-    @property
+    @cached_property
     def router(self) -> Router:
         """The routing table, built on first use."""
-        if self._router is None:
-            self._router = Router.of(self)
-        return self._router
+        return Router.of(self)
 
     def route(self, entries: np.ndarray,
               roots: np.ndarray | None = None) -> np.ndarray:
@@ -237,14 +246,18 @@ class Tree:
 
     def take(self, lo: int, hi: int) -> Tree:
         """The tree of nodes lo..hi-1 of a stack of trees, on its own: links
-        and mask ids numbered from its root, as if grown alone."""
+        numbered from its root, as if grown alone."""
+        part = self.stored(slice(lo, hi))
         cols = {name: getattr(self, name)[lo:hi].copy() for name in _PER_NODE}
-        first = int((self.mask_id[:lo] >= 0).sum())
-        for name, base in (("left_child", lo), ("parent", lo),
-                           ("mask_id", first)):
-            cols[name][cols[name] >= 0] -= base
-        count = int((cols["mask_id"] >= 0).sum())
-        return replace(self, masks=self.masks[first:first + count], **cols)
+        for name in ("left_child", "parent"):
+            cols[name][cols[name] >= 0] -= lo
+        node = np.flatnonzero(part["internal"])
+        at = cols["depth"][node]
+        levels = (node[np.argsort(at, kind="stable")],
+                  np.cumsum(np.bincount(at)).tolist())
+        return replace(self, threshold=part["threshold"], levels=levels,
+                       missing_left=part["missing_left"], masks=part["masks"],
+                       **cols)
 
     @classmethod
     def from_heap(cls, task: str, n_classes: int, layout, roots: np.ndarray,
@@ -257,14 +270,13 @@ class Tree:
         ``grow_trees`` numbers them, so the k-th internal node of a tree has
         its children at 2k + 1 and 2k + 2 of its block.  The split fields
         hold one row per internal node and the stats one per leaf, in node
-        order.  An internal node's stats are its children's sums, added one
-        depth at a time, deepest first.  Mask ids number the splits on the
-        categorical features of ``layout`` (a ``BinnedMatrix`` or a
-        ``BinTable``) in node order.  Raise ValueError unless every tree has
-        2I + 1 nodes for I internal ones, each child after its parent, which
-        keeps routing from a root inside its tree, unless the fields hold a
-        row per node of their kind, and unless features and masks fit the
-        layout.
+        order, and the tree keeps the split rows.  Raise ValueError unless
+        every tree has 2I + 1 nodes for I internal ones, each child after
+        its parent, which keeps routing from a root inside its tree, unless
+        the fields hold a row per node of their kind, unless the thresholds
+        are -2 at exactly the splits on the categorical features of
+        ``layout`` (a ``BinnedMatrix`` or a ``BinTable``), one mask each,
+        and unless features and masks fit the layout.
         """
         n = internal.shape[0]
         sizes = np.diff(roots, append=n)
@@ -283,9 +295,9 @@ class Tree:
         left = 2 * np.arange(node.shape[0]) + 1 + np.repeat(shift, n_internal)
         if (left <= node).any():
             raise ValueError("a child sits at or before its parent")
-        split = dict(feature=feature, threshold=threshold,
-                     missing_left=missing_left)
-        for fields, rows, kind in ((split, node.shape[0], "internal node"),
+        for fields, rows, kind in ((dict(feature=feature, threshold=threshold,
+                                         missing_left=missing_left),
+                                    node.shape[0], "internal node"),
                                    (dict(stats=stats), n - node.shape[0],
                                     "leaf")):
             for name, col in fields.items():
@@ -296,68 +308,51 @@ class Tree:
         if node.size and not ((feature >= 0)
                               & (feature < layout.n_bins.shape[0])).all():
             raise ValueError("feature index out of range")
-        cols = {name: np.full(n, NO_NODE, dtype=np.int32)
-                for name in ("left_child", "parent", "mask_id")}
-        cols["left_child"][node] = left
-        cols["parent"][left], cols["parent"][left + 1] = node, node
-        for name, fill, dtype in (("feature", NO_NODE, np.int32),
-                                  ("threshold", -2, np.int32),
-                                  ("missing_left", False, bool)):
-            cols[name] = np.full(n, fill, dtype=dtype)
-            cols[name][node] = split[name]
-        # Level d + 1 of a tree starts at the left child of its first
-        # internal node at or after the start of level d; depth counts the
-        # level starts up to a node, tree by tree.
-        rank = np.concatenate([[0], np.cumsum(internal)])
-        ends = roots + sizes
-        start, step, starts = roots, np.zeros(n + 1, dtype=np.int32), [roots]
-        while True:
-            start = 2 * rank[start] + 1 + shift
-            live = start < ends
-            if not live.any():
-                break
-            step[start[live]] += 1
-            starts.append(np.minimum(start, ends))
-        step[roots[1:]] -= np.add.reduceat(step[:n], roots)[:-1]
-        depth = np.cumsum(step[:n], dtype=np.int32)
-        # Level d of a tree holds its internal nodes of ranks first[d] up to
-        # first[d + 1], and its last level none: these runs, laid end to end
-        # depth by depth, give the internal nodes shallowest first.
-        first = rank[np.array(starts)]
-        count = np.diff(first, axis=0)
-        runs = count.ravel()
-        ranks = (np.repeat(first[:-1].ravel() - np.cumsum(runs) + runs, runs)
-                 + np.arange(node.shape[0]))
-        order, ends = node[ranks], np.cumsum(count.sum(axis=1)).tolist()
-        # Each internal node's stats are its children's sums, one depth at
-        # a time, deepest first; bootstrap counts and class weights add
-        # exactly.
-        sums = np.empty((n, stats.shape[1]))
-        _rows(sums)[~internal] = _rows(np.ascontiguousarray(stats, np.float64))
-        kids = left[ranks]
-        for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
-            at, to = kids[lo:hi], order[lo:hi]
-            _rows(sums)[to] = _rows(np.take(sums, at, axis=0)
-                                    + np.take(sums, at + 1, axis=0))
-        cols["stats"] = sums
+        threshold = threshold.astype(np.int32)
         categorical = np.array([k is FeatureKind.CATEGORICAL
                                 for k in layout.kinds], dtype=bool)
-        cat = node[categorical[cols["feature"][node]]]
-        if masks.shape[0] != cat.shape[0]:
-            raise ValueError(f"{masks.shape[0]} masks for {cat.shape[0]} "
-                             "categorical splits")
+        cat = threshold == -2
+        if (cat != categorical[feature]).any():
+            raise ValueError("a split's threshold is -2 where its feature is "
+                             "continuous, or not -2 where it is categorical")
+        if masks.shape[0] != np.count_nonzero(cat):
+            raise ValueError(f"{masks.shape[0]} masks for "
+                             f"{np.count_nonzero(cat)} categorical splits")
         need = (int(layout.n_bins.max()) + 7) // 8
         if masks.ndim != 2 or masks.shape[1] != need:
             raise ValueError(
                 f"masks are {masks.shape[-1]} bytes wide, narrower or wider "
                 f"than the {need} of the widest feature's bins")
-        cols["mask_id"][cat] = np.arange(cat.shape[0])
-        tree = cls(task=task, n_classes=n_classes, masks=masks,
-                   feature_n_bins=layout.n_bins.copy(),
-                   feature_missing_bin=layout.missing_bin.copy(), depth=depth,
+        cols = {name: np.full(n, NO_NODE, dtype=np.int32)
+                for name in ("feature", "left_child", "parent", "depth")}
+        cols["feature"][node] = feature
+        cols["left_child"][node] = left
+        cols["parent"][left], cols["parent"][left + 1] = node, node
+        # Depth d + 1 holds the children of the internal nodes at depth d,
+        # each depth in node order, from one walk down from the roots.
+        at, levels = roots, []
+        while at.size:
+            cols["depth"][at] = len(levels)
+            at = at[internal[at]]
+            if at.size:
+                levels.append(at)
+                at = (cols["left_child"][at, None] + np.arange(2)).ravel()
+        # Each internal node's stats are its children's sums, one depth at
+        # a time, deepest first; bootstrap counts and class weights add
+        # exactly.
+        sums = np.empty((n, stats.shape[1]))
+        _rows(sums)[~internal] = _rows(np.ascontiguousarray(stats, np.float64))
+        for at in reversed(levels):
+            kid = cols["left_child"][at]
+            _rows(sums)[at] = _rows(np.take(sums, kid, axis=0)
+                                    + np.take(sums, kid + 1, axis=0))
+        return cls(task=task, n_classes=n_classes, threshold=threshold,
+                   missing_left=missing_left.astype(bool), masks=masks,
+                   stats=sums, feature_n_bins=layout.n_bins.copy(),
+                   feature_missing_bin=layout.missing_bin.copy(),
+                   levels=(np.concatenate([node[:0], *levels]),
+                           np.cumsum([a.size for a in levels]).tolist()),
                    **cols)
-        tree._levels = order, ends
-        return tree
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -367,17 +362,9 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))
 
 
-def _by_depth(depth: np.ndarray, internal: np.ndarray):
-    """``Tree.levels`` from each node's depth and whether it is internal."""
-    node = np.flatnonzero(internal)
-    at = depth[node]
-    return (node[np.argsort(at, kind="stable")],
-            np.cumsum(np.bincount(at)).tolist())
-
-
-# Tree fields with one entry per node; the rest describe the whole tree.
-_PER_NODE = ("feature", "threshold", "missing_left", "mask_id", "left_child",
-             "parent", "depth", "stats")
+# Tree fields with one entry per node; the split rows and masks have one
+# per split, and the rest describe the whole tree.
+_PER_NODE = ("feature", "left_child", "parent", "depth", "stats")
 
 # The fields ``Tree.from_heap`` derives the others from: the split of each
 # internal node, and the stats of each leaf, whose sums give an internal
@@ -513,8 +500,11 @@ def grow_trees(binned: BinnedMatrix, labels,
     all_features = np.broadcast_to(np.arange(d), (max(rows.shape[0], 1), d))
     owner = np.arange(n_trees)
     # Per level: which nodes split, how many nodes each tree owns, and the
-    # leaves' stats; per split, its fields and categorical mask.
-    levels, splits, first = [], [], 0
+    # leaves' stats; per split, its fields and categorical mask, after an
+    # empty entry that gives their types when nothing splits.
+    levels, first = [], 0
+    splits = [(np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0, bool),
+               np.zeros((0, (int(binned.n_bins.max()) + 7) // 8), np.uint8))]
     while True:
         n, depth = stats.shape[0], len(levels)
         w_node = stats.sum(axis=1) if classification else stats[:, 0]
@@ -610,10 +600,7 @@ def grow_trees(binned: BinnedMatrix, labels,
     per_tree = np.bincount(owner, minlength=n_trees)
     roots = np.cumsum(per_tree) - per_tree
     internal = split[order]
-    fields = [np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, bool),
-              np.zeros((0, (int(binned.n_bins.max()) + 7) // 8), np.uint8)]
-    if splits:
-        fields = [np.concatenate(part) for part in zip(*splits)]
+    fields = [np.concatenate(part) for part in zip(*splits)]
     del splits
     # The rows of each kind are in level order, so a node's row counts the
     # nodes of its kind before it.

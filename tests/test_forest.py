@@ -620,7 +620,7 @@ def test_fitted_state_matches_build_state_per_tree(monkeypatch, task,
     monkeypatch.setattr(forest_module, "_GROUP_ENTRIES", 800)
     forest = fit(X, y, kinds, config)
     # Fitting routes no tree after growth, so the table carries no router.
-    assert forest.table._router is None
+    assert "router" not in vars(forest.table)
     binned = forest._binned(X)
     y_enc = (np.unique(y, return_inverse=True)[1] if n_classes
              else y.astype(np.float64))
@@ -682,7 +682,8 @@ def test_group_size_does_not_change_the_model(monkeypatch, tmp_path, task,
         cat = split[table.feature[split] == 0]    # the categorical column
         assert cat.size > 0
         assert table.masks.shape[0] == cat.size
-        np.testing.assert_array_equal(np.flatnonzero(table.mask_id >= 0), cat)
+        np.testing.assert_array_equal(
+            [v for v in split if table.split_of(int(v)).is_categorical], cat)
         save_model(forest, tmp_path / f"{entries}.agf")
         saved.append((tmp_path / f"{entries}.agf").read_bytes())
     assert saved[0] == saved[1]
@@ -749,15 +750,13 @@ def test_cut_keeps_the_nodes_the_aggregate_weighs(monkeypatch, tmp_path, task,
         assert b.tree.n_nodes == kept.size
         np.testing.assert_array_equal(
             b.tree.feature, np.where(rem[kept] >= eps, tree.feature[kept], -1))
-        internal = b.tree.feature >= 0
-        for name in ("threshold", "missing_left"):
-            np.testing.assert_array_equal(getattr(b.tree, name)[internal],
-                                          getattr(tree, name)[kept][internal])
-        mid = tree.mask_id[kept][internal]
-        np.testing.assert_array_equal(b.tree.mask_id[internal] >= 0, mid >= 0)
-        np.testing.assert_array_equal(
-            b.tree.masks[b.tree.mask_id[internal][mid >= 0]],
-            tree.masks[mid[mid >= 0]])
+        for v in np.flatnonzero(b.tree.feature >= 0):
+            got, want = b.tree.split_of(int(v)), tree.split_of(int(kept[v]))
+            assert ((got.bin_threshold, got.missing_goes_left)
+                    == (want.bin_threshold, want.missing_goes_left)), v
+            assert (got.left_mask is None) == (want.left_mask is None), v
+            if got.left_mask is not None:
+                np.testing.assert_array_equal(got.left_mask, want.left_mask)
         assert b.tree.stats.tobytes() == tree.stats[kept].tobytes()
         for rows in (sample.itb_indices, sample.oob_indices):
             assert np.array_equal(node_counts(b.tree, binned.entries, rows),

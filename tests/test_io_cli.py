@@ -170,7 +170,8 @@ def test_manifest_holds_each_field_for_its_kind_of_node(tmp_path, task,
     assert shapes["internal"] == [(n + 7) // 8]
     for name in ("feature", "threshold", "missing_left"):
         assert shapes[name] == [n_internal], name
-    assert shapes["masks"] == [int((table.mask_id >= 0).sum()),
+    # Column 0, the colour, is the one categorical feature.
+    assert shapes["masks"] == [int((table.feature == 0).sum()),
                                (int(table.feature_n_bins.max()) + 7) // 8]
     assert shapes["masks"][0] > 0
     # Two classes' weights, or a regression leaf's w and sum w y.
@@ -509,6 +510,85 @@ def test_invalid_model_state_is_rejected(tmp_path, categorical, edit, message):
         path, _ = saved_model_bytes(tmp_path)
     rewrite_model(path, edit)
     with pytest.raises(ModelFormatError, match=message):
+        load_model(str(path))
+
+
+def set_header(**values):
+    def edit(meta, arrays):
+        meta.update(values)
+    return edit
+
+
+def set_class_values(values):
+    def edit(meta, arrays):
+        meta["classes"]["values"] = values
+    return edit
+
+
+@pytest.mark.parametrize("task,edit,message", [
+    ("regression", set_header(y_min=float("nan")), "y_min nan and y_max "
+     r"\S+ are not finite numbers in order"),
+    ("regression", set_header(y_min="a"), "y_min 'a' and y_max"),
+    ("regression", set_header(y_max=float("inf")), "y_max inf are not"),
+    ("regression", set_header(y_min=5, y_max=-5), "y_min 5 and y_max -5 are "
+     "not finite numbers in order"),
+    ("regression", set_header(classes={"dtype": "<i8", "values": [0, 1]}),
+     "classes are not"),
+    ("classification", set_class_values([1, 1]), "classes are not two or "
+     "more distinct values"),
+    ("classification", set_class_values([1, 0]), "in ascending order"),
+    ("classification", set_header(classes=None), "classes are not"),
+    ("classification", set_header(feature_names=["a", "b", "c"]),
+     "feature_names are not 2 distinct names"),
+    ("classification", set_header(feature_names=["a", "a"]),
+     "feature_names are not 2 distinct names"),
+    ("classification", set_header(max_bins=300), "max_bins 300 is not the "
+     "config's 256"),
+], ids=["nan-y_min", "string-y_min", "infinite-y_max", "y_min-above-y_max",
+        "regression-classes", "repeated-class", "descending-classes",
+        "no-classes", "three-names-for-two-features", "repeated-name",
+        "max_bins-not-the-config's"])
+def test_header_values_fit_never_writes_are_refused(tmp_path, task, edit,
+                                                    message):
+    # Each of these used to load, and then predicted NaN or y_max for every
+    # row, failed inside predict, or kept names or classes fit refuses.
+    cols, y = (small_regression(n=60) if task == "regression"
+               else small_classification(seed=9, n=60))
+    forest = fit(cols, y, KINDS2, TrainConfig(task=task, n_trees=1, seed=9),
+                 feature_names=["a", "b"])
+    path = tmp_path / "m.agf"
+    save_model(forest, str(path))
+    load_model(str(path))
+    rewrite_model(path, edit)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("feature,threshold", [(1, -2), (0, 0)],
+                         ids=["continuous-split-at--2",
+                              "categorical-split-at-0"])
+def test_threshold_of_minus_two_marks_exactly_the_categorical_splits(
+        tmp_path, feature, threshold):
+    """A split routes by its mask exactly when its threshold is -2, so a
+    continuous split of threshold -2, or a categorical split of another
+    threshold, is refused rather than routed by the other rule."""
+    rng = np.random.default_rng(13)
+    color = rng.choice(np.array(list("abcdef"), dtype=object), size=200)
+    x = rng.normal(size=200)
+    y = (np.isin(color, ["a", "b"]) ^ (x > 0.5)).astype(np.int64)
+    forest = fit([color, x], y, ["categorical", "continuous"],
+                 TrainConfig(n_trees=1, seed=13))
+    path = tmp_path / "m.agf"
+    save_model(forest, str(path))
+    load_model(str(path))
+
+    def edit(meta, arrays):
+        row = np.flatnonzero(arrays["feature"] == feature)[0]
+        arrays["threshold"][row] = threshold
+
+    rewrite_model(path, edit)
+    with pytest.raises(ModelFormatError, match="threshold is -2 where its "
+                                               "feature is continuous"):
         load_model(str(path))
 
 

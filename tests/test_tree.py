@@ -211,9 +211,11 @@ def test_routing_bits_match_the_split_rule():
     # the missing bin still follows missing_left alone.
     odd = dataclasses.replace(tree, threshold=tree.threshold.copy(),
                               missing_left=tree.missing_left.copy())
-    cont = np.flatnonzero((odd.feature > 0) & (odd.feature < 3))
-    odd.threshold[cont[::2]] = odd.feature_n_bins[odd.feature[cont[::2]]] + 3
-    odd.threshold[cont[1::2]] = odd.feature_missing_bin[odd.feature[cont[1::2]]]
+    # Split row r is that of the r-th internal node.
+    feature = odd.feature[odd.feature >= 0]
+    cont = np.flatnonzero((feature > 0) & (feature < 3))
+    odd.threshold[cont[::2]] = odd.feature_n_bins[feature[cont[::2]]] + 3
+    odd.threshold[cont[1::2]] = odd.feature_missing_bin[feature[cont[1::2]]]
     odd.missing_left[cont[::3]] ^= True
     assert ("missing", False) in split_kinds_checked_bitwise(odd)
 
@@ -238,7 +240,7 @@ def test_router_is_built_in_memory_bounded_by_its_bits():
     y = (cols[0] + cols[1] + rng.normal(size=20_000) > 0).astype(np.int64)
     forest = fit(cols, y, ["continuous"] * 2,
                  TrainConfig(n_trees=2, max_bins=65536, seed=0))
-    assert forest.table._router is None
+    assert "router" not in vars(forest.table)
     tracemalloc.start()
     try:
         router = forest.table.router
@@ -249,7 +251,9 @@ def test_router_is_built_in_memory_bounded_by_its_bits():
     assert width > 16_000 and router.bits.shape[0] > 100
     assert peak <= 3 * router.bits.nbytes
     # No feature has a missing bin: the bins up to each threshold go left.
-    want = np.arange(width) <= forest.table.threshold[router.node, None]
+    thresholds = [forest.table.split_of(int(v)).bin_threshold
+                  for v in router.node]
+    want = np.arange(width) <= np.array(thresholds)[:, None]
     assert np.array_equal(router.bits,
                           np.packbits(want, axis=1, bitorder="little"))
 
