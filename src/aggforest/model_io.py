@@ -15,33 +15,55 @@ manifest order, every array little-endian and C-contiguous.  Everything
 about the encoding is deterministic, so two equal forests serialize to
 identical bytes.
 
-Format version 6 stores the forest as one node table, tree after tree, each
+Format version 7 stores the forest as one node table, tree after tree, each
 tree breadth first, with one array per field for the whole forest, each
-holding only the nodes its field means something at:
+holding only the nodes its field means something at, in the narrowest type
+that holds it exactly:
 
 - ``internal``: one bit per node, set at internal nodes, eight to a byte in
   little-endian bit order;
-- per internal node: ``feature``, ``threshold`` and ``missing_left``; a
-  threshold of -2 marks a categorical split, and per categorical split a
-  row of ``masks`` holds the bins that go left, packed like ``internal``;
-- per leaf: ``stats``, its class weights, or for regression its weight and
-  weighted label sum; an internal node's are the sums of its children's;
+- per internal node: ``feature``, in the narrowest unsigned type that holds
+  the count of features less one;
+- per continuous split: ``threshold`` plus one, in the narrowest unsigned
+  type that holds max_bins less one (one byte up to 256 bins), and a bit of
+  ``missing_left``, packed like ``internal``.  A categorical split stores
+  neither: its threshold is -2, and its mask holds the missing bin;
+- per categorical split: a row of ``masks``, the bins that go left packed
+  like ``internal`` in as many bytes as the split feature's bins take; the
+  rows of the first categorical feature's splits in node order, then those
+  of the next feature;
+- per leaf: ``stats``, its class weights, or for regression its weight,
+  which are whole numbers (bootstrap draw counts), in the narrowest
+  unsigned type that holds their maximum; for regression also
+  ``label_sum``, its weighted label sum; an internal node's are the sums of
+  its children's;
 - per node, with aggregation on: ``oob_loss``, which does not add up;
 - per tree: ``roots``, ``oob_loss_mean`` and ``n_oob``, the tree's count of
   out-of-bag rows; the config's n_trees trees, or that many per class
   under one-versus-rest, whose index and class follow from their order;
 - per feature i: ``f<i>.thresholds``, empty for a categorical feature.
 
+The other arrays have one type each: float64 for the sums, losses and
+thresholds, int64 for the roots and counts, uint8 for the bits and masks.
+
 Load rebuilds the rest through ``Tree.from_heap``, as fitting does: the
 child links from breadth-first order, then parents, depths and the
 internal nodes' stats, the forecasts from the stats, and the log weights
 from the oob losses and the temperature; the trees keep the split rows and
-masks as stored, and their bin layout is the mapper's.  Header values that
-fit never writes, such as y bounds out of order, are refused.  Versions 1
+masks as stored, and their bin layout is the mapper's.  First it checks
+each array's type, which the header fixes for all but ``stats``, and
+widens the split and leaf fields to the types fitting works in: int32
+thresholds, -2 at each categorical split, bool missing_left, masks as wide
+as the widest feature's bins and float64 stats.  Header values and stored
+values that fit never writes, such as y bounds out of order, a threshold
+past its feature's bins or mask bits past them, are refused.  Versions 1
 and 2, which stored every field at every node, version 3, which also
 stored each split's gain, version 4, which also stored each leaf's in-bag
-and out-of-bag row counts, and version 5, which also stored each
-regression leaf's sum w y^2 and each tree's index and class, are refused.
+and out-of-bag row counts, version 5, which also stored each regression
+leaf's sum w y^2 and each tree's index and class, and version 6, which
+stored features and thresholds of every split as int32, one byte per
+missing_left, float64 stats and every mask as wide as the widest
+feature's, are refused.
 """
 
 from __future__ import annotations
@@ -59,16 +81,25 @@ from .aggregation import state_from_losses
 from .binning import (KEY_TYPES, BinMapper, FeatureBins, FeatureKind,
                       category_key_type)
 from .forest import Forest, TrainConfig
-from .tree import LEAF_FIELDS, SPLIT_FIELDS, STORED, Tree
+from .tree import STORED, Tree
 
 MAGIC = b"AGFOREST"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _PER_TREE = ("roots", "oob_loss_mean", "n_oob")
 
-# Arrays that load scatters or casts into new ones; it keeps copies of the
-# others, not views of the file's bytes.
-_SCATTERED = ("internal",) + SPLIT_FIELDS + LEAF_FIELDS
+# Arrays that load widens into new ones; it keeps copies of the others, not
+# views of the file's bytes.
+_WIDENED = STORED + ("label_sum",)
+
+# The type of each array that keeps one whatever the forest, by its name
+# after any "f<i>." prefix; the others' follow from the header or, for
+# stats, from their maximum.
+_FIXED = {"thresholds": "<f8", "label_sum": "<f8", "oob_loss": "<f8",
+          "roots": "<i8", "oob_loss_mean": "<f8", "n_oob": "<i8"}
+
+# float64 holds every whole number up to this one.
+_EXACT = 2 ** 53
 
 
 class ModelFormatError(ValueError):
@@ -131,10 +162,8 @@ def save_model(forest: Forest, path: str) -> None:
         put(f"f{j}.thresholds",
             fb.thresholds if fb.thresholds is not None else np.empty(0))
 
-    stored = forest.table.stored()
-    stored["internal"] = np.packbits(stored["internal"], bitorder="little")
-    for name in STORED:
-        put(name, stored[name])
+    for name, arr in _encode(forest).items():
+        put(name, arr)
     put("oob_loss", forest.state.oob_loss)
     for name in _PER_TREE:
         put(name, getattr(forest, name))
@@ -145,6 +174,42 @@ def save_model(forest: Forest, path: str) -> None:
     digest = hashlib.sha256(payload).digest()
     _write_atomically(path, MAGIC + struct.pack("<I", FORMAT_VERSION) + digest
                       + struct.pack("<Q", len(payload)) + payload)
+
+
+def _uint(top: int) -> np.dtype:
+    """The narrowest little-endian unsigned integer type that holds 0..top."""
+    return np.dtype(np.min_scalar_type(top)).newbyteorder("<")
+
+
+def _encode(forest: Forest) -> dict[str, np.ndarray | None]:
+    """The table's split and leaf fields as the file stores them, each in
+    the narrowest type that holds it exactly (see the module docstring)."""
+    s = forest.table.stored()
+    layout = forest.mapper.table
+    cont = s["threshold"] != -2
+    on = s["feature"][~cont]
+    masks = [s["masks"][on == j, :(int(layout.n_bins[j]) + 7) // 8]
+             for j in layout.categorical]
+    regression = forest.config.task == "regression"
+    counts = s["stats"][:, :1] if regression else s["stats"]
+    top = counts.max(initial=0.0)
+    # NaN fails every comparison, so the check asks for the good case.
+    if not (counts.min(initial=0.0) >= 0 and top <= _EXACT
+            and (counts == np.floor(counts)).all()):
+        raise ModelFormatError("stats hold weights that are not whole "
+                               "numbers in [0, 2^53]")
+    return {
+        "internal": np.packbits(s["internal"], bitorder="little"),
+        "feature": s["feature"].astype(_uint(layout.n_bins.shape[0] - 1)),
+        "threshold": (s["threshold"][cont] + 1).astype(
+            _uint(forest.mapper.max_bins - 1)),
+        "missing_left": np.packbits(s["missing_left"][cont],
+                                    bitorder="little"),
+        "masks": np.concatenate([m.ravel() for m in masks]
+                                + [np.zeros(0, np.uint8)]),
+        "stats": counts.astype(_uint(int(top))),
+        "label_sum": s["stats"][:, 1] if regression else None,
+    }
 
 
 def _write_atomically(path: str, data: bytes) -> None:
@@ -202,9 +267,12 @@ def _forest_from(meta: dict, body) -> Forest:
             arrays[name] = None
             continue
         dt = np.dtype(dtype)
+        want = _FIXED.get(name.rpartition(".")[2])
+        if want is not None and dt != want:
+            raise ModelFormatError(f"{name} is stored as {dt.str}, not {want}")
         count = math.prod(shape)
         arr = np.frombuffer(body, dtype=dt, count=count, offset=offset)
-        arrays[name] = (arr.reshape(shape) if name in _SCATTERED
+        arrays[name] = (arr.reshape(shape) if name in _WIDENED
                         else arr.reshape(shape).copy())
         offset += count * dt.itemsize
 
@@ -264,20 +332,14 @@ def _forest_from(meta: dict, body) -> Forest:
         if (arrays["oob_loss"] is None) == config.aggregation:
             raise ValueError("oob_loss is stored exactly when aggregation "
                              "is on")
-        # A tree of I internal nodes has 2I + 1 nodes.
-        n = 2 * arrays["feature"].shape[0] + arrays["roots"].shape[0]
-        if arrays["internal"].shape != ((n + 7) // 8,):
-            raise ValueError(f"internal is not one bit per node of {n}")
-        internal = np.unpackbits(arrays["internal"], count=n,
-                                 bitorder="little").view(bool)
+        k = 2 if config.one_vs_rest else n_classes
+        stored = _decode(arrays, mapper, k)
         per_tree = {name: arrays[name] for name in _PER_TREE}
         # Sums and forecasts of tampered numbers may overflow; the checks
         # refuse what is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
-            table = Tree.from_heap(
-                config.task, 2 if config.one_vs_rest else n_classes,
-                mapper.table, arrays["roots"], internal, arrays["masks"],
-                **{name: arrays[name] for name in SPLIT_FIELDS + LEAF_FIELDS})
+            table = Tree.from_heap(config.task, k, mapper.table,
+                                   arrays["roots"], **stored)
             _check(table, arrays["oob_loss"], config, **per_tree)
             state = state_from_losses(table, arrays["oob_loss"], temperature,
                                       config.dirichlet)
@@ -295,6 +357,95 @@ def _forest_from(meta: dict, body) -> Forest:
                else ""))
     return forest
 
+
+def _field(arrays: dict, name: str, dtype) -> np.ndarray:
+    """The stored array ``name``; a ValueError unless save wrote it, as
+    ``dtype``."""
+    arr = arrays[name]
+    if arr is None or arr.dtype != dtype:
+        stored = "nothing" if arr is None else arr.dtype.str
+        raise ValueError(f"{name} is stored as {stored}, not "
+                         f"{np.dtype(dtype).str}")
+    return arr
+
+
+def _bits(arrays: dict, name: str, count: int, what: str) -> np.ndarray:
+    """``count`` bools, one per ``what``, packed eight to a byte as save
+    packs them; a ValueError if bits past them are set."""
+    packed = _field(arrays, name, np.uint8)
+    if packed.shape != ((count + 7) // 8,):
+        raise ValueError(f"{name} does not hold one bit per {what}")
+    if count % 8 and packed[-1] >> count % 8:
+        raise ValueError(f"{name} sets bits past its {count} {what}s")
+    return np.unpackbits(packed, count=count, bitorder="little").view(bool)
+
+
+def _decode(arrays: dict, mapper: BinMapper, n_classes: int) -> dict:
+    """What ``Tree.from_heap`` takes, in the types fitting works in, from
+    the arrays ``_encode`` gives; a ValueError names a stored field of a
+    type, shape or value that save never writes.  ``from_heap`` checks the
+    rest: the trees' shapes, and that each split fits its feature."""
+    n_bins = mapper.table.n_bins
+    feature = _field(arrays, "feature", _uint(n_bins.shape[0] - 1))
+    if feature.ndim != 1:
+        raise ValueError("feature does not hold one row per internal node")
+    if (feature >= n_bins.shape[0]).any():
+        raise ValueError("feature index out of range")
+    # A tree of I internal nodes has 2I + 1 nodes.
+    internal = _bits(arrays, "internal",
+                     2 * feature.shape[0] + arrays["roots"].shape[0], "node")
+
+    categorical = np.array([fb.kind is FeatureKind.CATEGORICAL
+                            for fb in mapper.features], dtype=bool)
+    # Split indexes, which scatter far faster than a mask of half the splits.
+    at_cat = categorical.take(feature)
+    cont, cat = np.flatnonzero(~at_cat), np.flatnonzero(at_cat)
+    shifted = _field(arrays, "threshold", _uint(mapper.max_bins - 1))
+    if shifted.shape != cont.shape:
+        raise ValueError("threshold does not hold one row per continuous "
+                         "split")
+    threshold = np.full(feature.shape, -1, dtype=np.int32)
+    threshold[cont] = shifted
+    threshold -= 1
+    missing_left = np.zeros(feature.shape, dtype=bool)
+    missing_left[cont] = _bits(arrays, "missing_left", cont.shape[0],
+                               "continuous split")
+
+    # Each categorical feature's masks are one block of rows of its width.
+    on = feature[cat]
+    width = (n_bins + 7) // 8
+    flat = _field(arrays, "masks", np.uint8)
+    if flat.shape != (int(width[on].sum()),):
+        raise ValueError("masks do not hold one row per categorical split, "
+                         "as wide as its feature's bins")
+    masks = np.zeros((on.shape[0], int(width.max())), dtype=np.uint8)
+    at = 0
+    for j in mapper.table.categorical:
+        rows, w, used = np.flatnonzero(on == j), int(width[j]), n_bins[j] % 8
+        block = flat[at:at + rows.shape[0] * w].reshape(-1, w)
+        at += block.size
+        if used and (block[:, -1] >> used).any():
+            raise ValueError(f"masks set bits past the {n_bins[j]} bins of "
+                             f"feature {j}")
+        masks[rows, :w] = block
+
+    # Weights are whole numbers, in the narrowest type of their maximum.
+    stats = arrays["stats"]
+    top = (int(stats.max(initial=0))
+           if stats is not None and stats.dtype.kind == "u" else 0)
+    stats = _field(arrays, "stats", _uint(top))
+    if top > _EXACT:
+        raise ValueError(f"stats of {top} are not exact in float64")
+    label_sum = arrays["label_sum"]
+    if (label_sum is None) != (n_classes > 0):
+        raise ValueError("label_sum is stored exactly for regression")
+    if label_sum is not None:
+        if stats.shape != label_sum.shape + (1,):
+            raise ValueError("stats and label_sum do not hold one weight and "
+                             "one sum per leaf")
+        stats = np.column_stack([stats[:, 0], label_sum])
+    return dict(internal=internal, feature=feature, threshold=threshold,
+                missing_left=missing_left, masks=masks, stats=stats)
 
 def _check(table: Tree, oob_loss, config: TrainConfig, roots, oob_loss_mean,
            n_oob) -> None:
@@ -321,8 +472,7 @@ def _check(table: Tree, oob_loss, config: TrainConfig, roots, oob_loss_mean,
             (oob_loss_mean >= 0) & (oob_loss_mean < math.inf)).all():
         raise ValueError("oob_loss_mean is not one finite value >= 0 per "
                          "tree")
-    if (n_oob.shape != roots.shape or n_oob.dtype.kind != "i"
-            or not (n_oob >= 1).all()):
+    if n_oob.shape != roots.shape or not (n_oob >= 1).all():
         raise ValueError("n_oob is not one integer >= 1 per tree")
 
 

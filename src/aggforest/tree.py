@@ -20,6 +20,7 @@ from .sampling import (
 from .splits import (
     Split,
     SplitConstraints,
+    _class_sum,
     best_splits,
     goes_left,
     impurity,
@@ -176,10 +177,19 @@ class Tree:
         every node by default, a slice, which keeps every split, or
         ascending ids, of which a cut passes the ones that stay
         ``internal``."""
-        split = self.feature >= 0
         node = slice(0, self.n_nodes) if node is None else node
         if internal is None:
-            internal = split[node]
+            internal = self.feature[node] >= 0
+        rows, cat = self._split_rows(node, internal)
+        return dict(internal=internal, feature=self.feature[node][internal],
+                    threshold=self.threshold[rows],
+                    missing_left=self.missing_left[rows],
+                    masks=self.masks[cat], stats=self.stats[node][~internal])
+
+    def _split_rows(self, node, internal):
+        """The split rows and the mask rows of the ``internal`` ones of the
+        nodes ``node`` (see ``stored``)."""
+        split = self.feature >= 0
         if isinstance(node, slice):
             # A run of nodes holds runs of rows and masks: two counts find
             # them, where ranking every node took 30x as long per tree.
@@ -191,10 +201,7 @@ class Tree:
             rows = (np.cumsum(split) - 1)[node][internal]
             cat = (np.cumsum(self.threshold == -2)
                    - 1)[rows[self.threshold[rows] == -2]]
-        return dict(internal=internal, feature=self.feature[node][internal],
-                    threshold=self.threshold[rows],
-                    missing_left=self.missing_left[rows],
-                    masks=self.masks[cat], stats=self.stats[node][~internal])
+        return rows, cat
 
     @cached_property
     def router(self) -> Router:
@@ -247,17 +254,18 @@ class Tree:
     def take(self, lo: int, hi: int) -> Tree:
         """The tree of nodes lo..hi-1 of a stack of trees, on its own: links
         numbered from its root, as if grown alone."""
-        part = self.stored(slice(lo, hi))
+        internal = self.feature[lo:hi] >= 0
+        rows, cat = self._split_rows(slice(lo, hi), internal)
         cols = {name: getattr(self, name)[lo:hi].copy() for name in _PER_NODE}
         for name in ("left_child", "parent"):
             cols[name][cols[name] >= 0] -= lo
-        node = np.flatnonzero(part["internal"])
+        node = np.flatnonzero(internal)
         at = cols["depth"][node]
         levels = (node[np.argsort(at, kind="stable")],
                   np.cumsum(np.bincount(at)).tolist())
-        return replace(self, threshold=part["threshold"], levels=levels,
-                       missing_left=part["missing_left"], masks=part["masks"],
-                       **cols)
+        return replace(self, threshold=self.threshold[rows], levels=levels,
+                       missing_left=self.missing_left[rows],
+                       masks=self.masks[cat], **cols)
 
     @classmethod
     def from_heap(cls, task: str, n_classes: int, layout, roots: np.ndarray,
@@ -276,7 +284,10 @@ class Tree:
         the fields hold a row per node of their kind, unless the thresholds
         are -2 at exactly the splits on the categorical features of
         ``layout`` (a ``BinnedMatrix`` or a ``BinTable``), one mask each,
-        and unless features and masks fit the layout.
+        unless features and masks fit the layout, and unless each
+        continuous split sends some bin each way: a threshold in
+        [-1, n_bins - 2] of its feature, -1 only where missing values go
+        left, and missing_left only on a feature with a missing bin.
         """
         n = internal.shape[0]
         sizes = np.diff(roots, append=n)
@@ -308,13 +319,28 @@ class Tree:
         if node.size and not ((feature >= 0)
                               & (feature < layout.n_bins.shape[0])).all():
             raise ValueError("feature index out of range")
-        threshold = threshold.astype(np.int32)
         categorical = np.array([k is FeatureKind.CATEGORICAL
                                 for k in layout.kinds], dtype=bool)
         cat = threshold == -2
         if (cat != categorical[feature]).any():
             raise ValueError("a split's threshold is -2 where its feature is "
                              "continuous, or not -2 where it is categorical")
+        # A continuous split sends bins up to its threshold left, and the
+        # missing bin where missing_left: some bin each way, as growth
+        # splits.  Checked before the cast, which would wrap, over every
+        # split, since a categorical one's threshold of -2 is none of these.
+        top = layout.n_bins.take(feature) - 2
+        if (missing_left & (layout.missing_bin.take(feature) < 0)).any():
+            raise ValueError("missing_left is set at a split on a feature "
+                             "without a missing bin")
+        if not (cat | (threshold >= -1) & (threshold <= top)).all():
+            raise ValueError("threshold outside [-1, n_bins - 2] of its "
+                             "split feature")
+        if (((threshold == -1) & ~missing_left).any()
+                or (missing_left & (threshold == top)).any()):
+            raise ValueError("threshold and missing_left send no bin left or "
+                             "no bin right at a split")
+        threshold = threshold.astype(np.int32)
         if masks.shape[0] != np.count_nonzero(cat):
             raise ValueError(f"{masks.shape[0]} masks for "
                              f"{np.count_nonzero(cat)} categorical splits")
@@ -339,9 +365,11 @@ class Tree:
                 at = (cols["left_child"][at, None] + np.arange(2)).ravel()
         # Each internal node's stats are its children's sums, one depth at
         # a time, deepest first; bootstrap counts and class weights add
-        # exactly.
+        # exactly.  Leaf ids scatter in a third of the time a mask of half
+        # the nodes takes.
         sums = np.empty((n, stats.shape[1]))
-        _rows(sums)[~internal] = _rows(np.ascontiguousarray(stats, np.float64))
+        _rows(sums)[np.flatnonzero(~internal)] = _rows(
+            np.ascontiguousarray(stats, np.float64))
         for at in reversed(levels):
             kid = cols["left_child"][at]
             _rows(sums)[at] = _rows(np.take(sums, kid, axis=0)
@@ -370,8 +398,7 @@ _PER_NODE = ("feature", "left_child", "parent", "depth", "stats")
 # internal node, and the stats of each leaf, whose sums give an internal
 # node's.  ``Tree.stored`` gives these, ``internal`` and ``masks``.
 SPLIT_FIELDS = ("feature", "threshold", "missing_left")
-LEAF_FIELDS = ("stats",)
-STORED = ("internal",) + SPLIT_FIELDS + ("masks",) + LEAF_FIELDS
+STORED = ("internal",) + SPLIT_FIELDS + ("masks", "stats")
 
 
 def _node_stats(abs_rows, w_rows, labels, n_classes) -> np.ndarray:
@@ -394,8 +421,10 @@ def node_forecast(stats, task: str, dirichlet: float = 0.5):
     if task == "classification":
         if dirichlet <= 0:
             raise ValueError(f"dirichlet must be positive, got {dirichlet}")
-        total = stats.sum(axis=-1, keepdims=True)
-        return (stats + dirichlet) / (total + dirichlet * stats.shape[-1])
+        # Classes added in order: what numpy's sum gives below 8 classes,
+        # without its reduction's overhead.
+        total = _class_sum(stats) + dirichlet * stats.shape[-1]
+        return (stats + dirichlet) / total[..., None]
     if task == "regression":
         if (stats[..., 0] <= 0).any():
             raise ValueError("forecast of an empty node is undefined")

@@ -54,6 +54,18 @@ def test_forecast_is_strictly_positive_and_normalized(counts, alpha):
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_classes", [2, 3, 9])
+def test_forecast_equals_numpy_sum_on_bootstrap_counts(n_classes):
+    """Classes are added in order; stats hold whole-number counts, whose
+    sums are exact in any order, so the forecast is the bits of numpy's
+    sum even at 8 classes or more, where numpy adds pairwise."""
+    stats = np.random.default_rng(n_classes).integers(
+        0, 700, size=(500, n_classes)).astype(np.float64)
+    total = stats.sum(axis=-1, keepdims=True) + 0.5 * n_classes
+    assert node_forecast(stats, "classification", 0.5).tobytes() == (
+        (stats + 0.5) / total).tobytes()
+
+
 # ------------------------------------------------------------- loss routing
 
 

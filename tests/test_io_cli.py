@@ -26,7 +26,7 @@ from aggforest.model_io import (
     save_model,
     write_csv,
 )
-from aggforest.tree import STORED
+from aggforest.tree import STORED, Tree
 
 KINDS2 = [FeatureKind.CONTINUOUS, FeatureKind.CONTINUOUS]
 
@@ -139,6 +139,73 @@ def test_loaded_table_and_state_are_the_fitted_ones(tmp_path, task):
                               forest.predict_proba(cols))
 
 
+def mixed_columns(n=300, n_classes=2, seed=17):
+    """A categorical column of 12 values and a continuous one of n distinct
+    values, both with missing values, a categorical column of 3 values,
+    and labels of n_classes classes, or regression targets when n_classes
+    is 0."""
+    rng = np.random.default_rng(seed)
+    color = rng.choice(np.array(list("abcdefghijkl"), dtype=object), size=n,
+                       p=np.arange(12, 0, -1) / 78)
+    x = rng.normal(size=n)
+    size = rng.choice(np.array(list("SML"), dtype=object), size=n)
+    score = (np.isin(color, list("aeik")) + x + (size == "M")
+             + 0.5 * rng.normal(size=n))
+    color[rng.random(n) < 0.1] = None
+    x[rng.random(n) < 0.1] = np.nan
+    if n_classes == 0:
+        return [color, x, size], score
+    return [color, x, size], np.digitize(score, np.quantile(
+        score, np.arange(1, n_classes) / n_classes))
+
+
+@pytest.mark.parametrize("config,n_classes", [
+    (dict(), 2),
+    (dict(), 3),
+    (dict(multiclass="one_vs_rest"), 3),
+    (dict(task="regression"), 0),
+    (dict(aggregation=False), 3),
+    (dict(max_bins=8), 3),
+    (dict(max_bins=2), 2),
+    (dict(max_bins=257), 2),
+    (dict(max_bins=65536), 2),
+], ids=["binary", "3-class", "one-vs-rest", "regression", "aggregation-off",
+        "categorical-overflow", "max_bins-2", "max_bins-257",
+        "max_bins-65536"])
+def test_round_trip_keeps_every_array_and_byte(tmp_path, config, n_classes):
+    """Load widens each narrowed field back to the type fitting keeps: the
+    loaded table and state equal the fitted ones in value and type, the
+    predictions are the same bits, and saving the loaded forest writes the
+    same bytes."""
+    cols, y = mixed_columns(n_classes=n_classes)
+    forest = fit(cols, y, ["categorical", "continuous", "categorical"],
+                 TrainConfig(n_trees=3, seed=5, **config))
+    features = forest.mapper.features
+    assert features[0].has_missing and features[1].has_missing
+    if config.get("max_bins") == 8:
+        assert features[0].overflow_bin >= 0
+    path, again = tmp_path / "m.agf", tmp_path / "again.agf"
+    save_model(forest, str(path))
+    back = load_model(str(path))
+
+    for name in ("feature", "threshold", "missing_left", "masks",
+                 "left_child", "parent", "depth", "stats", "feature_n_bins",
+                 "feature_missing_bin"):
+        a, b = getattr(back.table, name), getattr(forest.table, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("forecasts", "oob_loss", "log_agg_weight"):
+        a, b = getattr(back.state, name), getattr(forest.state, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+    predict = (Forest.predict if n_classes == 0 else Forest.predict_proba)
+    assert predict(back, cols).tobytes() == predict(forest, cols).tobytes()
+    for i in (0, 7, 123):
+        row = [c[i:i + 1] for c in cols]
+        assert predict(back, row).tobytes() == predict(forest, row).tobytes()
+    save_model(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
 def saved_header(raw):
     (hlen,) = struct.unpack_from("<Q", raw, 52)
     return json.loads(raw[60:60 + hlen].decode("utf-8"))
@@ -168,18 +235,61 @@ def test_manifest_holds_each_field_for_its_kind_of_node(tmp_path, task,
     n_internal = int((table.feature >= 0).sum())
     assert 0 < n_internal < n - n_internal
     assert shapes["internal"] == [(n + 7) // 8]
-    for name in ("feature", "threshold", "missing_left"):
-        assert shapes[name] == [n_internal], name
-    # Column 0, the colour, is the one categorical feature.
-    assert shapes["masks"] == [int((table.feature == 0).sum()),
-                               (int(table.feature_n_bins.max()) + 7) // 8]
-    assert shapes["masks"][0] > 0
-    # Two classes' weights, or a regression leaf's w and sum w y.
-    assert shapes["stats"] == [n - n_internal, 2]
+    assert shapes["feature"] == [n_internal]
+    # Column 0, the colour, is the one categorical feature; its 6 bins take
+    # one byte per mask, and only the continuous splits store the rest.
+    n_cat = int((table.feature == 0).sum())
+    assert 0 < n_cat < n_internal
+    assert table.feature_n_bins[0] == 6
+    assert shapes["threshold"] == [n_internal - n_cat]
+    assert shapes["missing_left"] == [(n_internal - n_cat + 7) // 8]
+    assert shapes["masks"] == [n_cat]
+    # Two classes' weights, or a regression leaf's weight and its sum w y.
+    if task == "regression":
+        assert shapes["stats"] == [n - n_internal, 1]
+        assert shapes["label_sum"] == [n - n_internal]
+    else:
+        assert shapes["stats"] == [n - n_internal, 2]
+        assert shapes["label_sum"] is None
     for name in ("roots", "oob_loss_mean", "n_oob"):
         assert shapes[name] == [3], name
     assert not {"index", "class_id"} & set(shapes)
     assert shapes["oob_loss"] == ([n] if aggregation else None)
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_file_size_is_the_format_7_budget(tmp_path, task):
+    """A byte budget: the payload a small fixed forest takes, counted from
+    its node, split and mask counts under the rules of format 7, is what
+    save writes, so a field stored wider than it needs fails here."""
+    raw, _ = saved_mixed_forest(task)
+    path = tmp_path / "m.agf"
+    path.write_bytes(raw)
+    forest = load_model(str(path))
+    table, mapper = forest.table, forest.mapper
+    n, n_trees = table.n_nodes, forest.roots.shape[0]
+    split = table.feature[table.feature >= 0]
+    cat = table.threshold == -2
+    n_bins = np.array([fb.n_bins for fb in mapper.features])
+    # Three features and 256 bins: one byte per feature and threshold.
+    assert len(mapper.features) == 3 and mapper.max_bins == 256
+    leaves = table.stats[table.feature < 0]
+    weights = leaves[:, :1] if task == "regression" else leaves
+    assert weights.max() < 256                  # one byte per weight
+    budget = ((n + 7) // 8                      # internal
+              + split.shape[0]                  # feature
+              + int((~cat).sum())               # threshold
+              + (int((~cat).sum()) + 7) // 8    # missing_left
+              + int(((n_bins[split[cat]] + 7) // 8).sum())  # masks
+              + weights.size                    # stats
+              + 8 * n                           # oob_loss
+              + 8 * 3 * n_trees                 # roots, oob_loss_mean, n_oob
+              + 8 * sum(fb.thresholds.shape[0] for fb in mapper.features
+                        if fb.thresholds is not None))
+    if task == "regression":
+        budget += 8 * leaves.shape[0]           # label_sum
+    (hlen,) = struct.unpack_from("<Q", raw, 52)
+    assert len(raw) == 52 + 8 + hlen + budget
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +382,17 @@ def set_entry(name, index, value):
     return edit
 
 
+def set_entry_as(dtype, name, index, value):
+    """``set_entry`` of a value the field's stored type cannot hold, with
+    the field widened to ``dtype`` first."""
+    def edit(meta, arrays):
+        arrays[name] = arrays[name].astype(dtype)
+        arrays[name][index] = value
+    return edit
+
+
 def narrow_masks(meta, arrays):
-    arrays["masks"] = arrays["masks"][:, :0].copy()
+    arrays["masks"] = arrays["masks"][:-1].copy()
 
 
 def toggle_internal(arrays, nodes):
@@ -352,7 +471,7 @@ def test_format_version_two_is_refused(tmp_path):
     body = bytearray(raw)
     struct.pack_into("<I", body, 8, 2)
     path.write_bytes(bytes(body))
-    with pytest.raises(ModelFormatError, match="version 2, expected 6"):
+    with pytest.raises(ModelFormatError, match="version 2, expected 7"):
         load_model(str(path))
 
 
@@ -363,7 +482,7 @@ def test_format_version_three_is_refused(tmp_path):
     struct.pack_into("<I", body, 8, 3)
     path.write_bytes(bytes(body))
     with pytest.raises(ModelFormatError, match="unsupported model format "
-                                               "version 3, expected 6"):
+                                               "version 3, expected 7"):
         load_model(str(path))
 
 
@@ -375,7 +494,7 @@ def test_format_version_four_is_refused(tmp_path):
     struct.pack_into("<I", body, 8, 4)
     path.write_bytes(bytes(body))
     with pytest.raises(ModelFormatError, match="unsupported model format "
-                                               "version 4, expected 6"):
+                                               "version 4, expected 7"):
         load_model(str(path))
 
 
@@ -388,7 +507,20 @@ def test_format_version_five_is_refused(tmp_path):
     struct.pack_into("<I", body, 8, 5)
     path.write_bytes(bytes(body))
     with pytest.raises(ModelFormatError, match="unsupported model format "
-                                               "version 5, expected 6"):
+                                               "version 5, expected 7"):
+        load_model(str(path))
+
+
+def test_format_version_six_is_refused(tmp_path):
+    # Version 6 stored features and thresholds of every split as int32, one
+    # byte per missing_left, float64 stats and every mask as wide as the
+    # widest feature's.
+    path, raw = saved_model_bytes(tmp_path)
+    body = bytearray(raw)
+    struct.pack_into("<I", body, 8, 6)
+    path.write_bytes(bytes(body))
+    with pytest.raises(ModelFormatError, match="unsupported model format "
+                                               "version 6, expected 7"):
         load_model(str(path))
 
 
@@ -438,16 +570,108 @@ def set_last_leaves(name, value):
 
 @pytest.mark.parametrize("edit,message", [
     (resize_rows("threshold", 1), "threshold does not hold one row per "
-     "internal node"),
-    (resize_rows("missing_left", -1), "missing_left does not hold one row "
-     "per internal node"),
+     "continuous split"),
+    (resize_rows("missing_left", -1), "missing_left does not hold one bit "
+     "per continuous split"),
     (resize_rows("stats", -1), "stats does not hold one row per leaf"),
     (resize_rows("n_oob", 1), "n_oob is not one integer >= 1 per tree"),
-    (set_last_leaves("stats", 1e308), "stats are not finite"),
+    # Whole-number stats are stored as unsigned integers.
+    (set_entry_as("<f8", "stats", slice(-2, None), 1e308),
+     r"stats is stored as <f8, not \|u1"),
 ], ids=["threshold-row-more", "missing_left-row-less", "stats-row-less",
         "n_oob-row-more", "stats-sum-overflows"])
 def test_tampered_node_rows_are_refused(tmp_path, edit, message):
     path, _ = saved_model_bytes(tmp_path)
+    rewrite_model(path, edit)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(str(path))
+
+
+def set_bit_past(name, rows):
+    """Set the first bit past the ones a packed field holds, one per row of
+    the array ``rows``."""
+    def edit(meta, arrays):
+        count = arrays[rows].shape[0]
+        assert count % 8, "no spare bit in the last byte"
+        arrays[name][-1] |= 1 << count % 8
+    return edit
+
+
+def widen(name, dtype):
+    def edit(meta, arrays):
+        arrays[name] = arrays[name].astype(dtype)
+    return edit
+
+
+def add_label_sum(meta, arrays):
+    arrays["label_sum"] = np.zeros(arrays["stats"].shape[0])
+
+
+def all_left_split(meta, arrays):
+    # The first continuous split on feature 1, which has a missing bin,
+    # sends its missing values and every plain bin left.
+    k = np.flatnonzero(arrays["feature"][arrays["feature"] != 0] == 1)[0]
+    arrays["threshold"][k] = meta["features"][1]["n_bins"] - 1
+    arrays["missing_left"][k >> 3] |= 1 << (k & 7)
+
+
+# The plain model has two continuous features of 60 bins each and no
+# missing values; the mixed one has a categorical feature of 4 values and
+# a missing bin, 5 bins, then a continuous one with a missing bin and one
+# without.
+@pytest.mark.parametrize("model,edit,message", [
+    ("plain", set_entry("threshold", 0, 251),
+     r"threshold outside \[-1, n_bins - 2\]"),
+    ("plain", set_entry("threshold", 0, 60),
+     r"threshold outside \[-1, n_bins - 2\]"),
+    ("plain", set_entry("threshold", 0, 0), "threshold and missing_left "
+     "send no bin left"),
+    ("plain", set_entry_as("<i8", "threshold", 0, 2 ** 32 + 26),
+     r"threshold is stored as <i8, not \|u1"),
+    ("plain", set_entry("missing_left", 0, 7), "missing_left is set at a "
+     "split on a feature without a missing bin"),
+    ("plain", set_bit_past("missing_left", "threshold"),
+     "missing_left sets bits past its"),
+    ("plain", set_bit_past("internal", "oob_loss"), "internal sets bits "
+     "past its"),
+    ("plain", set_entry_as("<f8", "stats", (0, 0), 0.5),
+     r"stats is stored as <f8, not \|u1"),
+    ("plain", widen("stats", "<u2"), r"stats is stored as <u2, not \|u1"),
+    ("plain", widen("feature", "<u2"), r"feature is stored as <u2, not \|u1"),
+    ("plain", widen("oob_loss", "<f4"), "oob_loss is stored as <f4, not <f8"),
+    ("plain", add_label_sum, "label_sum is stored exactly for regression"),
+    ("mixed", set_entry("masks", 0, 0x80 | 1),
+     "masks set bits past the 5 bins of feature 0"),
+    ("mixed", all_left_split, "threshold and missing_left send no bin left "
+     "or no bin right"),
+    ("mixed-regression", set_last_leaves("label_sum", 1e308),
+     "stats are not finite"),
+    ("mixed-regression", resize_rows("label_sum", -1),
+     "stats and label_sum do not hold one weight and one sum per leaf"),
+], ids=["threshold-past-bins", "threshold-at-last-bin",
+        "threshold--1-missing-right",
+        "threshold-int64", "missing_left-without-missing-bin",
+        "missing_left-bit-past", "internal-bit-past", "stats-half",
+        "stats-wider-than-needed", "feature-wider-than-needed",
+        "oob_loss-float32", "label_sum-for-classification",
+        "mask-bit-past-bins", "threshold-and-missing-all-left",
+        "label_sum-sum-overflows",
+        "label_sum-row-less"])
+def test_stored_values_fit_never_writes_are_refused(tmp_path, model, edit,
+                                                    message):
+    """Each of these is a value or type that save never writes.  Format 6
+    cast the split rows unchecked, so the first five loaded there and
+    routed as a threshold past the feature's bins, as splits that send
+    every bin or no bin left, as threshold 25 and as missing values going
+    left."""
+    if model == "plain":
+        path, _ = saved_model_bytes(tmp_path)
+    else:
+        path = tmp_path / "m.agf"
+        path.write_bytes(saved_mixed_forest(
+            "regression" if model == "mixed-regression"
+            else "classification")[0])
+    load_model(str(path))
     rewrite_model(path, edit)
     with pytest.raises(ModelFormatError, match=message):
         load_model(str(path))
@@ -464,13 +688,15 @@ def test_tampered_node_rows_are_refused(tmp_path, edit, message):
     (False, overflowing_log_weight, "log weights"),
     (False, set_entry("oob_loss", 0, -1.0), "oob_loss"),
     (False, set_entry("oob_loss", 1, -np.inf), "oob_loss"),
-    (False, set_entry("stats", (0, 0), -0.5), "stats"),
-    (False, set_entry("stats", (1, 1), np.nan), "stats"),
+    (False, set_entry_as("<f8", "stats", (0, 0), -0.5),
+     r"stats is stored as <f8, not \|u1"),
+    (False, set_entry_as("<f8", "stats", (1, 1), np.nan),
+     r"stats is stored as <f8, not \|u1"),
     (False, set_entry("stats", 1, 0.0), "stats"),
     # The trees' bin layout is the mapper's.
     (False, set_feature_field("n_bins", 3), "thresholds for 3 plain bins"),
     (False, set_feature_field("has_missing", True), "thresholds for"),
-    (True, narrow_masks, "narrower"),
+    (True, narrow_masks, "masks do not hold one row per categorical split"),
     # Two sibling leaves without in-bag rows leave their parent none.
     (False, set_last_leaves("stats", 0.0), "positive total"),
     (False, set_entry("n_oob", 0, 0), "n_oob"),
@@ -571,25 +797,23 @@ def test_threshold_of_minus_two_marks_exactly_the_categorical_splits(
         tmp_path, feature, threshold):
     """A split routes by its mask exactly when its threshold is -2, so a
     continuous split of threshold -2, or a categorical split of another
-    threshold, is refused rather than routed by the other rule."""
+    threshold, is refused rather than routed by the other rule.  A model
+    file stores no threshold of a categorical split and load puts the -2
+    back, so the table's own fields are tampered with."""
     rng = np.random.default_rng(13)
     color = rng.choice(np.array(list("abcdef"), dtype=object), size=200)
     x = rng.normal(size=200)
     y = (np.isin(color, ["a", "b"]) ^ (x > 0.5)).astype(np.int64)
     forest = fit([color, x], y, ["categorical", "continuous"],
                  TrainConfig(n_trees=1, seed=13))
-    path = tmp_path / "m.agf"
-    save_model(forest, str(path))
-    load_model(str(path))
-
-    def edit(meta, arrays):
-        row = np.flatnonzero(arrays["feature"] == feature)[0]
-        arrays["threshold"][row] = threshold
-
-    rewrite_model(path, edit)
-    with pytest.raises(ModelFormatError, match="threshold is -2 where its "
-                                               "feature is continuous"):
-        load_model(str(path))
+    stored = forest.table.stored()
+    row = np.flatnonzero(stored["feature"] == feature)[0]
+    stored["threshold"] = stored["threshold"].copy()
+    stored["threshold"][row] = threshold
+    with pytest.raises(ValueError, match="threshold is -2 where its "
+                                         "feature is continuous"):
+        Tree.from_heap("classification", 2, forest.mapper.table,
+                       forest.roots, **stored)
 
 
 def test_categories_of_mixed_types_are_refused_by_save(tmp_path):
@@ -607,6 +831,19 @@ def test_categories_of_mixed_types_are_refused_by_save(tmp_path):
     with pytest.raises(ModelFormatError, match=r"feature 'flag': categorical "
                                                r"values of mixed types "
                                                r"\(bool, int\)"):
+        save_model(forest, str(path))
+    assert not path.exists()
+
+
+def test_stats_that_are_not_whole_numbers_are_refused_by_save(tmp_path):
+    """Stats are bootstrap draw counts, which the file stores as unsigned
+    integers, so save refuses stats it could not store exactly."""
+    cols, y = small_classification(seed=9, n=60)
+    forest = fit(cols, y, KINDS2, TrainConfig(n_trees=1, seed=9))
+    forest.table.stats[-1, 0] += 0.5
+    path = tmp_path / "m.agf"
+    with pytest.raises(ModelFormatError, match="stats hold weights that are "
+                                               "not whole numbers"):
         save_model(forest, str(path))
     assert not path.exists()
 
@@ -633,8 +870,8 @@ def test_format_doc_names_every_stored_array(tmp_path):
     path, _ = saved_model_bytes(tmp_path)
     written = {re.sub(r"^f\d+\.", "f<i>.", name) for name, _, _
                in saved_header(path.read_bytes())["arrays"]}
-    assert written == set(STORED) | {"oob_loss", "f<i>.thresholds"} | set(
-        model_io._PER_TREE)
+    assert written == set(STORED) | {"label_sum", "oob_loss",
+                                     "f<i>.thresholds"} | set(model_io._PER_TREE)
     assert named == written
 
 
@@ -679,7 +916,8 @@ def saved_mixed_forest(task):
 
 NASTY = {"f": [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1e300, -1e300],
          "i": [-2, -1, 0, 1, 2, 3, 7, 255, 2 ** 31 - 1],
-         "u": [0, 1, 2, 255], "b": [False, True]}
+         "u": [0, 1, 2, 255, 2 ** 16 - 1, 2 ** 32 - 1, 2 ** 64 - 1],
+         "b": [False, True]}
 
 
 @given(st.data())
@@ -696,8 +934,11 @@ def test_mutated_model_is_refused_or_predicts_finite(tmp_path_factory, data):
                 "n_oob"} <= set(keys)
         key = data.draw(st.sampled_from(keys))
         arr = arrays[key].reshape(-1)
+        # Each unsigned type takes the values up to its maximum.
+        values = [v for v in NASTY[arr.dtype.kind] if arr.dtype.kind != "u"
+                  or v <= np.iinfo(arr.dtype).max]
         arr[data.draw(st.integers(0, arr.size - 1))] = data.draw(
-            st.sampled_from(NASTY[arr.dtype.kind]))
+            st.sampled_from(values))
 
     rewrite_model(path, edit)
     try:
