@@ -104,9 +104,6 @@ class BinMapper:
     def n_features(self) -> int:
         return len(self.features)
 
-    def n_bins_per_feature(self) -> np.ndarray:
-        return np.array([f.n_bins for f in self.features], dtype=np.int64)
-
     @cached_property
     def table(self) -> BinTable:
         """The search table, built on first use."""
@@ -143,7 +140,10 @@ class BinMapper:
 
 @dataclass(frozen=True)
 class BinTable:
-    """What ``transform`` reads of a mapper, in arrays.
+    """What ``transform`` reads of a mapper, in arrays, and the per-feature
+    layout every ``BinnedMatrix`` it gives shares: ``n_bins``,
+    ``is_categorical`` and ``missing_bin``, read-only.  Growth, split search
+    and loading read a feature's kind from ``is_categorical`` only.
 
     Row c of ``thresholds`` holds the thresholds of continuous feature
     ``continuous[c]``, padded with NaN to a width W, a power of two greater
@@ -158,14 +158,15 @@ class BinTable:
     thresholds: np.ndarray   # (C, W) float64, NaN-padded
     missing: np.ndarray      # (C,) missing bin of each, -1 when it has none
     n_bins: np.ndarray       # per feature, as in BinnedMatrix
-    kinds: np.ndarray
+    is_categorical: np.ndarray
     missing_bin: np.ndarray
 
     @classmethod
     def of(cls, mapper: BinMapper) -> BinTable:
         features = mapper.features
-        continuous = [j for j, fb in enumerate(features)
-                      if fb.kind is FeatureKind.CONTINUOUS]
+        is_categorical = np.array(
+            [fb.kind is FeatureKind.CATEGORICAL for fb in features], dtype=bool)
+        continuous = np.flatnonzero(~is_categorical)
         rows = [features[j].thresholds for j in continuous]
         width = 1 << max((r.shape[0] for r in rows), default=0).bit_length()
         thresholds = np.full((len(rows), width), np.nan)
@@ -173,19 +174,17 @@ class BinTable:
             thresholds[c, :r.shape[0]] = r
         missing_bin = np.array([fb.missing_bin for fb in features],
                                dtype=np.int64)
-        n_bins = mapper.n_bins_per_feature()
-        kinds = np.array([fb.kind for fb in features], dtype=object)
+        n_bins = np.array([fb.n_bins for fb in features], dtype=np.int64)
         # Every BinnedMatrix shares these three.
-        for shared in (n_bins, kinds, missing_bin):
+        for shared in (n_bins, is_categorical, missing_bin):
             shared.flags.writeable = False
         return cls(
-            continuous=np.array(continuous, dtype=np.intp),
-            categorical=[j for j, fb in enumerate(features)
-                         if fb.kind is FeatureKind.CATEGORICAL],
+            continuous=continuous,
+            categorical=np.flatnonzero(is_categorical).tolist(),
             thresholds=thresholds,
             missing=missing_bin[continuous],
             n_bins=n_bins,
-            kinds=kinds,
+            is_categorical=is_categorical,
             missing_bin=missing_bin,
         )
 
@@ -252,11 +251,12 @@ class Grid:
 
 @dataclass
 class BinnedMatrix:
-    """Dense matrix of bin indices with the layout metadata growth needs."""
+    """Dense matrix of bin indices with the layout metadata growth needs;
+    ``transform`` gives each one its mapper's ``BinTable`` arrays."""
 
     entries: np.ndarray          # (n_rows, n_cols), unsigned integer bins
     n_bins: np.ndarray           # per column, includes the missing bin
-    kinds: np.ndarray            # per column FeatureKind values as object array
+    is_categorical: np.ndarray   # per column, bool
     missing_bin: np.ndarray      # per column, -1 when the feature has none
 
     @property
@@ -266,10 +266,6 @@ class BinnedMatrix:
     @property
     def n_cols(self) -> int:
         return self.entries.shape[1]
-
-    @cached_property
-    def is_categorical(self) -> np.ndarray:
-        return np.array([k is FeatureKind.CATEGORICAL for k in self.kinds])
 
 
 def _columns(X) -> list[np.ndarray]:
@@ -292,16 +288,22 @@ def _columns(X) -> list[np.ndarray]:
     return cols
 
 
-def _refuse_complex(col: np.ndarray, j: int) -> None:
-    # Casting to float64 would only warn, and drop the imaginary part.
-    if col.dtype.kind == "c":
-        raise ValueError(f"feature {j}: continuous values must be real, "
-                         f"got {col.dtype}")
+def _real(col: np.ndarray, j: int) -> np.ndarray:
+    """Continuous feature j's values as float64; ValueError, naming the
+    feature, unless they are real numbers.  Casting complex values would
+    only warn, and drop the imaginary part."""
+    why = ""
+    if col.dtype.kind != "c":
+        try:
+            return col.astype(np.float64, copy=False)
+        except (TypeError, ValueError, OverflowError) as exc:
+            why = f" ({exc})"
+    raise ValueError(f"feature {j}: continuous values must be real, "
+                     f"got {col.dtype}{why}")
 
 
 def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
-    _refuse_complex(col, j)
-    values = col.astype(np.float64, copy=False)
+    values = _real(col, j)
     missing = np.isnan(values)
     present = values[~missing]
     if present.size == 0:
@@ -319,6 +321,10 @@ def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
     if slots >= 2:
         ordered = np.sort(present)
         thresholds = np.unique(_midpoints(ordered, np.arange(1, slots) / slots))
+        # A threshold stays only where it puts more values below it than
+        # the one before: every bin then holds a training value.
+        below = np.searchsorted(ordered, thresholds)
+        thresholds = thresholds[np.diff(below, prepend=0) > 0]
     else:
         thresholds = np.empty(0, dtype=np.float64)
     n_bins = thresholds.size + 1 + int(has_missing)
@@ -497,11 +503,12 @@ def _bin_continuous(cols: list[np.ndarray], table: BinTable,
         return
     step = max(1, _BLOCK_VALUES // table.continuous.size)
     for lo in range(0, out.shape[1], step):
-        # One dtype check per block finds a complex column.
+        # One dtype check per block finds a column of other than real
+        # numbers, which is cast apart, to name its feature.
         values = np.array([cols[j][lo:lo + step] for j in table.continuous])
-        if values.dtype.kind == "c":
-            for j in table.continuous:
-                _refuse_complex(cols[j], j)
+        if values.dtype.kind not in "biuf":
+            values = np.array([_real(cols[j][lo:lo + step], j)
+                               for j in table.continuous])
         values = values.astype(np.float64, copy=False)
         missing = np.isnan(values)
         if missing.any():
@@ -575,4 +582,5 @@ def transform(X, mapper: BinMapper) -> BinnedMatrix:
     for j in table.categorical:
         entries[:, j] = _transform_categorical(cols[j], mapper.features[j], j)
     return BinnedMatrix(entries=entries, n_bins=table.n_bins,
-                        kinds=table.kinds, missing_bin=table.missing_bin)
+                        is_categorical=table.is_categorical,
+                        missing_bin=table.missing_bin)

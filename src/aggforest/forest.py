@@ -157,15 +157,19 @@ class Forest:
     @cached_property
     def trees(self) -> list[FittedTree]:
         """Each tree alone, its nodes numbered from 0, for inspection and
-        reference checks; prediction never builds these."""
-        s, out = self.state, []
-        ends = np.append(self.roots[1:], self.table.n_nodes)
+        reference checks; prediction never builds these.  A tree is built
+        from its run of the table's nodes as ``load_model`` builds a table,
+        by ``Tree.from_heap``, so it passes the same checks."""
+        s, table, out = self.state, self.table, []
+        ends = np.append(self.roots[1:], table.n_nodes)
         for t, (lo, hi) in enumerate(zip(self.roots, ends)):
             part = (None if a is None else a[lo:hi]
                     for a in (s.forecasts, s.oob_loss, s.log_agg_weight))
             out.append(FittedTree(
                 int(self.index[t]), int(self.class_id[t]),
-                self.table.take(lo, hi),
+                Tree.from_heap(table.task, table.n_classes, self.mapper.table,
+                               np.zeros(1, np.int64),
+                               **table.stored(slice(lo, hi))),
                 AggregationState(s.temperature, *part),
                 float(self.oob_loss_mean[t])))
         return out

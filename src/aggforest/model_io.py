@@ -395,10 +395,8 @@ def _decode(arrays: dict, mapper: BinMapper, n_classes: int) -> dict:
     internal = _bits(arrays, "internal",
                      2 * feature.shape[0] + arrays["roots"].shape[0], "node")
 
-    categorical = np.array([fb.kind is FeatureKind.CATEGORICAL
-                            for fb in mapper.features], dtype=bool)
     # Split indexes, which scatter far faster than a mask of half the splits.
-    at_cat = categorical.take(feature)
+    at_cat = mapper.table.is_categorical.take(feature)
     cont, cat = np.flatnonzero(~at_cat), np.flatnonzero(at_cat)
     shifted = _field(arrays, "threshold", _uint(mapper.max_bins - 1))
     if shifted.shape != cont.shape:

@@ -265,8 +265,7 @@ def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
                   (t + 1, hi, depth + 1, right_arg)]
     k = sum(internal)
     layout = BinnedMatrix(np.zeros((0, 1), dtype=np.uint8), np.array([n_bins]),
-                          np.array([FeatureKind.CONTINUOUS], dtype=object),
-                          np.array([-1]))
+                          np.array([False]), np.array([-1]))
     return Tree.from_heap(
         task, n_classes if task == "classification" else 0, layout,
         np.zeros(1, dtype=np.int64), np.array(internal),

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinnedMatrix, FeatureKind
+from .binning import BinnedMatrix
 
 # Cells (pairs x bins x channels) of one block of the batched split search:
 # pairs are scanned in blocks of at most this many cells, so that a level
@@ -265,7 +265,7 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
         oob_bins = oob_hist[idx] if check_oob else None
         oob_total = int(oob_bins.sum()) if check_oob else 0
 
-        if binned.kinds[j] is FeatureKind.CATEGORICAL:
+        if binned.is_categorical[j]:
             # Bins empty of itb rows stay on the right side, so their oob
             # rows count toward the right child only.
             if classification:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .binning import BinnedMatrix, FeatureKind
+from .binning import BinnedMatrix
 from .sampling import (
     TAG_FEATURES,
     BootstrapSample,
@@ -98,7 +98,9 @@ class Router:
 @dataclass
 class Tree:
     """A grown tree, or a stack of trees one after another: per-node arrays,
-    and the splits as a model file stores them.
+    and the splits as a model file stores them.  Only ``from_heap`` builds
+    one, from what ``stored`` gives, and checks it: a fitted or loaded
+    table and each tree a forest shows alone (``Forest.trees``) alike.
 
     Children always sit at larger indexes than their parent (a tree's root
     first), so a single reverse pass visits children before parents; an
@@ -174,21 +176,12 @@ class Tree:
         """What ``from_heap`` builds a table from, besides the roots: of the
         nodes ``node``, which are ``internal``, the split rows and masks of
         those and the stats of the others, each in node order.  ``node`` is
-        every node by default, a slice, which keeps every split, or
-        ascending ids, of which a cut passes the ones that stay
-        ``internal``."""
+        every node by default, or a slice, such as one tree's nodes of a
+        stack, which keeps every split; or ascending ids, of which a cut
+        passes the ones that stay ``internal``."""
         node = slice(0, self.n_nodes) if node is None else node
         if internal is None:
             internal = self.feature[node] >= 0
-        rows, cat = self._split_rows(node, internal)
-        return dict(internal=internal, feature=self.feature[node][internal],
-                    threshold=self.threshold[rows],
-                    missing_left=self.missing_left[rows],
-                    masks=self.masks[cat], stats=self.stats[node][~internal])
-
-    def _split_rows(self, node, internal):
-        """The split rows and the mask rows of the ``internal`` ones of the
-        nodes ``node`` (see ``stored``)."""
         split = self.feature >= 0
         if isinstance(node, slice):
             # A run of nodes holds runs of rows and masks: two counts find
@@ -201,7 +194,10 @@ class Tree:
             rows = (np.cumsum(split) - 1)[node][internal]
             cat = (np.cumsum(self.threshold == -2)
                    - 1)[rows[self.threshold[rows] == -2]]
-        return rows, cat
+        return dict(internal=internal, feature=self.feature[node][internal],
+                    threshold=self.threshold[rows],
+                    missing_left=self.missing_left[rows],
+                    masks=self.masks[cat], stats=self.stats[node][~internal])
 
     @cached_property
     def router(self) -> Router:
@@ -251,22 +247,6 @@ class Tree:
             node = parent[node]
         return np.asarray(out[::-1], dtype=np.int64)
 
-    def take(self, lo: int, hi: int) -> Tree:
-        """The tree of nodes lo..hi-1 of a stack of trees, on its own: links
-        numbered from its root, as if grown alone."""
-        internal = self.feature[lo:hi] >= 0
-        rows, cat = self._split_rows(slice(lo, hi), internal)
-        cols = {name: getattr(self, name)[lo:hi].copy() for name in _PER_NODE}
-        for name in ("left_child", "parent"):
-            cols[name][cols[name] >= 0] -= lo
-        node = np.flatnonzero(internal)
-        at = cols["depth"][node]
-        levels = (node[np.argsort(at, kind="stable")],
-                  np.cumsum(np.bincount(at)).tolist())
-        return replace(self, threshold=self.threshold[rows], levels=levels,
-                       missing_left=self.missing_left[rows],
-                       masks=self.masks[cat], **cols)
-
     @classmethod
     def from_heap(cls, task: str, n_classes: int, layout, roots: np.ndarray,
                   internal: np.ndarray, masks: np.ndarray, *, feature,
@@ -278,14 +258,15 @@ class Tree:
         ``grow_trees`` numbers them, so the k-th internal node of a tree has
         its children at 2k + 1 and 2k + 2 of its block.  The split fields
         hold one row per internal node and the stats one per leaf, in node
-        order, and the tree keeps the split rows.  Raise ValueError unless
+        order, and the tree keeps the split rows.  ``layout`` is a
+        ``BinnedMatrix`` or a ``BinTable``, of which this reads ``n_bins``,
+        ``is_categorical`` and ``missing_bin``.  Raise ValueError unless
         every tree has 2I + 1 nodes for I internal ones, each child after
         its parent, which keeps routing from a root inside its tree, unless
         the fields hold a row per node of their kind, unless the thresholds
-        are -2 at exactly the splits on the categorical features of
-        ``layout`` (a ``BinnedMatrix`` or a ``BinTable``), one mask each,
-        unless features and masks fit the layout, and unless each
-        continuous split sends some bin each way: a threshold in
+        are -2 at exactly the splits on the layout's categorical features,
+        one mask each, unless features and masks fit the layout, and unless
+        each continuous split sends some bin each way: a threshold in
         [-1, n_bins - 2] of its feature, -1 only where missing values go
         left, and missing_left only on a feature with a missing bin.
         """
@@ -319,10 +300,8 @@ class Tree:
         if node.size and not ((feature >= 0)
                               & (feature < layout.n_bins.shape[0])).all():
             raise ValueError("feature index out of range")
-        categorical = np.array([k is FeatureKind.CATEGORICAL
-                                for k in layout.kinds], dtype=bool)
         cat = threshold == -2
-        if (cat != categorical[feature]).any():
+        if (cat != layout.is_categorical[feature]).any():
             raise ValueError("a split's threshold is -2 where its feature is "
                              "continuous, or not -2 where it is categorical")
         # A continuous split sends bins up to its threshold left, and the
@@ -389,10 +368,6 @@ def _rows(a: np.ndarray) -> np.ndarray:
     numbers."""
     return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))
 
-
-# Tree fields with one entry per node; the split rows and masks have one
-# per split, and the rest describe the whole tree.
-_PER_NODE = ("feature", "left_child", "parent", "depth", "stats")
 
 # The fields ``Tree.from_heap`` derives the others from: the split of each
 # internal node, and the stats of each leaf, whose sums give an internal

@@ -26,7 +26,8 @@ def layout(kinds, n_bins, missing=None):
     return BinnedMatrix(
         entries=np.zeros((0, d), dtype=np.uint8),
         n_bins=np.asarray(n_bins, dtype=np.int64),
-        kinds=np.array([FeatureKind(k) for k in kinds], dtype=object),
+        is_categorical=np.array([FeatureKind(k) is FeatureKind.CATEGORICAL
+                                 for k in kinds]),
         missing_bin=np.asarray(missing, dtype=np.int64),
     )
 

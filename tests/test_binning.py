@@ -251,6 +251,77 @@ def test_complex_continuous_values_are_refused():
             forest.predict_proba(block)
 
 
+def test_non_numeric_continuous_values_are_refused_naming_the_feature():
+    # A string used to escape as numpy's bare "could not convert string to
+    # float", which names no feature.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 2))
+    y = np.arange(30) % 2
+    config = TrainConfig(n_trees=2, seed=0)
+    held = X[:, 1].astype(object)
+    held[3] = "x"
+    with pytest.raises(ValueError, match="feature 1: continuous values must "
+                                         "be real, got object"):
+        fit([X[:, 0], held], y, ["continuous"] * 2, config)
+    with pytest.raises(ValueError, match="feature 0: .* must be real"):
+        fit([np.where(np.arange(30) == 7, "x", X[:, 0].astype(str)), X[:, 1]],
+            y, ["continuous"] * 2, config)
+    forest = fit([X[:, 0], X[:, 1]], y, ["continuous"] * 2, config)
+    for block in ([np.array([0.5]), np.array(["x"])],
+                  [np.full(3000, 0.5), np.array(["x"] * 3000, dtype=object)]):
+        with pytest.raises(ValueError, match="feature 1: continuous values "
+                                             "must be real"):
+            forest.predict_proba(block)
+    # Numbers held as objects, and numeric strings, are still read.
+    want = forest.predict_proba([X[:, 0], X[:, 1]])
+    assert np.array_equal(
+        forest.predict_proba([X[:, 0].astype(object), X[:, 1].astype(str)]),
+        want)
+
+
+def test_every_continuous_bin_holds_a_training_value():
+    # np.quantile's midpoint rule puts thresholds both on values and between
+    # them: 10 distinct integers, 100 of each, used to get 14 bins, and 20
+    # distinct normal values at max_bins=81 got 38, about half of them empty.
+    rng = np.random.default_rng(61)
+    ints = rng.permutation(np.repeat(np.arange(10.0), 100))
+    normal = np.repeat(rng.normal(size=20), 5)
+    gappy = ints.copy()
+    gappy[::9] = np.nan
+    for col, max_bins, n_bins in ((ints, 256, 10), (ints, 4, 4),
+                                  (normal, 81, 20), (gappy, 256, 11),
+                                  (np.zeros(50), 256, 1),
+                                  # The median, 0, separates no value.
+                                  (np.r_[np.zeros(99), 1.0], 2, 1)):
+        mapper = fit_bins([col], ["continuous"], max_bins)
+        fb = mapper.features[0]
+        assert fb.n_bins == n_bins
+        codes = transform([col], mapper).entries[:, 0]
+        assert (np.bincount(codes, minlength=fb.n_bins) > 0).all()
+
+
+def test_binned_matrices_share_the_tables_read_only_kinds():
+    """A feature's kind is held once, in the mapper's ``BinTable``: every
+    matrix the mapper transforms carries that table's read-only arrays."""
+    rng = np.random.default_rng(29)
+    X = [rng.choice(np.array(["a", "b", None], dtype=object), size=40),
+         rng.normal(size=40),
+         rng.choice(np.array([3, 1, 4]), size=40)]
+    mapper = fit_bins(X, ["categorical", "continuous", "categorical"], 8)
+    table = mapper.table
+    assert table.is_categorical.dtype == bool
+    assert table.is_categorical.tolist() == [True, False, True]
+    assert table.continuous.tolist() == [1] and table.categorical == [0, 2]
+    for rows in (slice(None), slice(5, 6), slice(0, 0)):
+        binned = transform([c[rows] for c in X], mapper)
+        for name in ("n_bins", "is_categorical", "missing_bin"):
+            shared = getattr(binned, name)
+            assert shared is getattr(table, name)
+            assert not shared.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.is_categorical[1] = True
+
+
 def test_two_dim_array_and_column_list_agree():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))
@@ -419,7 +490,8 @@ def test_grid_size_is_capped_at_the_largest_budget():
 @pytest.mark.parametrize("max_bins", [2, 3, 256, 300, binning.MAX_BINS])
 def test_thresholds_equal_quantiles_of_the_unsorted_column(max_bins):
     # The thresholds come from a sorted copy; they must be bitwise those
-    # of np.quantile on the column as given.
+    # of np.quantile on the column as given, less each that puts no more
+    # values below it than the one before (an empty bin's).
     rng = np.random.default_rng(max_bins)
     with_inf = rng.standard_cauchy(size=3000)
     with_inf[::7], with_inf[::11] = np.inf, -np.inf
@@ -430,6 +502,8 @@ def test_thresholds_equal_quantiles_of_the_unsorted_column(max_bins):
         present = np.clip(present, finite.min(), finite.max())
         q = np.arange(1, max_bins) / max_bins
         want = np.unique(np.quantile(present, q, method="midpoint"))
+        below = np.searchsorted(np.sort(present), want)
+        want = want[np.diff(below, prepend=0) > 0]
         got = binning._fit_continuous(col, 0, max_bins).thresholds
         assert got.tobytes() == want.tobytes()
 
@@ -462,8 +536,12 @@ def test_midpoints_are_np_quantile_bit_for_bit(values, slots):
                   + ordered[np.ceil(k).astype(np.intp)] * 0.5)
     got = binning._midpoints(ordered, q)
     assert got.tobytes() == want.tobytes()
+    # Fitting keeps each threshold that puts more values below it than the
+    # one before (see test_every_continuous_bin_holds_a_training_value).
+    want = np.unique(want)
+    want = want[np.diff(np.searchsorted(ordered, want), prepend=0) > 0]
     fitted = binning._fit_continuous(np.asarray(values), 0, slots).thresholds
-    assert fitted.tobytes() == np.unique(want).tobytes()
+    assert fitted.tobytes() == want.tobytes()
 
 
 def test_fit_at_the_largest_bin_budget_is_fast():

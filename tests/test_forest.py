@@ -591,6 +591,54 @@ def test_tree_views_route_and_predict_like_the_table(task, n_classes,
                 rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("aggregation", [True, False])
+@pytest.mark.parametrize("task,n_classes,multiclass", [
+    ("regression", 0, "heuristic"),
+    ("classification", 2, "heuristic"),
+    ("classification", 3, "heuristic"),
+    ("classification", 3, "one_vs_rest"),
+])
+def test_tree_views_hold_their_run_of_the_table(task, n_classes, multiclass,
+                                                aggregation):
+    """``Tree.from_heap`` builds each ``Forest.trees`` view from its run of
+    the table, nodes lo..hi-1: the view holds those nodes with links less
+    lo, their split rows and masks, and their levels."""
+    X, y = mixed_data(300, 24, task, n_classes)
+    forest = fit(X, y, ["categorical", "continuous", "continuous"],
+                 TrainConfig(task=task, n_trees=4, multiclass=multiclass,
+                             aggregation=aggregation, max_features=2,
+                             seed=24))
+    table = forest.table
+    split = np.flatnonzero(table.feature >= 0)    # node of each split row
+    at_cat = table.threshold == -2
+    node, _ = table.levels
+    ends = np.append(forest.roots[1:], table.n_nodes)
+    assert len(forest.trees) == forest.roots.shape[0]
+    assert at_cat.any() and (~at_cat).any()
+    for view, lo, hi in zip(forest.trees, forest.roots, ends):
+        tree = view.tree
+        assert (tree.task, tree.n_classes) == (table.task, table.n_classes)
+        links = {name: getattr(table, name)[lo:hi]
+                 for name in ("left_child", "parent")}
+        want = dict(feature=table.feature[lo:hi], depth=table.depth[lo:hi],
+                    stats=table.stats[lo:hi],
+                    **{name: np.where(a >= 0, a - a.dtype.type(lo), a)
+                       for name, a in links.items()})
+        rows = (split >= lo) & (split < hi)
+        want.update(threshold=table.threshold[rows],
+                    missing_left=table.missing_left[rows],
+                    masks=table.masks[rows[at_cat]],
+                    feature_n_bins=table.feature_n_bins,
+                    feature_missing_bin=table.feature_missing_bin)
+        for name, a in want.items():
+            got = getattr(tree, name)
+            assert got.dtype == a.dtype and np.array_equal(got, a), name
+        depth = tree.depth[tree.feature >= 0]
+        assert np.array_equal(tree.levels[0],
+                              node[(node >= lo) & (node < hi)] - lo)
+        assert tree.levels[1] == np.cumsum(np.bincount(depth)).tolist()
+
+
 @pytest.mark.parametrize("task,n_classes,multiclass,aggregation,options", [
     ("regression", 0, "heuristic", True, {}),
     ("classification", 3, "heuristic", True, {}),
@@ -913,8 +961,11 @@ def test_codes_past_int64_route_as_before(monkeypatch, n_features, n_bins):
     table, and predictions route as before."""
     rng = np.random.default_rng(25)
     n = max(n_bins, 200)
-    X = rng.integers(0, n_bins, size=(n, n_features)).astype(float)
-    X[:n_bins] = np.arange(n_bins)[:, None]
+    # Each column holds every value equally often, so that its quantile
+    # thresholds fall between values and every one of its n_bins bins holds
+    # some (a column of mostly zeros fits one bin).
+    X = rng.permuted(np.resize(np.arange(n_bins), (n_features, n)),
+                     axis=1).T.astype(float)
     y = (X[:, 0] + rng.normal(0, n_bins / 4, n) > n_bins / 2).astype(int)
     forest = fit(X, y, ["continuous"] * n_features,
                  TrainConfig(n_trees=2, max_bins=n_bins, seed=25))

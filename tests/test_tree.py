@@ -507,7 +507,8 @@ def test_stored_splits_match_find_best_split(monkeypatch, task, criterion,
     readings = np.concatenate(readings)
     assert readings.shape == (tree.n_nodes,)
     assert binned.missing_bin[[0, 1, 3]].min() >= 0
-    assert len({binned.kinds[j] for j in tree.feature[tree.feature >= 0]}) == 2
+    assert len({bool(binned.is_categorical[j])
+                for j in tree.feature[tree.feature >= 0]}) == 2
 
     constraints = SplitConstraints(
         min_leaf_weight=float(config.min_samples_leaf),
@@ -636,8 +637,10 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
             leaf, np.concatenate([y[s.oob_indices] for s in samples]))
     assert len(caught) == (starved is not None)
     assert roots.shape == (5,)
-    group = [table.take(lo, hi) for lo, hi in
-             zip(roots, np.append(roots[1:], table.n_nodes))]
+    group = [Tree.from_heap(config.task, n_classes, binned,
+                            np.zeros(1, np.int64),
+                            **table.stored(slice(lo, hi)))
+             for lo, hi in zip(roots, np.append(roots[1:], table.n_nodes))]
     for i, (got, sample, source) in enumerate(zip(group, samples, sources)):
         if i == starved:
             with pytest.warns(UserWarning, match="out-of-bag"):
