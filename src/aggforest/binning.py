@@ -92,9 +92,9 @@ class BinMapper:
 
     On its first ``transform`` a mapper builds its ``BinTable``: every
     continuous feature's thresholds in one NaN-padded table, and the
-    per-feature layout arrays each ``BinnedMatrix`` carries.  The table is
-    derived state, never saved or compared, so change ``features`` only
-    before transforming with it.
+    per-feature layout that each ``BinnedMatrix`` and ``Tree`` holds by
+    reference.  The table is derived state, never saved or compared, so
+    change ``features`` only before transforming with it.
     """
 
     max_bins: int
@@ -141,9 +141,10 @@ class BinMapper:
 @dataclass(frozen=True)
 class BinTable:
     """What ``transform`` reads of a mapper, in arrays, and the per-feature
-    layout every ``BinnedMatrix`` it gives shares: ``n_bins``,
-    ``is_categorical`` and ``missing_bin``, read-only.  Growth, split search
-    and loading read a feature's kind from ``is_categorical`` only.
+    layout: ``n_bins``, ``is_categorical`` and ``missing_bin``, read-only.
+    Every ``BinnedMatrix`` the mapper gives and every ``Tree`` fit or loaded
+    with it holds this one table, and a split's kind is its feature's
+    ``is_categorical``, which no other array repeats.
 
     Row c of ``thresholds`` holds the thresholds of continuous feature
     ``continuous[c]``, padded with NaN to a width W, a power of two greater
@@ -156,10 +157,9 @@ class BinTable:
     continuous: np.ndarray   # (C,) feature index of each continuous column
     categorical: list[int]   # feature index of each categorical column
     thresholds: np.ndarray   # (C, W) float64, NaN-padded
-    missing: np.ndarray      # (C,) missing bin of each, -1 when it has none
-    n_bins: np.ndarray       # per feature, as in BinnedMatrix
+    n_bins: np.ndarray       # per feature, the missing bin included
     is_categorical: np.ndarray
-    missing_bin: np.ndarray
+    missing_bin: np.ndarray  # per feature, -1 when it has none
 
     @classmethod
     def of(cls, mapper: BinMapper) -> BinTable:
@@ -175,14 +175,13 @@ class BinTable:
         missing_bin = np.array([fb.missing_bin for fb in features],
                                dtype=np.int64)
         n_bins = np.array([fb.n_bins for fb in features], dtype=np.int64)
-        # Every BinnedMatrix shares these three.
+        # Every BinnedMatrix and Tree shares these three.
         for shared in (n_bins, is_categorical, missing_bin):
             shared.flags.writeable = False
         return cls(
             continuous=continuous,
             categorical=np.flatnonzero(is_categorical).tolist(),
             thresholds=thresholds,
-            missing=missing_bin[continuous],
             n_bins=n_bins,
             is_categorical=is_categorical,
             missing_bin=missing_bin,
@@ -251,13 +250,11 @@ class Grid:
 
 @dataclass
 class BinnedMatrix:
-    """Dense matrix of bin indices with the layout metadata growth needs;
-    ``transform`` gives each one its mapper's ``BinTable`` arrays."""
+    """Dense matrix of bin indices and the layout of its columns: the
+    ``BinTable`` of the mapper that ``transform`` read, not a copy."""
 
     entries: np.ndarray          # (n_rows, n_cols), unsigned integer bins
-    n_bins: np.ndarray           # per column, includes the missing bin
-    is_categorical: np.ndarray   # per column, bool
-    missing_bin: np.ndarray      # per column, -1 when the feature has none
+    table: BinTable
 
     @property
     def n_rows(self) -> int:
@@ -321,10 +318,16 @@ def _fit_continuous(col: np.ndarray, j: int, max_bins: int) -> FeatureBins:
     if slots >= 2:
         ordered = np.sort(present)
         thresholds = np.unique(_midpoints(ordered, np.arange(1, slots) / slots))
-        # A threshold stays only where it puts more values below it than
-        # the one before: every bin then holds a training value.
+        # A threshold stays where it puts more values below it than the one
+        # before.  One that does not sits on a value, ordered[i - 1], and
+        # moves to the quantile of k = i - 1/2, unless there is no
+        # ordered[i] or a staying threshold puts i values below it too.
         below = np.searchsorted(ordered, thresholds)
-        thresholds = thresholds[np.diff(below, prepend=0) > 0]
+        stays = np.diff(below, prepend=0) > 0
+        after = np.searchsorted(ordered, thresholds[~stays], side="right")
+        after = after[(after < ordered.size) & ~np.isin(after, below[stays])]
+        thresholds = np.union1d(thresholds[stays], _midpoints(
+            ordered, (after - 0.5) / (ordered.size - 1)))
     else:
         thresholds = np.empty(0, dtype=np.float64)
     n_bins = thresholds.size + 1 + int(has_missing)
@@ -512,7 +515,8 @@ def _bin_continuous(cols: list[np.ndarray], table: BinTable,
         values = values.astype(np.float64, copy=False)
         missing = np.isnan(values)
         if missing.any():
-            bad = missing.any(axis=1) & (table.missing < 0)
+            missing_bin = table.missing_bin[table.continuous]
+            bad = missing.any(axis=1) & (missing_bin < 0)
             if bad.any():
                 raise ValueError(
                     f"feature {table.continuous[bad.argmax()]}: missing value "
@@ -521,7 +525,7 @@ def _bin_continuous(cols: list[np.ndarray], table: BinTable,
                 )
             # The grid search takes no NaN; no threshold is at or below -inf.
             np.copyto(values, -np.inf, where=missing)
-            codes = np.where(missing, table.missing[:, None],
+            codes = np.where(missing, missing_bin[:, None],
                              _count_le(table, values))
         else:
             codes = _count_le(table, values)
@@ -581,6 +585,4 @@ def transform(X, mapper: BinMapper) -> BinnedMatrix:
     _bin_continuous(cols, table, entries.T)
     for j in table.categorical:
         entries[:, j] = _transform_categorical(cols[j], mapper.features[j], j)
-    return BinnedMatrix(entries=entries, n_bins=table.n_bins,
-                        is_categorical=table.is_categorical,
-                        missing_bin=table.missing_bin)
+    return BinnedMatrix(entries=entries, table=table)

@@ -437,7 +437,7 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
     y_oob, n_oob = np.concatenate(y_oob), np.concatenate(n_oob)
     k = 2 if config.one_vs_rest else n_classes
     # Each group's field goes as soon as it is joined.
-    table = Tree.from_heap(config.task, k, binned, roots, **{
+    table = Tree.from_heap(config.task, k, mapper.table, roots, **{
         name: np.concatenate([s.pop(name) for s in stored]) for name in STORED})
     # With aggregation on, every pair is scored once, and the subtrees the
     # aggregate weighs below CUT_WEIGHT are cut (``_cut``).
@@ -453,7 +453,7 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
             # The uncut table, its state and acc go before the cut is built.
             node, kept, roots, leaf = cut
             del cut, table, state, descended
-            table = Tree.from_heap(config.task, k, binned, roots, **kept)
+            table = Tree.from_heap(config.task, k, mapper.table, roots, **kept)
             descended = None
             state = state_from_losses(table, oob_loss[node], temperature,
                                       config.dirichlet)

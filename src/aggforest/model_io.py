@@ -26,12 +26,11 @@ that holds it exactly:
   the count of features less one;
 - per continuous split: ``threshold`` plus one, in the narrowest unsigned
   type that holds max_bins less one (one byte up to 256 bins), and a bit of
-  ``missing_left``, packed like ``internal``.  A categorical split stores
-  neither: its threshold is -2, and its mask holds the missing bin;
+  ``missing_left``, packed like ``internal``;
 - per categorical split: a row of ``masks``, the bins that go left packed
-  like ``internal`` in as many bytes as the split feature's bins take; the
-  rows of the first categorical feature's splits in node order, then those
-  of the next feature;
+  like ``internal`` in as many bytes as the split feature's bins take, the
+  missing bin among them; the rows of the first categorical feature's
+  splits in node order, then those of the next feature;
 - per leaf: ``stats``, its class weights, or for regression its weight,
   which are whole numbers (bootstrap draw counts), in the narrowest
   unsigned type that holds their maximum; for regression also
@@ -49,12 +48,13 @@ thresholds, int64 for the roots and counts, uint8 for the bits and masks.
 Load rebuilds the rest through ``Tree.from_heap``, as fitting does: the
 child links from breadth-first order, then parents, depths and the
 internal nodes' stats, the forecasts from the stats, and the log weights
-from the oob losses and the temperature; the trees keep the split rows and
-masks as stored, and their bin layout is the mapper's.  First it checks
-each array's type, which the header fixes for all but ``stats``, and
-widens the split and leaf fields to the types fitting works in: int32
-thresholds, -2 at each categorical split, bool missing_left, masks as wide
-as the widest feature's bins and float64 stats.  Header values and stored
+from the oob losses and the temperature; the trees hold the split rows as
+stored, a split's kind being its feature's, and the mapper's ``BinTable``
+as their layout.  First it checks each array's type, which the header
+fixes for all but ``stats``, and widens the split and leaf fields to the
+types fitting works in: int32 thresholds, bool missing_left, masks in node
+order as wide as the widest feature's bins and float64 stats.  Header
+values and stored
 values that fit never writes, such as y bounds out of order, a threshold
 past its feature's bins or mask bits past them, are refused.  Versions 1
 and 2, which stored every field at every node, version 3, which also
@@ -186,8 +186,7 @@ def _encode(forest: Forest) -> dict[str, np.ndarray | None]:
     the narrowest type that holds it exactly (see the module docstring)."""
     s = forest.table.stored()
     layout = forest.mapper.table
-    cont = s["threshold"] != -2
-    on = s["feature"][~cont]
+    on = s["feature"][layout.is_categorical[s["feature"]]]
     masks = [s["masks"][on == j, :(int(layout.n_bins[j]) + 7) // 8]
              for j in layout.categorical]
     regression = forest.config.task == "regression"
@@ -201,10 +200,9 @@ def _encode(forest: Forest) -> dict[str, np.ndarray | None]:
     return {
         "internal": np.packbits(s["internal"], bitorder="little"),
         "feature": s["feature"].astype(_uint(layout.n_bins.shape[0] - 1)),
-        "threshold": (s["threshold"][cont] + 1).astype(
+        "threshold": (s["threshold"] + 1).astype(
             _uint(forest.mapper.max_bins - 1)),
-        "missing_left": np.packbits(s["missing_left"][cont],
-                                    bitorder="little"),
+        "missing_left": np.packbits(s["missing_left"], bitorder="little"),
         "masks": np.concatenate([m.ravel() for m in masks]
                                 + [np.zeros(0, np.uint8)]),
         "stats": counts.astype(_uint(int(top))),
@@ -387,30 +385,21 @@ def _decode(arrays: dict, mapper: BinMapper, n_classes: int) -> dict:
     rest: the trees' shapes, and that each split fits its feature."""
     n_bins = mapper.table.n_bins
     feature = _field(arrays, "feature", _uint(n_bins.shape[0] - 1))
-    if feature.ndim != 1:
-        raise ValueError("feature does not hold one row per internal node")
     if (feature >= n_bins.shape[0]).any():
         raise ValueError("feature index out of range")
     # A tree of I internal nodes has 2I + 1 nodes.
     internal = _bits(arrays, "internal",
                      2 * feature.shape[0] + arrays["roots"].shape[0], "node")
 
-    # Split indexes, which scatter far faster than a mask of half the splits.
     at_cat = mapper.table.is_categorical.take(feature)
-    cont, cat = np.flatnonzero(~at_cat), np.flatnonzero(at_cat)
-    shifted = _field(arrays, "threshold", _uint(mapper.max_bins - 1))
-    if shifted.shape != cont.shape:
-        raise ValueError("threshold does not hold one row per continuous "
-                         "split")
-    threshold = np.full(feature.shape, -1, dtype=np.int32)
-    threshold[cont] = shifted
-    threshold -= 1
-    missing_left = np.zeros(feature.shape, dtype=bool)
-    missing_left[cont] = _bits(arrays, "missing_left", cont.shape[0],
-                               "continuous split")
+    threshold = _field(arrays, "threshold",
+                       _uint(mapper.max_bins - 1)).astype(np.int32) - 1
+    missing_left = _bits(arrays, "missing_left",
+                         feature.shape[0] - np.count_nonzero(at_cat),
+                         "continuous split")
 
     # Each categorical feature's masks are one block of rows of its width.
-    on = feature[cat]
+    on = feature[at_cat]
     width = (n_bins + 7) // 8
     flat = _field(arrays, "masks", np.uint8)
     if flat.shape != (int(width[on].sum()),):

@@ -20,7 +20,7 @@ from .aggregation import (
     compute_log_agg_weights,
     predict_aggregated_batch,
 )
-from .binning import BinnedMatrix, FeatureKind, fit_bins, transform
+from .binning import BinMapper, FeatureBins, FeatureKind, fit_bins, transform
 from .forest import TrainConfig, _resolve_temperature
 from .sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
 from .splits import SplitConstraints, impurity, xlogy
@@ -264,8 +264,8 @@ def _one_feature_tree(task: str, n_classes: int, n_bins: int, node,
         queue += [(lo, t + 1, depth + 1, left_arg),
                   (t + 1, hi, depth + 1, right_arg)]
     k = sum(internal)
-    layout = BinnedMatrix(np.zeros((0, 1), dtype=np.uint8), np.array([n_bins]),
-                          np.array([False]), np.array([-1]))
+    layout = BinMapper(max(n_bins, 2), [FeatureBins(
+        FeatureKind.CONTINUOUS, n_bins, np.arange(n_bins - 1.0))]).table
     return Tree.from_heap(
         task, n_classes if task == "classification" else 0, layout,
         np.zeros(1, dtype=np.int64), np.array(internal),

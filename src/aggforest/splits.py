@@ -52,9 +52,10 @@ class Split:
 
     Continuous: plain bins <= bin_threshold go left and missing values follow
     missing_goes_left.  A threshold of -1 (legal only with missing values
-    going left) sends only the missing bin left.  Categorical: left_mask[b]
-    says whether bin b goes left; the missing bin, when the feature has one,
-    is covered by the mask like any other bin.  A tree's splits have no gain.
+    going left) sends only the missing bin left.  Categorical (``by_mask``):
+    left_mask[b] says whether bin b goes left; the missing bin, when the
+    feature has one, is covered by the mask like any other bin, and the
+    threshold is -2, as in ``NodeSplits``.  A tree's splits have no gain.
     """
 
     feature: int
@@ -63,6 +64,11 @@ class Split:
     missing_goes_left: bool
     left_mask: np.ndarray | None
     gain: float | None = None
+
+    @classmethod
+    def by_mask(cls, feature: int, left_mask: np.ndarray, gain=None) -> Split:
+        """The categorical split that sends the bins of ``left_mask`` left."""
+        return cls(feature, True, -2, False, left_mask, gain)
 
 
 def _stats_weights(table: np.ndarray, classification: bool) -> np.ndarray:
@@ -90,7 +96,7 @@ def compute_histogram(rows, weights, features, binned: BinnedMatrix, labels,
         channels = [weights, weights * y, weights * y * y]
     tables = []
     for j in features:
-        b, codes = int(binned.n_bins[j]), binned.entries[rows, j]
+        b, codes = int(binned.table.n_bins[j]), binned.entries[rows, j]
         tables.append(np.stack([np.bincount(codes, weights=c, minlength=b)
                                 for c in channels], axis=1))
     return Histogram(features=features.astype(np.int64), tables=tables)
@@ -265,7 +271,7 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
         oob_bins = oob_hist[idx] if check_oob else None
         oob_total = int(oob_bins.sum()) if check_oob else 0
 
-        if binned.is_categorical[j]:
+        if binned.table.is_categorical[j]:
             # Bins empty of itb rows stay on the right side, so their oob
             # rows count toward the right child only.
             if classification:
@@ -281,11 +287,11 @@ def find_best_split(hist: Histogram, binned: BinnedMatrix, criterion: str,
                                     w_total, classification)
                 if found is not None:
                     pos, gain = found
-                    mask = np.zeros(int(binned.n_bins[j]), dtype=bool)
+                    mask = np.zeros(int(binned.table.n_bins[j]), dtype=bool)
                     mask[order[:pos + 1]] = True
-                    consider(Split(j, True, -2, False, mask, gain))
+                    consider(Split.by_mask(j, mask, gain))
         else:
-            missing_bin = int(binned.missing_bin[j])
+            missing_bin = int(binned.table.missing_bin[j])
             oob_below = np.cumsum(oob_bins) if check_oob else None
             # Natural ascending bin order; a missing bin is rightmost.
             found = _scan_order(table, nonempty,
@@ -362,7 +368,7 @@ def level_histogram(binned: BinnedMatrix, features: np.ndarray, rows, node,
     # ``transform`` stores entries column-major, so this ravel is a view, not
     # a copy: feature f of row r sits at f * n_rows + r.
     codes = binned.entries.ravel(order="F")
-    n_bins = int(binned.n_bins.max())
+    n_bins = int(binned.table.n_bins.max())
     n, m = features.shape
     # Keys, cells and their counts fit in 32 bits below 2^31 keys.
     key_type = np.int32 if n * m * n_bins < 2 ** 31 else np.int64
@@ -591,8 +597,8 @@ def best_splits(hist: LevelHistogram, binned: BinnedMatrix, criterion: str,
     parent_impw = w_total * impurity(node_stats.T, criterion)
 
     feat = hist.features.reshape(n_pairs)
-    is_cat = binned.is_categorical[feat]
-    missing_bin = binned.missing_bin[feat]
+    is_cat = binned.table.is_categorical[feat]
+    missing_bin = binned.table.missing_bin[feat]
     count = np.bincount(hist.pair, minlength=n_pairs + 1)[:n_pairs]
     start = np.cumsum(count) - count
     gain = np.full(n_pairs, -np.inf)

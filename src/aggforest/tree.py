@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .binning import BinnedMatrix
+from .binning import BinnedMatrix, BinTable
 from .sampling import (
     TAG_FEATURES,
     BootstrapSample,
@@ -66,10 +66,12 @@ class Router:
         link[node] = np.arange(node.shape[0])
         child = link[tree.left_child[node, None] + np.arange(2)].ravel()
         feature = tree.feature[node].astype(np.intp)
-        bits = left_rows(tree.threshold, tree.feature_missing_bin[feature],
+        cat = tree.layout.is_categorical[feature]
+        cont = left_rows(tree.threshold, tree.layout.missing_bin[feature[~cat]],
                          tree.missing_left, tree.masks.shape[1])
+        bits = np.empty((node.shape[0], cont.shape[1]), np.uint8)
         # Categorical: the packed mask, the missing bin included.
-        bits[tree.threshold == -2] = tree.masks
+        bits[~cat], bits[cat] = cont, tree.masks
         return cls(feature, bits, child, node, link)
 
     def step(self, at, codes):
@@ -105,15 +107,16 @@ class Tree:
     Children always sit at larger indexes than their parent (a tree's root
     first), so a single reverse pass visits children before parents; an
     internal node's right child is ``left_child + 1``.  ``feature`` is the
-    split feature of each node, -1 at a leaf.  ``threshold`` and
-    ``missing_left`` hold one row per internal node, in node order.  A
-    threshold of -2 marks a categorical split, whose bins that go left are
-    the next row of ``masks``: ``np.packbits(left_bins, bitorder="little")``
-    as wide as the widest feature needs.  A node's ``stats`` are its in-bag
-    class weights, or for regression its weight and weighted label sum
-    (w, sum w y); an internal node's are the sums of its children's.
-    ``levels`` holds the internal nodes by depth, shallowest first and in
-    node order within a depth, and where each depth's run ends.
+    split feature of each node, -1 at a leaf; a split's kind is its
+    feature's in ``layout``, the mapper's ``BinTable``.  ``threshold`` and
+    ``missing_left`` hold one row per continuous split, ``masks`` one per
+    categorical split, the bins that go left as ``np.packbits(left_bins,
+    bitorder="little")`` as wide as the widest feature needs, each in node
+    order.  A node's ``stats`` are its in-bag class weights, or for
+    regression its weight and weighted label sum (w, sum w y); an internal
+    node's are the sums of its children's.  ``levels`` holds the internal
+    nodes by depth, shallowest first and in node order within a depth, and
+    where each depth's run ends.
 
     Routing reads none of these split fields at a step.  On its first route
     a tree builds its ``router``: one packed bitset of the bins that go left
@@ -133,8 +136,7 @@ class Tree:
     parent: np.ndarray
     depth: np.ndarray
     stats: np.ndarray
-    feature_n_bins: np.ndarray
-    feature_missing_bin: np.ndarray
+    layout: BinTable = field(repr=False, compare=False)
     levels: tuple[np.ndarray, list[int]] = field(repr=False, compare=False)
 
     @property
@@ -159,18 +161,16 @@ class Tree:
         return int(self.depth.max())
 
     def split_of(self, index: int) -> Split | None:
-        j = int(self.feature[index])
-        if j < 0:
+        s = self.stored(slice(index, index + 1))
+        if not s["internal"][0]:
             return None
-        row = np.count_nonzero(self.feature[:index] >= 0)
-        threshold, mask = int(self.threshold[row]), None
-        if threshold == -2:
-            mask = np.unpackbits(
-                self.masks[np.count_nonzero(self.threshold[:row] == -2)],
-                count=int(self.feature_n_bins[j]),
-                bitorder="little").astype(bool)
-        return Split(j, mask is not None, threshold,
-                     bool(self.missing_left[row]), mask)
+        j = int(s["feature"][0])
+        if s["masks"].shape[0]:
+            return Split.by_mask(j, np.unpackbits(
+                s["masks"][0], count=int(self.layout.n_bins[j]),
+                bitorder="little").astype(bool))
+        return Split(j, False, int(s["threshold"][0]),
+                     bool(s["missing_left"][0]), None)
 
     def stored(self, node=None, internal=None) -> dict[str, np.ndarray]:
         """What ``from_heap`` builds a table from, besides the roots: of the
@@ -182,21 +182,28 @@ class Tree:
         node = slice(0, self.n_nodes) if node is None else node
         if internal is None:
             internal = self.feature[node] >= 0
-        split = self.feature >= 0
+        feature = self.feature[node][internal]
         if isinstance(node, slice):
-            # A run of nodes holds runs of rows and masks: two counts find
-            # them, where ranking every node took 30x as long per tree.
-            first = np.count_nonzero(split[:node.start])
-            rows = slice(first, first + np.count_nonzero(internal))
-            cat = np.count_nonzero(self.threshold[:first] == -2)
-            cat = slice(cat, cat + np.count_nonzero(self.threshold[rows] == -2))
+            # A run of nodes holds a run of rows of each kind: counts find
+            # them, where ranking every node took 30x as long per tree, and
+            # a gather of the kinds before the run made ``Forest.trees``
+            # take 1.5x as long.
+            before = self.feature[:node.start]
+            cat = sum(np.count_nonzero(before == j)
+                      for j in self.layout.categorical)
+            cont = np.count_nonzero(before >= 0) - cat
+            here = np.count_nonzero(self.layout.is_categorical[feature])
+            cont = slice(cont, cont + feature.shape[0] - here)
+            cat = slice(cat, cat + here)
         else:
-            rows = (np.cumsum(split) - 1)[node][internal]
-            cat = (np.cumsum(self.threshold == -2)
-                   - 1)[rows[self.threshold[rows] == -2]]
-        return dict(internal=internal, feature=self.feature[node][internal],
-                    threshold=self.threshold[rows],
-                    missing_left=self.missing_left[rows],
+            split = self.feature >= 0
+            kinds = self.layout.is_categorical[self.feature[split]]
+            row = (np.cumsum(split) - 1)[node][internal]
+            cont, cat = ((np.cumsum(kind) - 1)[row[kind[row]]]
+                         for kind in (~kinds, kinds))
+        return dict(internal=internal, feature=feature,
+                    threshold=self.threshold[cont],
+                    missing_left=self.missing_left[cont],
                     masks=self.masks[cat], stats=self.stats[node][~internal])
 
     @cached_property
@@ -248,24 +255,21 @@ class Tree:
         return np.asarray(out[::-1], dtype=np.int64)
 
     @classmethod
-    def from_heap(cls, task: str, n_classes: int, layout, roots: np.ndarray,
-                  internal: np.ndarray, masks: np.ndarray, *, feature,
-                  threshold, missing_left, stats) -> Tree:
+    def from_heap(cls, task: str, n_classes: int, layout: BinTable,
+                  roots: np.ndarray, internal: np.ndarray, masks: np.ndarray,
+                  *, feature, threshold, missing_left, stats) -> Tree:
         """A stack of trees from what ``stored`` gives and each tree's first
         node; the other fields follow from these.
 
         A tree's nodes fill one block from its root, breadth first as
         ``grow_trees`` numbers them, so the k-th internal node of a tree has
-        its children at 2k + 1 and 2k + 2 of its block.  The split fields
-        hold one row per internal node and the stats one per leaf, in node
-        order, and the tree keeps the split rows.  ``layout`` is a
-        ``BinnedMatrix`` or a ``BinTable``, of which this reads ``n_bins``,
-        ``is_categorical`` and ``missing_bin``.  Raise ValueError unless
-        every tree has 2I + 1 nodes for I internal ones, each child after
-        its parent, which keeps routing from a root inside its tree, unless
-        the fields hold a row per node of their kind, unless the thresholds
-        are -2 at exactly the splits on the layout's categorical features,
-        one mask each, unless features and masks fit the layout, and unless
+        its children at 2k + 1 and 2k + 2 of its block.  The fields hold
+        rows as ``Tree`` does, and ``stats`` one per leaf; the tree keeps
+        copies of the split rows and ``layout`` itself.  Raise ValueError
+        unless every tree has 2I + 1 nodes for I internal ones, each child
+        after its parent, which keeps routing from a root inside its tree,
+        unless the fields hold a row per node of their kind, as ``layout``
+        gives it, unless features and masks fit the layout, and unless
         each continuous split sends some bin each way: a threshold in
         [-1, n_bins - 2] of its feature, -1 only where missing values go
         left, and missing_left only on a feature with a missing bin.
@@ -287,47 +291,38 @@ class Tree:
         left = 2 * np.arange(node.shape[0]) + 1 + np.repeat(shift, n_internal)
         if (left <= node).any():
             raise ValueError("a child sits at or before its parent")
-        for fields, rows, kind in ((dict(feature=feature, threshold=threshold,
-                                         missing_left=missing_left),
-                                    node.shape[0], "internal node"),
-                                   (dict(stats=stats), n - node.shape[0],
-                                    "leaf")):
-            for name, col in fields.items():
-                if col.shape[:1] != (rows,):
-                    raise ValueError(f"{name} does not hold one row per {kind}")
-        if stats.ndim != 2:
-            raise ValueError("stats are not one row of numbers per leaf")
+        if feature.shape != node.shape:
+            raise ValueError("feature does not hold one row per internal node")
+        if stats.ndim != 2 or stats.shape[0] != n - node.shape[0]:
+            raise ValueError("stats does not hold one row per leaf")
         if node.size and not ((feature >= 0)
                               & (feature < layout.n_bins.shape[0])).all():
             raise ValueError("feature index out of range")
-        cat = threshold == -2
-        if (cat != layout.is_categorical[feature]).any():
-            raise ValueError("a split's threshold is -2 where its feature is "
-                             "continuous, or not -2 where it is categorical")
+        # A mask is as wide as the widest feature's bins need.
+        on = feature[~layout.is_categorical[feature]]
+        for name, col, shape, kind in (
+                ("threshold", threshold, on.shape, "continuous"),
+                ("missing_left", missing_left, on.shape, "continuous"),
+                ("masks", masks, (feature.shape[0] - on.shape[0],
+                                  (int(layout.n_bins.max()) + 7) // 8),
+                 "categorical")):
+            if col.shape != shape:
+                raise ValueError(f"{name} does not hold one row per {kind} "
+                                 f"split: shape {col.shape}, not {shape}")
         # A continuous split sends bins up to its threshold left, and the
         # missing bin where missing_left: some bin each way, as growth
-        # splits.  Checked before the cast, which would wrap, over every
-        # split, since a categorical one's threshold of -2 is none of these.
-        top = layout.n_bins.take(feature) - 2
-        if (missing_left & (layout.missing_bin.take(feature) < 0)).any():
+        # splits.  Checked before the cast, which would wrap.
+        top = layout.n_bins.take(on) - 2
+        if (missing_left & (layout.missing_bin.take(on) < 0)).any():
             raise ValueError("missing_left is set at a split on a feature "
                              "without a missing bin")
-        if not (cat | (threshold >= -1) & (threshold <= top)).all():
+        if not ((threshold >= -1) & (threshold <= top)).all():
             raise ValueError("threshold outside [-1, n_bins - 2] of its "
                              "split feature")
         if (((threshold == -1) & ~missing_left).any()
                 or (missing_left & (threshold == top)).any()):
             raise ValueError("threshold and missing_left send no bin left or "
                              "no bin right at a split")
-        threshold = threshold.astype(np.int32)
-        if masks.shape[0] != np.count_nonzero(cat):
-            raise ValueError(f"{masks.shape[0]} masks for "
-                             f"{np.count_nonzero(cat)} categorical splits")
-        need = (int(layout.n_bins.max()) + 7) // 8
-        if masks.ndim != 2 or masks.shape[1] != need:
-            raise ValueError(
-                f"masks are {masks.shape[-1]} bytes wide, narrower or wider "
-                f"than the {need} of the widest feature's bins")
         cols = {name: np.full(n, NO_NODE, dtype=np.int32)
                 for name in ("feature", "left_child", "parent", "depth")}
         cols["feature"][node] = feature
@@ -353,10 +348,10 @@ class Tree:
             kid = cols["left_child"][at]
             _rows(sums)[at] = _rows(np.take(sums, kid, axis=0)
                                     + np.take(sums, kid + 1, axis=0))
-        return cls(task=task, n_classes=n_classes, threshold=threshold,
-                   missing_left=missing_left.astype(bool), masks=masks,
-                   stats=sums, feature_n_bins=layout.n_bins.copy(),
-                   feature_missing_bin=layout.missing_bin.copy(),
+        return cls(task=task, n_classes=n_classes,
+                   threshold=threshold.astype(np.int32),
+                   missing_left=missing_left.astype(bool),
+                   masks=masks.astype(np.uint8), stats=sums, layout=layout,
                    levels=(np.concatenate([node[:0], *levels]),
                            np.cumsum([a.size for a in levels]).tolist()),
                    **cols)
@@ -369,11 +364,10 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))
 
 
-# The fields ``Tree.from_heap`` derives the others from: the split of each
-# internal node, and the stats of each leaf, whose sums give an internal
-# node's.  ``Tree.stored`` gives these, ``internal`` and ``masks``.
-SPLIT_FIELDS = ("feature", "threshold", "missing_left")
-STORED = ("internal",) + SPLIT_FIELDS + ("masks", "stats")
+# The fields ``Tree.from_heap`` derives the others from, as ``Tree.stored``
+# gives them: which nodes are internal, the split rows, and the stats of each
+# leaf, whose sums give an internal node's.
+STORED = ("internal", "feature", "threshold", "missing_left", "masks", "stats")
 
 
 def _node_stats(abs_rows, w_rows, labels, n_classes) -> np.ndarray:
@@ -419,7 +413,8 @@ def grow_tree(binned: BinnedMatrix, labels, sample: BootstrapSample, config,
     """Grow one tree: the table of ``grow_trees`` on a group of one."""
     stored, roots, _ = grow_trees(binned, labels, [sample], config, [source],
                                   n_classes=n_classes)
-    return Tree.from_heap(config.task, n_classes, binned, roots, **stored)
+    return Tree.from_heap(config.task, n_classes, binned.table, roots,
+                          **stored)
 
 
 def grow_trees(binned: BinnedMatrix, labels,
@@ -504,11 +499,13 @@ def grow_trees(binned: BinnedMatrix, labels,
     all_features = np.broadcast_to(np.arange(d), (max(rows.shape[0], 1), d))
     owner = np.arange(n_trees)
     # Per level: which nodes split, how many nodes each tree owns, and the
-    # leaves' stats; per split, its fields and categorical mask, after an
-    # empty entry that gives their types when nothing splits.
+    # leaves' stats; per split, its feature, and its threshold and
+    # missing_left or its mask by kind, after an empty entry that gives
+    # their types when nothing splits.
+    layout = binned.table
     levels, first = [], 0
     splits = [(np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0, bool),
-               np.zeros((0, (int(binned.n_bins.max()) + 7) // 8), np.uint8))]
+               np.zeros((0, (int(layout.n_bins.max()) + 7) // 8), np.uint8))]
     while True:
         n, depth = stats.shape[0], len(levels)
         w_node = stats.sum(axis=1) if classification else stats[:, 0]
@@ -563,9 +560,9 @@ def grow_trees(binned: BinnedMatrix, labels,
         if n_split == 0:
             break
         # Only categorical splits keep their ``left`` rows, as masks.
-        cat = binned.is_categorical[best.feature]
-        splits.append((best.feature, best.threshold, best.missing_left,
-                       best.left[cat]))
+        cat = layout.is_categorical[best.feature]
+        splits.append((best.feature, best.threshold[~cat],
+                       best.missing_left[~cat], best.left[cat]))
 
         # Route every row to its child in one step, by the routing rule.
         rank = np.full(cand.size, -1)
@@ -604,16 +601,20 @@ def grow_trees(binned: BinnedMatrix, labels,
     per_tree = np.bincount(owner, minlength=n_trees)
     roots = np.cumsum(per_tree) - per_tree
     internal = split[order]
-    fields = [np.concatenate(part) for part in zip(*splits)]
+    feature, threshold, missing_left, masks = (np.concatenate(part)
+                                               for part in zip(*splits))
     del splits
     # The rows of each kind are in level order, so a node's row counts the
     # nodes of its kind before it.
     row = (np.cumsum(split) - 1)[order[internal]]
-    is_cat = binned.is_categorical[fields[0]]
-    masks = fields.pop()[(np.cumsum(is_cat) - 1)[row[is_cat[row]]]]
-    stored = {name: col[row] for name, col in zip(SPLIT_FIELDS, fields)}
+    kinds = layout.is_categorical[feature]
+    cont, cat = ((np.cumsum(kind) - 1)[row[kind[row]]]
+                 for kind in (~kinds, kinds))
+    stored = dict(internal=internal, feature=feature[row],
+                  threshold=threshold[cont], missing_left=missing_left[cont],
+                  masks=masks[cat])
     stored["stats"] = leaf_stats[(np.cumsum(~split) - 1)[order[~internal]]]
-    return dict(stored, internal=internal, masks=masks), roots, position[leaf]
+    return stored, roots, position[leaf]
 
 
 def _level(stats, owner, split, n_trees, n_classes):

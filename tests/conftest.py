@@ -8,14 +8,16 @@ from hypothesis import settings
 
 from aggforest import forest as forest_module
 from aggforest.aggregation import descend
-from aggforest.binning import BinnedMatrix, FeatureKind
+from aggforest.binning import (BinMapper, BinnedMatrix, FeatureBins,
+                               FeatureKind)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 
 def layout(kinds, n_bins, missing=None):
-    """A BinnedMatrix shell carrying only the per-feature layout.
+    """A BinnedMatrix shell carrying only the per-feature layout; a
+    feature's missing bin, when it has one, is its last.
 
     Split search never touches the row entries, so tests can drive it from
     synthetic histograms without materializing any data.
@@ -23,13 +25,15 @@ def layout(kinds, n_bins, missing=None):
     d = len(kinds)
     if missing is None:
         missing = [-1] * d
-    return BinnedMatrix(
-        entries=np.zeros((0, d), dtype=np.uint8),
-        n_bins=np.asarray(n_bins, dtype=np.int64),
-        is_categorical=np.array([FeatureKind(k) is FeatureKind.CATEGORICAL
-                                 for k in kinds]),
-        missing_bin=np.asarray(missing, dtype=np.int64),
-    )
+    features = []
+    for kind, n, m in zip(kinds, n_bins, missing):
+        assert m in (-1, n - 1)
+        fb = FeatureBins(FeatureKind(kind), n, has_missing=m >= 0)
+        if fb.kind is FeatureKind.CONTINUOUS:
+            fb.thresholds = np.arange(fb.n_plain_bins - 1.0)
+        features.append(fb)
+    mapper = BinMapper(max(2, *n_bins), features)
+    return BinnedMatrix(np.zeros((0, d), dtype=np.uint8), mapper.table)
 
 
 def random_class_table(rng, n_bins, n_classes, scale=5.0):

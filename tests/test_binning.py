@@ -69,7 +69,7 @@ def test_nan_goes_to_reserved_missing_bin():
     got = binned.entries[:, 0]
     assert got[2] == fb.missing_bin and got[5] == fb.missing_bin
     assert (got[[0, 1, 3, 4]] < fb.missing_bin).all()
-    assert binned.missing_bin[0] == fb.missing_bin
+    assert binned.table.missing_bin[0] == fb.missing_bin
 
 
 def test_missing_only_at_transform_time_errors():
@@ -279,6 +279,24 @@ def test_non_numeric_continuous_values_are_refused_naming_the_feature():
         want)
 
 
+@pytest.mark.parametrize("col,max_bins", [
+    (np.r_[np.zeros(99), 1.0], 2),
+    (np.r_[np.zeros(90), np.arange(1.0, 11.0)], 4),
+], ids=["99-zeros-and-a-one", "90-zeros-and-1-to-10"])
+def test_a_zero_inflated_column_gets_a_threshold_that_splits_it(col,
+                                                                max_bins):
+    """Every quantile of these columns is 0, which separates no value: the
+    threshold moves to 0.5, between 0 and the next larger value, rather
+    than going, and trees split the zeros from the rest.  With it dropped,
+    the column had one bin and could never split."""
+    assert fit_bins([col], ["continuous"], max_bins).features[0] \
+        .thresholds.tolist() == [0.5]
+    forest = fit([col], (col > 0).astype(np.int64), ["continuous"],
+                 TrainConfig(n_trees=4, max_bins=max_bins, aggregation=False,
+                             seed=0))
+    assert (forest.table.feature >= 0).any()
+
+
 def test_every_continuous_bin_holds_a_training_value():
     # np.quantile's midpoint rule puts thresholds both on values and between
     # them: 10 distinct integers, 100 of each, used to get 14 bins, and 20
@@ -291,8 +309,9 @@ def test_every_continuous_bin_holds_a_training_value():
     for col, max_bins, n_bins in ((ints, 256, 10), (ints, 4, 4),
                                   (normal, 81, 20), (gappy, 256, 11),
                                   (np.zeros(50), 256, 1),
-                                  # The median, 0, separates no value.
-                                  (np.r_[np.zeros(99), 1.0], 2, 1)):
+                                  # The median, 0, separates no value and
+                                  # moves to 0.5.
+                                  (np.r_[np.zeros(99), 1.0], 2, 2)):
         mapper = fit_bins([col], ["continuous"], max_bins)
         fb = mapper.features[0]
         assert fb.n_bins == n_bins
@@ -302,7 +321,8 @@ def test_every_continuous_bin_holds_a_training_value():
 
 def test_binned_matrices_share_the_tables_read_only_kinds():
     """A feature's kind is held once, in the mapper's ``BinTable``: every
-    matrix the mapper transforms carries that table's read-only arrays."""
+    matrix the mapper transforms holds that table, whose layout arrays are
+    read-only."""
     rng = np.random.default_rng(29)
     X = [rng.choice(np.array(["a", "b", None], dtype=object), size=40),
          rng.normal(size=40),
@@ -313,11 +333,9 @@ def test_binned_matrices_share_the_tables_read_only_kinds():
     assert table.is_categorical.tolist() == [True, False, True]
     assert table.continuous.tolist() == [1] and table.categorical == [0, 2]
     for rows in (slice(None), slice(5, 6), slice(0, 0)):
-        binned = transform([c[rows] for c in X], mapper)
-        for name in ("n_bins", "is_categorical", "missing_bin"):
-            shared = getattr(binned, name)
-            assert shared is getattr(table, name)
-            assert not shared.flags.writeable
+        assert transform([c[rows] for c in X], mapper).table is table
+    for name in ("n_bins", "is_categorical", "missing_bin"):
+        assert not getattr(table, name).flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table.is_categorical[1] = True
 
@@ -487,11 +505,33 @@ def test_grid_size_is_capped_at_the_largest_budget():
     assert start.nbytes == 2 * 16 * 1024
 
 
+def kept_or_moved(want, present):
+    """The ascending quantile thresholds ``want`` of a column's finite
+    values ``present`` as fitting keeps them: one that puts more values
+    below it than the one before stays; each other moves to the midpoint,
+    by np.quantile's rule, of the value it sits on and the next larger one,
+    unless there is none or a threshold that stays puts as many values
+    below it."""
+    below = np.searchsorted(np.sort(present), want)
+    stays = np.diff(below, prepend=0) > 0
+    values = np.unique(present)
+    moved = []
+    for t in want[~stays]:
+        above = values[values > t]
+        if above.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = np.quantile([t, above[0]], 0.5, method="midpoint")
+            if not np.isfinite(m):
+                m = t * 0.5 + above[0] * 0.5
+            if np.count_nonzero(present < m) not in below[stays]:
+                moved.append(m)
+    return np.sort(np.r_[want[stays], moved])
+
+
 @pytest.mark.parametrize("max_bins", [2, 3, 256, 300, binning.MAX_BINS])
 def test_thresholds_equal_quantiles_of_the_unsorted_column(max_bins):
     # The thresholds come from a sorted copy; they must be bitwise those
-    # of np.quantile on the column as given, less each that puts no more
-    # values below it than the one before (an empty bin's).
+    # of np.quantile on the column as given, as fitting keeps or moves them.
     rng = np.random.default_rng(max_bins)
     with_inf = rng.standard_cauchy(size=3000)
     with_inf[::7], with_inf[::11] = np.inf, -np.inf
@@ -501,9 +541,8 @@ def test_thresholds_equal_quantiles_of_the_unsorted_column(max_bins):
         finite = present[np.isfinite(present)]
         present = np.clip(present, finite.min(), finite.max())
         q = np.arange(1, max_bins) / max_bins
-        want = np.unique(np.quantile(present, q, method="midpoint"))
-        below = np.searchsorted(np.sort(present), want)
-        want = want[np.diff(below, prepend=0) > 0]
+        want = kept_or_moved(
+            np.unique(np.quantile(present, q, method="midpoint")), present)
         got = binning._fit_continuous(col, 0, max_bins).thresholds
         assert got.tobytes() == want.tobytes()
 
@@ -536,10 +575,8 @@ def test_midpoints_are_np_quantile_bit_for_bit(values, slots):
                   + ordered[np.ceil(k).astype(np.intp)] * 0.5)
     got = binning._midpoints(ordered, q)
     assert got.tobytes() == want.tobytes()
-    # Fitting keeps each threshold that puts more values below it than the
-    # one before (see test_every_continuous_bin_holds_a_training_value).
-    want = np.unique(want)
-    want = want[np.diff(np.searchsorted(ordered, want), prepend=0) > 0]
+    # Fitting keeps or moves the thresholds (see kept_or_moved).
+    want = kept_or_moved(np.unique(want), ordered)
     fitted = binning._fit_continuous(np.asarray(values), 0, slots).thresholds
     assert fitted.tobytes() == want.tobytes()
 

@@ -602,15 +602,17 @@ def test_tree_views_hold_their_run_of_the_table(task, n_classes, multiclass,
                                                 aggregation):
     """``Tree.from_heap`` builds each ``Forest.trees`` view from its run of
     the table, nodes lo..hi-1: the view holds those nodes with links less
-    lo, their split rows and masks, and their levels."""
+    lo, copies of their split rows of each kind, their levels and the
+    mapper's layout, and shares no memory with the table's rows."""
     X, y = mixed_data(300, 24, task, n_classes)
     forest = fit(X, y, ["categorical", "continuous", "continuous"],
                  TrainConfig(task=task, n_trees=4, multiclass=multiclass,
                              aggregation=aggregation, max_features=2,
                              seed=24))
     table = forest.table
-    split = np.flatnonzero(table.feature >= 0)    # node of each split row
-    at_cat = table.threshold == -2
+    split = np.flatnonzero(table.feature >= 0)
+    at_cat = table.layout.is_categorical[table.feature[split]]
+    cont, cat = split[~at_cat], split[at_cat]     # node of each row by kind
     node, _ = table.levels
     ends = np.append(forest.roots[1:], table.n_nodes)
     assert len(forest.trees) == forest.roots.shape[0]
@@ -624,15 +626,17 @@ def test_tree_views_hold_their_run_of_the_table(task, n_classes, multiclass,
                     stats=table.stats[lo:hi],
                     **{name: np.where(a >= 0, a - a.dtype.type(lo), a)
                        for name, a in links.items()})
-        rows = (split >= lo) & (split < hi)
+        rows = (cont >= lo) & (cont < hi)
         want.update(threshold=table.threshold[rows],
                     missing_left=table.missing_left[rows],
-                    masks=table.masks[rows[at_cat]],
-                    feature_n_bins=table.feature_n_bins,
-                    feature_missing_bin=table.feature_missing_bin)
+                    masks=table.masks[(cat >= lo) & (cat < hi)])
         for name, a in want.items():
             got = getattr(tree, name)
             assert got.dtype == a.dtype and np.array_equal(got, a), name
+        for name in ("threshold", "missing_left", "masks"):
+            assert not np.shares_memory(getattr(tree, name),
+                                        getattr(table, name)), name
+        assert tree.layout is table.layout is forest.mapper.table
         depth = tree.depth[tree.feature >= 0]
         assert np.array_equal(tree.levels[0],
                               node[(node >= lo) & (node < hi)] - lo)

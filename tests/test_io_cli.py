@@ -189,11 +189,11 @@ def test_round_trip_keeps_every_array_and_byte(tmp_path, config, n_classes):
     back = load_model(str(path))
 
     for name in ("feature", "threshold", "missing_left", "masks",
-                 "left_child", "parent", "depth", "stats", "feature_n_bins",
-                 "feature_missing_bin"):
+                 "left_child", "parent", "depth", "stats"):
         a, b = getattr(back.table, name), getattr(forest.table, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+    assert back.table.layout is back.mapper.table
     for name in ("forecasts", "oob_loss", "log_agg_weight"):
         a, b = getattr(back.state, name), getattr(forest.state, name)
         assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
@@ -209,6 +209,56 @@ def test_round_trip_keeps_every_array_and_byte(tmp_path, config, n_classes):
 def saved_header(raw):
     (hlen,) = struct.unpack_from("<Q", raw, 52)
     return json.loads(raw[60:60 + hlen].decode("utf-8"))
+
+
+def saved_arrays(raw):
+    """The header of a saved model's payload and copies of its arrays, by
+    name, None for an array stored as none."""
+    meta = saved_header(raw)
+    arrays, offset = {}, 60 + struct.unpack_from("<Q", raw, 52)[0]
+    for key, dtype, shape in meta["arrays"]:
+        if dtype is None:
+            arrays[key] = None
+            continue
+        arr = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape)),
+                            offset=offset)
+        arrays[key] = arr.reshape(shape).copy()
+        offset += arr.nbytes
+    return meta, arrays
+
+
+def test_split_rows_in_memory_are_the_rows_the_file_stores(tmp_path):
+    """A split's kind is its feature's, so a table holds its split rows as
+    format 7 stores them: one threshold, stored plus one, and one
+    missing_left bit per continuous split, and one mask per categorical
+    split, stored feature by feature at its feature's width."""
+    cols, y = mixed_columns(n_classes=3)
+    forest = fit(cols, y, ["categorical", "continuous", "categorical"],
+                 TrainConfig(n_trees=3, seed=5))
+    table, layout = forest.table, forest.mapper.table
+    assert table.layout is layout
+    assert layout.is_categorical.tolist() == [True, False, True]
+    assert (layout.missing_bin[:2] >= 0).all()
+    path = tmp_path / "m.agf"
+    save_model(forest, str(path))
+    _, arrays = saved_arrays(path.read_bytes())
+
+    on = table.feature[table.feature >= 0]
+    cat = layout.is_categorical[on]
+    assert table.threshold.shape == table.missing_left.shape == (
+        np.count_nonzero(~cat),)
+    assert table.masks.shape[0] == np.count_nonzero(cat)
+    assert np.array_equal(arrays["threshold"], table.threshold + 1)
+    assert table.missing_left.any() and not table.missing_left.all()
+    assert np.array_equal(np.unpackbits(
+        arrays["missing_left"], count=table.missing_left.shape[0],
+        bitorder="little"), table.missing_left)
+    width = (layout.n_bins + 7) // 8
+    assert table.masks.shape[1] == width.max() > width[0]
+    assert set(on[cat].tolist()) == {0, 2}
+    assert arrays["masks"].tobytes() == b"".join(
+        table.masks[on[cat] == j, :width[j]].tobytes()
+        for j in layout.categorical)
 
 
 @pytest.mark.parametrize("task,aggregation", [
@@ -240,7 +290,7 @@ def test_manifest_holds_each_field_for_its_kind_of_node(tmp_path, task,
     # one byte per mask, and only the continuous splits store the rest.
     n_cat = int((table.feature == 0).sum())
     assert 0 < n_cat < n_internal
-    assert table.feature_n_bins[0] == 6
+    assert table.layout.n_bins[0] == 6
     assert shapes["threshold"] == [n_internal - n_cat]
     assert shapes["missing_left"] == [(n_internal - n_cat + 7) // 8]
     assert shapes["masks"] == [n_cat]
@@ -269,7 +319,7 @@ def test_file_size_is_the_format_7_budget(tmp_path, task):
     table, mapper = forest.table, forest.mapper
     n, n_trees = table.n_nodes, forest.roots.shape[0]
     split = table.feature[table.feature >= 0]
-    cat = table.threshold == -2
+    cat = mapper.table.is_categorical[split]
     n_bins = np.array([fb.n_bins for fb in mapper.features])
     # Three features and 256 bins: one byte per feature and threshold.
     assert len(mapper.features) == 3 and mapper.max_bins == 256
@@ -347,17 +397,7 @@ def rewrite_model(path, edit):
     arrays may change shape, then lay the payload out again and re-sign it,
     so that only the load-time checks can catch the change."""
     raw = path.read_bytes()
-    (hlen,) = struct.unpack_from("<Q", raw, 52)
-    meta = json.loads(raw[60:60 + hlen].decode("utf-8"))
-    arrays, offset = {}, 60 + hlen
-    for key, dtype, shape in meta["arrays"]:
-        if dtype is None:
-            arrays[key] = None
-            continue
-        arr = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape)),
-                            offset=offset)
-        arrays[key] = arr.reshape(shape).copy()
-        offset += arr.nbytes
+    meta, arrays = saved_arrays(raw)
     edit(meta, arrays)
     meta["arrays"] = [[k, None, None] if a is None
                       else [k, a.dtype.str, list(a.shape)]
@@ -790,16 +830,58 @@ def test_header_values_fit_never_writes_are_refused(tmp_path, task, edit,
         load_model(str(path))
 
 
-@pytest.mark.parametrize("feature,threshold", [(1, -2), (0, 0)],
-                         ids=["continuous-split-at--2",
-                              "categorical-split-at-0"])
-def test_threshold_of_minus_two_marks_exactly_the_categorical_splits(
-        tmp_path, feature, threshold):
-    """A split routes by its mask exactly when its threshold is -2, so a
-    continuous split of threshold -2, or a categorical split of another
-    threshold, is refused rather than routed by the other rule.  A model
-    file stores no threshold of a categorical split and load puts the -2
-    back, so the table's own fields are tampered with."""
+def one_more(name):
+    def edit(stored):
+        stored[name] = np.concatenate([stored[name], stored[name][-1:]])
+    return edit
+
+
+def one_fewer(name):
+    def edit(stored):
+        stored[name] = stored[name][:-1]
+    return edit
+
+
+def split_on(feature, kind):
+    """Move the first categorical split (``kind`` True), which is on
+    feature 0, or the first continuous one onto ``feature``."""
+    def edit(stored):
+        cat = stored["feature"] == 0
+        stored["feature"] = stored["feature"].copy()
+        stored["feature"][np.flatnonzero(cat == kind)[0]] = feature
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (one_more("threshold"), "threshold does not hold one row per "
+     "continuous split"),
+    (one_fewer("threshold"), "threshold does not hold one row per "
+     "continuous split"),
+    (one_fewer("missing_left"), "missing_left does not hold one row per "
+     "continuous split"),
+    (lambda stored: stored.update(masks=stored["masks"][:, 1:]),
+     r"masks does not hold one row per categorical split: shape \(\d+, "
+     r"\d+\), not"),
+    (one_more("masks"), "masks does not hold one row per categorical split"),
+    (one_fewer("masks"), "masks does not hold one row per categorical "
+     "split"),
+    # A split moved to a feature of the other kind leaves its rows one
+    # short for one kind and one over for the other.
+    (split_on(1, True), "threshold does not hold one row per continuous "
+     "split"),
+    (split_on(0, False), "threshold does not hold one row per continuous "
+     "split"),
+], ids=["threshold-over", "threshold-short", "missing_left-short",
+        "masks-narrow", "masks-over", "masks-short",
+        "categorical-split-on-continuous",
+        "continuous-split-on-categorical"])
+def test_split_rows_of_the_wrong_count_for_their_kind_are_refused(edit,
+                                                                  message):
+    """A split's kind is its feature's, and its rows are those of its kind:
+    ``from_heap`` refuses thresholds and missing_left bits other than one
+    per split on a continuous feature, and masks other than one per split
+    on a categorical feature, rather than routing a split by rows of
+    another split.  The rows go to ``from_heap`` as fitting passes them."""
     rng = np.random.default_rng(13)
     color = rng.choice(np.array(list("abcdef"), dtype=object), size=200)
     x = rng.normal(size=200)
@@ -807,11 +889,10 @@ def test_threshold_of_minus_two_marks_exactly_the_categorical_splits(
     forest = fit([color, x], y, ["categorical", "continuous"],
                  TrainConfig(n_trees=1, seed=13))
     stored = forest.table.stored()
-    row = np.flatnonzero(stored["feature"] == feature)[0]
-    stored["threshold"] = stored["threshold"].copy()
-    stored["threshold"][row] = threshold
-    with pytest.raises(ValueError, match="threshold is -2 where its "
-                                         "feature is continuous"):
+    Tree.from_heap("classification", 2, forest.mapper.table, forest.roots,
+                   **stored)
+    edit(stored)
+    with pytest.raises(ValueError, match=message):
         Tree.from_heap("classification", 2, forest.mapper.table,
                        forest.roots, **stored)
 

@@ -330,7 +330,7 @@ def test_best_splits_are_find_best_split_node_by_node(n_classes, criterion,
             mine = node == v
             assert mine.any()
             oob_hist = [np.bincount(binned.entries[oob_rows[oob_node == v], j],
-                                    minlength=int(binned.n_bins[j]))
+                                    minlength=int(binned.table.n_bins[j]))
                         for j in feats] if oob else None
             want = find_best_split(
                 compute_histogram(rows[mine], weights[mine], feats, binned,
@@ -350,8 +350,9 @@ def test_best_splits_are_find_best_split_node_by_node(n_classes, criterion,
                 expect[:want.left_mask.shape[0]] = want.left_mask
             else:
                 expect = np.arange(hist.n_bins) <= want.bin_threshold
-                if binned.missing_bin[j] >= 0:
-                    expect[binned.missing_bin[j]] = want.missing_goes_left
+                missing_bin = binned.table.missing_bin[j]
+                if missing_bin >= 0:
+                    expect[missing_bin] = want.missing_goes_left
             np.testing.assert_array_equal(left[k], expect)
             kinds.add("categorical" if want.is_categorical else
                       "missing left" if want.missing_goes_left else "threshold")

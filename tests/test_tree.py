@@ -183,7 +183,7 @@ def split_kinds_checked_bitwise(tree):
     for i, v in enumerate(r.node):
         split = tree.split_of(int(v))
         j = split.feature
-        n_bins, missing_bin = tree.feature_n_bins[j], tree.feature_missing_bin[j]
+        n_bins, missing_bin = tree.layout.n_bins[j], tree.layout.missing_bin[j]
         want = [split_goes_left(split, code, missing_bin)
                 for code in range(n_bins)]
         got = np.unpackbits(r.bits[i], bitorder="little")[:n_bins]
@@ -205,17 +205,18 @@ def test_routing_bits_match_the_split_rule():
     assert split_kinds_checked_bitwise(tree) == {
         ("categorical", True), ("categorical", False), "no missing bin",
         "threshold -1", ("missing", True), ("missing", False)}
-    assert (tree.feature_missing_bin[:3] >= 0).all()
+    assert (tree.layout.missing_bin[:3] >= 0).all()
 
     # Thresholds at or past the missing bin, which a saved model may hold:
     # the missing bin still follows missing_left alone.
     odd = dataclasses.replace(tree, threshold=tree.threshold.copy(),
                               missing_left=tree.missing_left.copy())
-    # Split row r is that of the r-th internal node.
+    # Threshold row r is that of the r-th continuous split.
     feature = odd.feature[odd.feature >= 0]
+    feature = feature[~odd.layout.is_categorical[feature]]
     cont = np.flatnonzero((feature > 0) & (feature < 3))
-    odd.threshold[cont[::2]] = odd.feature_n_bins[feature[cont[::2]]] + 3
-    odd.threshold[cont[1::2]] = odd.feature_missing_bin[feature[cont[1::2]]]
+    odd.threshold[cont[::2]] = odd.layout.n_bins[feature[cont[::2]]] + 3
+    odd.threshold[cont[1::2]] = odd.layout.missing_bin[feature[cont[1::2]]]
     odd.missing_left[cont[::3]] ^= True
     assert ("missing", False) in split_kinds_checked_bitwise(odd)
 
@@ -225,7 +226,7 @@ def test_routing_bits_match_the_split_rule():
         for t, v in enumerate(roots):
             while (split := tree.split_of(int(v))) is not None:
                 left = split_goes_left(split, int(x[split.feature]),
-                                       tree.feature_missing_bin[split.feature])
+                                       tree.layout.missing_bin[split.feature])
                 v = tree.left_child[v] + (not left)
             assert got[i, t] == v, (i, t)
         path = tree.path(x)
@@ -247,7 +248,7 @@ def test_router_is_built_in_memory_bounded_by_its_bits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    width = int(forest.table.feature_n_bins.max())
+    width = int(forest.table.layout.n_bins.max())
     assert width > 16_000 and router.bits.shape[0] > 100
     assert peak <= 3 * router.bits.nbytes
     # No feature has a missing bin: the bins up to each threshold go left.
@@ -506,8 +507,8 @@ def test_stored_splits_match_find_best_split(monkeypatch, task, criterion,
     monkeypatch.undo()
     readings = np.concatenate(readings)
     assert readings.shape == (tree.n_nodes,)
-    assert binned.missing_bin[[0, 1, 3]].min() >= 0
-    assert len({bool(binned.is_categorical[j])
+    assert binned.table.missing_bin[[0, 1, 3]].min() >= 0
+    assert len({bool(binned.table.is_categorical[j])
                 for j in tree.feature[tree.feature >= 0]}) == 2
 
     constraints = SplitConstraints(
@@ -555,7 +556,7 @@ def test_stored_splits_match_find_best_split(monkeypatch, task, criterion,
             _, oob = rows_of(v)
             hist = histogram(v, feats)
             oob_hist = [np.bincount(binned.entries[oob, j],
-                                    minlength=int(binned.n_bins[j]))
+                                    minlength=int(binned.table.n_bins[j]))
                         for j in feats] if aggregation else None
             want = find_best_split(hist, binned, criterion, constraints,
                                    oob_hist=oob_hist, n_classes=n_classes)
@@ -629,7 +630,8 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
         warnings.simplefilter("always")
         stored, roots, leaf = grow_trees(
             binned, y, samples, config, sources, n_classes=n_classes)
-    table = Tree.from_heap(config.task, n_classes, binned, roots, **stored)
+    table = Tree.from_heap(config.task, n_classes, binned.table, roots,
+                           **stored)
     oob_loss = None
     if config.aggregation:
         oob_loss = oob_losses(
@@ -637,7 +639,7 @@ def test_grouped_growth_equals_one_tree_growth(task, options):
             leaf, np.concatenate([y[s.oob_indices] for s in samples]))
     assert len(caught) == (starved is not None)
     assert roots.shape == (5,)
-    group = [Tree.from_heap(config.task, n_classes, binned,
+    group = [Tree.from_heap(config.task, n_classes, binned.table,
                             np.zeros(1, np.int64),
                             **table.stored(slice(lo, hi)))
              for lo, hi in zip(roots, np.append(roots[1:], table.n_nodes))]
