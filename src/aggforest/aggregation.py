@@ -83,22 +83,18 @@ def oob_losses(tree: Tree, forecasts: np.ndarray, leaf: np.ndarray,
     """Each node's oob loss: the losses of its forecast at the labels ``y``
     of the (oob row, tree) pairs whose leaf ``leaf`` lies below it.  The
     leaves take their pairs in one ``bincount``, then the internal nodes of
-    each depth, deepest first (``Tree.levels``), in one more.  A node adds
-    its pairs in pair order, so this equals ``accumulate_oob_losses``
-    bitwise."""
-    out = np.bincount(leaf, pair_losses(forecasts, leaf, y),
-                      minlength=tree.n_nodes)
-    node, ends = tree.levels
-    rank = np.empty(tree.n_nodes, dtype=np.intp)
-    rank[node] = np.arange(node.shape[0])
+    each depth of ``Tree.levels``, deepest first, in one more, as each pair
+    below that depth steps up to its ancestor there.  A node adds its pairs
+    in pair order, so this equals ``accumulate_oob_losses`` bitwise."""
+    n = tree.n_nodes
+    out = np.bincount(leaf, pair_losses(forecasts, leaf, y), minlength=n)
     depth, at = tree.depth[leaf], leaf.astype(np.intp)
-    for d in range(len(ends) - 1, -1, -1):
-        lo, hi = ends[d - 1] if d else 0, ends[d]
+    for d in range(len(tree.levels) - 1, -1, -1):
         pairs = np.flatnonzero(depth > d)
         at[pairs] = up = tree.parent[at[pairs]]
-        out[node[lo:hi]] = np.bincount(
-            rank[up] - lo, pair_losses(forecasts, up, y[pairs]),
-            minlength=hi - lo)
+        nodes = tree.levels[d]
+        out[nodes] = np.bincount(up, pair_losses(forecasts, up, y[pairs]),
+                                 minlength=n)[nodes]
     return out
 
 
@@ -115,11 +111,9 @@ def compute_log_agg_weights(tree: Tree, oob_loss: np.ndarray,
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     neg = -temperature * np.asarray(oob_loss, dtype=np.float64)
     out = neg.copy()
-    node, ends = tree.levels
-    own, lc = neg[node], tree.left_child[node]
-    for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
-        out[node[lo:hi]] = np.logaddexp(
-            own[lo:hi], out[lc[lo:hi]] + out[lc[lo:hi] + 1]) - LOG2
+    for nodes in reversed(tree.levels):
+        lc = tree.left_child[nodes]
+        out[nodes] = np.logaddexp(neg[nodes], out[lc] + out[lc + 1]) - LOG2
     return out
 
 
@@ -204,17 +198,16 @@ def descend(tree: Tree, state: AggregationState):
     at a root.  rem(c) is the weight the aggregate passes down to c's
     subtree, the posterior mass of the prunings that keep c; acc(c) is the
     weighted forecast of c's ancestors.  The internal nodes of every tree of
-    a stack go down one depth at a time (``Tree.levels``), so a stack of
-    trees takes one pass.  Needs aggregation arrays.
+    a stack go down together, one array of ``Tree.levels`` at a time,
+    shallowest first, so a stack of trees takes one pass.  Needs
+    aggregation arrays.
     """
     forecasts = state.forecasts.reshape(tree.n_nodes, -1)
     mix = mix_coefficients(state)
     own, keep = mix[:, None] * forecasts, 1.0 - mix
     acc = np.zeros_like(forecasts)
     rem = np.ones(tree.n_nodes)
-    node, ends = tree.levels
-    for lo, hi in zip([0] + ends[:-1], ends):
-        nodes = node[lo:hi]
+    for nodes in tree.levels:
         kids = tree.left_child[nodes, None] + np.arange(2)
         r = rem[nodes]
         acc[kids] = (acc[nodes] + r[:, None] * own[nodes])[:, None]
@@ -222,16 +215,14 @@ def descend(tree: Tree, state: AggregationState):
     return acc, rem
 
 
-def node_values(tree: Tree, state: AggregationState,
-                descended: tuple | None = None) -> np.ndarray:
-    """The prediction of every node's region: acc + rem forecast, the upward
-    fold of ``predict_aggregated`` expanded from the root, from ``descend``
-    (or its result, when the caller has it as ``descended``).  Without
-    aggregation arrays the value is the forecast.
+def node_values(tree: Tree, state: AggregationState) -> np.ndarray:
+    """The prediction of every node's region: acc + rem forecast from one
+    ``descend``, the upward fold of ``predict_aggregated`` expanded from
+    the root.  Without aggregation arrays the value is the forecast.
     """
     if state.log_agg_weight is None:
         return state.forecasts
-    acc, rem = descend(tree, state) if descended is None else descended
+    acc, rem = descend(tree, state)
     values = acc + rem[:, None] * state.forecasts.reshape(tree.n_nodes, -1)
     if tree.task == "classification":
         s = values.sum(axis=1)

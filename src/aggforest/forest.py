@@ -223,9 +223,10 @@ class Forest:
         the routed values, since a row's value depends only on its codes."""
         roots = self.roots
         if max_trees is not None:
-            if not _is_int(max_trees) or max_trees < 1:
-                raise ValueError(
-                    f"max_trees must be an integer >= 1, got {max_trees!r}")
+            n = self.config.n_trees
+            if not _is_int(max_trees) or not 1 <= max_trees <= n:
+                raise ValueError(f"max_trees must be an integer in [1, "
+                                 f"n_trees={n}], got {max_trees!r}")
             roots = roots[self.index < max_trees]
         entries = self._binned(X).entries
         if max_trees is None and self._lookup is not None:
@@ -441,24 +442,22 @@ def fit(X, y, kinds, config: TrainConfig, n_jobs: int = 1,
         name: np.concatenate([s.pop(name) for s in stored]) for name in STORED})
     # With aggregation on, every pair is scored once, and the subtrees the
     # aggregate weighs below CUT_WEIGHT are cut (``_cut``).
-    oob_loss = descended = None
+    oob_loss = None
     if config.aggregation:
         oob_loss = oob_losses(table, node_forecast(
             table.stats, config.task, config.dirichlet), leaf, y_oob)
     state = state_from_losses(table, oob_loss, temperature, config.dirichlet)
     if oob_loss is not None:
-        descended = descend(table, state)
-        cut = _cut(table, roots, leaf, descended[1])
+        cut = _cut(table, roots, leaf, descend(table, state)[1])
         if cut is not None:
-            # The uncut table, its state and acc go before the cut is built.
+            # The uncut table and its state go before the cut is built.
             node, kept, roots, leaf = cut
-            del cut, table, state, descended
+            del cut, table, state
             table = Tree.from_heap(config.task, k, mapper.table, roots, **kept)
-            descended = None
             state = state_from_losses(table, oob_loss[node], temperature,
                                       config.dirichlet)
     # Each tree's mean oob loss, over its pairs' values from one gather.
-    losses = pair_losses(node_values(table, state, descended), leaf, y_oob)
+    losses = pair_losses(node_values(table, state), leaf, y_oob)
     means = [float(part.mean())
              for part in np.split(losses, np.cumsum(n_oob)[:-1])]
     forest = Forest(

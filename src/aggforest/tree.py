@@ -114,9 +114,10 @@ class Tree:
     bitorder="little")`` as wide as the widest feature needs, each in node
     order.  A node's ``stats`` are its in-bag class weights, or for
     regression its weight and weighted label sum (w, sum w y); an internal
-    node's are the sums of its children's.  ``levels`` holds the internal
-    nodes by depth, shallowest first and in node order within a depth, and
-    where each depth's run ends.
+    node's are the sums of its children's.  ``levels`` holds one array per
+    depth, shallowest first, of that depth's internal nodes in node order,
+    and ``split_row`` each internal node's row among its kind's rows, -1 at
+    a leaf.
 
     Routing reads none of these split fields at a step.  On its first route
     a tree builds its ``router``: one packed bitset of the bins that go left
@@ -137,7 +138,8 @@ class Tree:
     depth: np.ndarray
     stats: np.ndarray
     layout: BinTable = field(repr=False, compare=False)
-    levels: tuple[np.ndarray, list[int]] = field(repr=False, compare=False)
+    levels: list[np.ndarray] = field(repr=False, compare=False)
+    split_row: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -177,30 +179,15 @@ class Tree:
         nodes ``node``, which are ``internal``, the split rows and masks of
         those and the stats of the others, each in node order.  ``node`` is
         every node by default, or a slice, such as one tree's nodes of a
-        stack, which keeps every split; or ascending ids, of which a cut
-        passes the ones that stay ``internal``."""
+        stack, or ascending ids; ``internal`` is every split of those by
+        default, or the ones that stay internal after a cut."""
         node = slice(0, self.n_nodes) if node is None else node
         if internal is None:
             internal = self.feature[node] >= 0
         feature = self.feature[node][internal]
-        if isinstance(node, slice):
-            # A run of nodes holds a run of rows of each kind: counts find
-            # them, where ranking every node took 30x as long per tree, and
-            # a gather of the kinds before the run made ``Forest.trees``
-            # take 1.5x as long.
-            before = self.feature[:node.start]
-            cat = sum(np.count_nonzero(before == j)
-                      for j in self.layout.categorical)
-            cont = np.count_nonzero(before >= 0) - cat
-            here = np.count_nonzero(self.layout.is_categorical[feature])
-            cont = slice(cont, cont + feature.shape[0] - here)
-            cat = slice(cat, cat + here)
-        else:
-            split = self.feature >= 0
-            kinds = self.layout.is_categorical[self.feature[split]]
-            row = (np.cumsum(split) - 1)[node][internal]
-            cont, cat = ((np.cumsum(kind) - 1)[row[kind[row]]]
-                         for kind in (~kinds, kinds))
+        row = self.split_row[node][internal]
+        cat = self.layout.is_categorical[feature]
+        cont, cat = row[~cat], row[cat]
         return dict(internal=internal, feature=feature,
                     threshold=self.threshold[cont],
                     missing_left=self.missing_left[cont],
@@ -299,7 +286,8 @@ class Tree:
                               & (feature < layout.n_bins.shape[0])).all():
             raise ValueError("feature index out of range")
         # A mask is as wide as the widest feature's bins need.
-        on = feature[~layout.is_categorical[feature]]
+        cat = layout.is_categorical[feature]
+        on = feature[~cat]
         for name, col, shape, kind in (
                 ("threshold", threshold, on.shape, "continuous"),
                 ("missing_left", missing_left, on.shape, "continuous"),
@@ -323,9 +311,13 @@ class Tree:
                 or (missing_left & (threshold == top)).any()):
             raise ValueError("threshold and missing_left send no bin left or "
                              "no bin right at a split")
-        cols = {name: np.full(n, NO_NODE, dtype=np.int32)
-                for name in ("feature", "left_child", "parent", "depth")}
+        cols = {name: np.full(n, NO_NODE, dtype=np.int32) for name in
+                ("feature", "left_child", "parent", "depth", "split_row")}
         cols["feature"][node] = feature
+        # A split's row counts the splits of its kind before it.
+        for of_kind in (~cat, cat):
+            cols["split_row"][node[of_kind]] = np.arange(
+                np.count_nonzero(of_kind))
         cols["left_child"][node] = left
         cols["parent"][left], cols["parent"][left + 1] = node, node
         # Depth d + 1 holds the children of the internal nodes at depth d,
@@ -352,9 +344,7 @@ class Tree:
                    threshold=threshold.astype(np.int32),
                    missing_left=missing_left.astype(bool),
                    masks=masks.astype(np.uint8), stats=sums, layout=layout,
-                   levels=(np.concatenate([node[:0], *levels]),
-                           np.cumsum([a.size for a in levels]).tolist()),
-                   **cols)
+                   levels=levels, **cols)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

@@ -76,9 +76,7 @@ def node_counts(tree, entries, rows, roots=None) -> np.ndarray:
     for root, part in zip(roots, rows):
         leaf = tree.route(entries[part], np.array([root]))[:, 0]
         counts += np.bincount(leaf, minlength=tree.n_nodes)
-    node, ends = tree.levels
-    for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
-        v = node[lo:hi]
+    for v in reversed(tree.levels):
         left = tree.left_child[v]
         counts[v] = counts[left] + counts[left + 1]
     return counts
@@ -100,9 +98,7 @@ def bound_violation(table, state, roots, n_oob, lhs) -> np.ndarray:
                   np.diff(roots, append=table.n_nodes))
     a = math.log(2.0) / state.temperature / (n + 1.0)
     best = state.oob_loss / n
-    node, ends = table.levels
-    for lo, hi in reversed(list(zip([0] + ends[:-1], ends))):
-        v = node[lo:hi]
+    for v in reversed(table.levels):
         left = table.left_child[v]
         best[v] = np.minimum(best[v] + a[v],
                              a[v] + best[left] + best[left + 1])

@@ -15,7 +15,7 @@ from aggforest.datasets import add_noise, make_toy_classification, signal_grid
 from aggforest.forest import Forest, TrainConfig, fit
 from aggforest.model_io import load_model, save_model
 from aggforest.sampling import TAG_BOOTSTRAP, RandomSource, bootstrap
-from aggforest.tree import Tree, grow_tree
+from aggforest.tree import STORED, Tree, grow_tree
 
 KINDS2 = ["continuous", "continuous"]
 
@@ -217,7 +217,7 @@ def test_prefix_of_trees_equals_smaller_forest():
     np.testing.assert_array_equal(big.predict(X, max_trees=np.int64(2)),
                                   small.predict(X))
     # A bool or a fraction once counted as that many trees, rounded up.
-    for bad in (0, True, 1.5, 2.0, "2"):
+    for bad in (0, True, 1.5, 2.0, "2", 7):
         with pytest.raises(ValueError, match="max_trees"):
             big.predict_proba(X, max_trees=bad)
 
@@ -613,7 +613,6 @@ def test_tree_views_hold_their_run_of_the_table(task, n_classes, multiclass,
     split = np.flatnonzero(table.feature >= 0)
     at_cat = table.layout.is_categorical[table.feature[split]]
     cont, cat = split[~at_cat], split[at_cat]     # node of each row by kind
-    node, _ = table.levels
     ends = np.append(forest.roots[1:], table.n_nodes)
     assert len(forest.trees) == forest.roots.shape[0]
     assert at_cat.any() and (~at_cat).any()
@@ -637,10 +636,71 @@ def test_tree_views_hold_their_run_of_the_table(task, n_classes, multiclass,
             assert not np.shares_memory(getattr(tree, name),
                                         getattr(table, name)), name
         assert tree.layout is table.layout is forest.mapper.table
-        depth = tree.depth[tree.feature >= 0]
-        assert np.array_equal(tree.levels[0],
-                              node[(node >= lo) & (node < hi)] - lo)
-        assert tree.levels[1] == np.cumsum(np.bincount(depth)).tolist()
+        runs = [v[(v >= lo) & (v < hi)] - lo for v in table.levels]
+        assert len(tree.levels) == np.count_nonzero([v.size for v in runs])
+        for d, (got, want) in enumerate(zip(tree.levels, runs)):
+            assert np.array_equal(got, want) and (tree.depth[got] == d).all()
+
+
+def test_stored_reads_every_split_through_its_row():
+    """``Tree.stored`` reads a run of nodes given as a slice and as
+    ascending ids alike, through ``split_row``: -1 exactly at the leaves,
+    else the node's row among its kind's rows, which ``split_of`` reads."""
+    X, y = mixed_data(300, 26, "classification", 3)
+    forest = fit(X, y, ["categorical", "continuous", "continuous"],
+                 TrainConfig(n_trees=4, max_features=2, seed=26))
+    table = forest.table
+    split = np.flatnonzero(table.feature >= 0)
+    cat = table.layout.is_categorical[table.feature[split]]
+    assert cat.any() and (~cat).any() and table.missing_left.any()
+    assert np.array_equal(table.split_row < 0, table.is_leaf)
+    ends = np.append(forest.roots[1:], table.n_nodes)
+    for lo, hi in zip(forest.roots, ends):
+        by_slice = table.stored(slice(lo, hi))
+        by_ids = table.stored(np.arange(lo, hi))
+        for name in STORED:
+            a, b = by_slice[name], by_ids[name]
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for v, at_cat in zip(split.tolist(), cat):
+        got, row = table.split_of(v), table.split_row[v]
+        if at_cat:
+            width = (got.left_mask.size + 7) // 8
+            assert np.array_equal(
+                np.packbits(got.left_mask, bitorder="little"),
+                table.masks[row, :width])
+        else:
+            assert (got.bin_threshold, got.missing_goes_left) == (
+                table.threshold[row], table.missing_left[row])
+
+
+@pytest.mark.parametrize("aggregation", [True, False])
+@pytest.mark.parametrize("task,n_classes", [("regression", 0),
+                                            ("classification", 3)])
+def test_forests_of_single_leaf_trees(task, n_classes, aggregation,
+                                      tmp_path):
+    """At max_depth=0 each tree is one leaf and ``levels`` is empty, so
+    the passes over the depths do nothing: each node's value is its
+    forecast, and the forest predicts finite values, saves and loads
+    bitwise, and shows its trees."""
+    X, y = mixed_data(200, 27, task, n_classes)
+    forest = fit(X, y, ["categorical", "continuous", "continuous"],
+                 TrainConfig(task=task, n_trees=3, max_depth=0,
+                             aggregation=aggregation, seed=27))
+    table, state = forest.table, forest.state
+    assert table.levels == [] and table.n_nodes == 3
+    assert (table.split_row == -1).all()
+    if aggregation:
+        assert np.array_equal(state.log_agg_weight,
+                              -state.temperature * state.oob_loss)
+    assert np.array_equal(node_values(table, state), state.forecasts)
+    predict = "predict_proba" if task == "classification" else "predict"
+    got = getattr(forest, predict)(X)
+    assert np.isfinite(got).all()
+    save_model(forest, tmp_path / "leaves.agf")
+    loaded = load_model(tmp_path / "leaves.agf")
+    assert np.array_equal(getattr(loaded, predict)(X), got)
+    views = [(view.tree.n_nodes, view.tree.levels) for view in forest.trees]
+    assert views == [(1, [])] * 3
 
 
 @pytest.mark.parametrize("task,n_classes,multiclass,aggregation,options", [

@@ -1,8 +1,8 @@
 """Importing the library loads numpy and the standard library only: no
-scipy, no process-pool machinery until a fit asks for workers, and no
-json, hashlib or csv until a model or CSV file is read or written.  The
-package exports the documented names, and those the benchmark calls or
-imports."""
+scipy, no process-pool machinery until a fit asks for workers, no json,
+hashlib or csv until a model or CSV file is read or written, and neither
+the command line nor the reference code.  The package exports the
+documented names, and those the benchmark calls or imports."""
 
 import ast
 import importlib
@@ -36,9 +36,11 @@ def heavy():
 import aggforest
 after_package = heavy()
 model_file = sorted(m for m in ("csv", "hashlib", "json") if m in sys.modules)
+tools = sorted(m for m in ("aggforest.cli", "aggforest.reference")
+               if m in sys.modules)
 import aggforest.cli
 import json
-print(json.dumps([after_package, heavy(), model_file]))
+print(json.dumps([after_package, heavy(), model_file, tools]))
 """
 
 
@@ -62,6 +64,13 @@ def test_import_aggforest_leaves_model_file_modules_unloaded(
         loaded_after_import):
     # model_io imports these where a model or CSV file is read or written.
     assert loaded_after_import[2] == []
+
+
+def test_import_aggforest_leaves_cli_and_reference_unloaded(
+        loaded_after_import):
+    # Without cached bytecode every import compiles its source, so the
+    # command line and the reference code stay out of the package import.
+    assert loaded_after_import[3] == []
 
 
 def test_package_exports_the_documented_names():
